@@ -9,8 +9,15 @@ representations cover the whole library:
 ``PowerSeries``
     truncated Taylor series; calculus is term-wise.
 ``RadialIntegral``
-    antiderivative of a given integrand along the segment [0, z], evaluated
-    by composite Gauss-Legendre panels graded toward the endpoint.
+    antiderivative of a closed-form integrand: pointwise values by composite
+    Gauss-Legendre panels along [0, z] graded toward the endpoint, whole
+    circles by a spectral FFT pass, Taylor coefficients by integrating the
+    integrand's term by term.
+
+``circle_values`` is the one circle sampler: it takes a target's
+whole-circle method when it has one and evaluates pointwise otherwise.
+``circle_points`` runs it on a grid fine enough that a whole-circle pass
+does not alias, for callers that use the samples as point values.
 
 Evaluation is capped at |z| <= 1 - 2**-20; all the closed forms of interest
 blow up at z = 1 and double precision carries no information beyond that.
@@ -255,39 +262,21 @@ def radial_path_integral(
 class RadialIntegral(AnalyticFunction):
     """F(z) = integral of a given derivative along [0, z].
 
-    The derivative is exact (it is the integrand); values come from graded
-    Gauss-Legendre quadrature. A Taylor expansion is available only when a
-    coefficient series was attached at construction time.
+    The derivative is exact (it is the integrand). Values come from graded
+    Gauss-Legendre quadrature, whole circles from a spectral pass, and Taylor
+    coefficients from the integrand's, integrated term by term.
     """
 
     kind = "radial-path-integral"
 
-    def __init__(
-        self,
-        integrand: AnalyticFunction,
-        uid: str,
-        series: Optional[PowerSeries] = None,
-    ):
+    def __init__(self, integrand: AnalyticFunction, uid: str):
         super().__init__(uid)
         self.integrand = integrand
-        self.series = series
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         _check_radius(z)
-        if self.series is not None and np.max(np.abs(z)) <= self._series_radius():
-            return self.series(z)
         return radial_path_integral(self.integrand, z)
-
-    def _series_radius(self) -> float:
-        # largest radius at which the attached truncation still certifies 1e-12;
-        # two extra digits of headroom absorb the tail beyond the last term
-        nn = self.series.coeffs.size - 1
-        a = abs(self.series.coeffs[-1])
-        if a == 0:
-            return RADIUS_CAP
-        r = (1e-14 / a) ** (1.0 / nn) if a > 1e-14 else 1.0
-        return min(r, RADIUS_CAP)
 
     def derivative(self, z):
         return self.integrand(z)
@@ -303,8 +292,6 @@ class RadialIntegral(AnalyticFunction):
         theta = (2.0 * np.pi / n) * np.arange(n)
         z = r * np.exp(1j * theta)
         _check_radius(z)
-        if self.series is not None and r <= self._series_radius():
-            return self.series(z)
         coeffs = np.fft.fft(self.integrand(z)) / n
         coeffs *= r / np.arange(1.0, n + 1.0)
         return np.fft.ifft(coeffs) * n * np.exp(1j * theta)
@@ -313,21 +300,46 @@ class RadialIntegral(AnalyticFunction):
         return self.integrand
 
     def taylor(self, n: int) -> np.ndarray:
-        if self.series is None:
-            raise NonConvergenceError(
-                f"{self.uid} is a path integral without an attached expansion; "
-                "use series resampling"
-            )
-        return self.series.taylor(n)
+        if n < 1:
+            raise DomainError("need n >= 1 coefficients")
+        return series_integrate(self.integrand.taylor(n), n)
+
+
+def circle_values(F, r: float, n: int) -> np.ndarray:
+    """F on the uniform n-point grid theta_j = 2 pi j / n of the circle |z| = r.
+
+    Targets with a whole-circle ``circle_values`` method (radial integrals,
+    harmonic maps) use it; any other target is evaluated pointwise. A
+    whole-circle pass aliases like the trapezoid rule at n points, which
+    doubling chains control by comparing grid levels; fixed grids take
+    ``circle_points``.
+    """
+    fast = getattr(F, "circle_values", None)
+    if fast is not None:
+        return np.asarray(fast(r, n))
+    theta = (2.0 * np.pi / n) * np.arange(n)
+    return np.asarray(F(r * np.exp(1j * theta)))
+
+
+def circle_points(F, r: float, n: int) -> np.ndarray:
+    """F at the n grid points of ``circle_values``, free of aliasing.
+
+    A whole-circle pass over m points folds Taylor mode j + m onto mode j
+    with weight about r**m, so the pass runs over m = n 2**j >= 40/(1 - r)
+    points (r**m <= e**-40) and every 2**j-th value is kept. Where that
+    would take more than 2**20 points, F is evaluated pointwise.
+    """
+    m = n
+    while m * (1.0 - r) < 40.0 and m < 2**20:
+        m *= 2
+    if m * (1.0 - r) >= 40.0:
+        return circle_values(F, r, m)[:: m // n]
+    theta = (2.0 * np.pi / n) * np.arange(n)
+    return np.asarray(F(r * np.exp(1j * theta)))
 
 
 # ---------------------------------------------------------------------------
 # the extremal catalog
-
-
-def _poly_over_pole_taylor(num: Sequence[float], pole_order: int, n: int) -> np.ndarray:
-    """Taylor coefficients of P(z)/(1-z)**pole_order."""
-    return series_mul(np.asarray(num, dtype=complex), geometric_coefficients(1.0, pole_order, n), n)
 
 
 def _H_taylor(k: float, n: int) -> np.ndarray:
@@ -401,7 +413,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             taylor_fn=strip_taylor,
         )
     if name == "H":
-        uid = f"H[k={kk:g}]"
+        uid = f"H[k={kk!r}]"
 
         def H(z):
             return (1 + z) / ((1 - z) ** 2 * (1 - kk * z))
@@ -412,7 +424,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
 
         return ClosedForm(uid, H, dfn=dH, taylor_fn=lambda n: _H_taylor(kk, n))
     if name == "G":
-        uid = f"G[k={kk:g}]"
+        uid = f"G[k={kk!r}]"
         Hf = catalog("H", kk)
         return ClosedForm(
             uid,
@@ -421,7 +433,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             taylor_fn=_shift_up(lambda n: _H_taylor(kk, n), kk),
         )
     if name == "scrH":
-        uid = f"scrH[k={kk:g}]"
+        uid = f"scrH[k={kk!r}]"
 
         def scrH(z):
             return (1 + z) ** 2 / ((1 - z) ** 3 * (1 - kk * z))
@@ -436,7 +448,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
 
         return ClosedForm(uid, scrH, dfn=dscrH, taylor_fn=lambda n: _scrH_taylor(kk, n))
     if name == "scrG":
-        uid = f"scrG[k={kk:g}]"
+        uid = f"scrG[k={kk!r}]"
         Sf = catalog("scrH", kk)
         return ClosedForm(
             uid,

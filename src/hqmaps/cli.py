@@ -168,6 +168,17 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _emit(ns: argparse.Namespace, stem: str, lines: list, doc: dict, series: list, **plot) -> None:
+    """Write the csv/json/svg renderings that ns.formats asks for to ns.out/stem.*"""
+    base = os.path.join(ns.out, stem)
+    if "csv" in ns.formats:
+        _write_atomic(base + ".csv", "\n".join(lines) + "\n")
+    if "json" in ns.formats:
+        _write_atomic(base + ".json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    if "svg" in ns.formats:
+        _write_atomic(base + ".svg", polyline_svg(series, **plot))
+
+
 def read_csv(path: str) -> tuple:
     """(header, rows) with numeric fields parsed; the round-trip reader."""
     with open(path) as fh:
@@ -283,26 +294,10 @@ def cmd_means(ns: argparse.Namespace) -> int:
         series.append((f"p={p:g}", list(r_list), values))
         for r, v in zip(r_list, values):
             print(f"{uid} p={p:g} r={r:g}: M_p = {v:.9g}")
-    base = os.path.join(ns.out, f"means_{_slug(uid)}")
-    if "csv" in ns.formats:
-        _write_atomic(base + ".csv", "\n".join(lines) + "\n")
-    if "json" in ns.formats:
-        _write_atomic(
-            base + ".json",
-            json.dumps({"target": uid, "curves": curves_doc}, sort_keys=True, indent=2)
-            + "\n",
-        )
-    if "svg" in ns.formats:
-        _write_atomic(
-            base + ".svg",
-            polyline_svg(
-                series,
-                title=f"integral means of {uid}",
-                xlabel="r",
-                ylabel="M_p(r)",
-                logy=True,
-            ),
-        )
+    _emit(
+        ns, f"means_{_slug(uid)}", lines, {"target": uid, "curves": curves_doc}, series,
+        title=f"integral means of {uid}", xlabel="r", ylabel="M_p(r)", logy=True,
+    )
     return EXIT_OK
 
 
@@ -327,24 +322,11 @@ def cmd_star(ns: argparse.Namespace) -> int:
             f"{uid} r={r:g}: star peak = {float(np.max(sf.values)):.9g}, "
             f"full mass = {sf.values[-1]:.9g}"
         )
-    base = os.path.join(ns.out, f"star_{_slug(uid)}")
-    if "csv" in ns.formats:
-        _write_atomic(base + ".csv", "\n".join(lines) + "\n")
-    if "json" in ns.formats:
-        _write_atomic(
-            base + ".json",
-            json.dumps({"target": uid, "curves": doc}, sort_keys=True, indent=2) + "\n",
-        )
-    if "svg" in ns.formats:
-        _write_atomic(
-            base + ".svg",
-            polyline_svg(
-                series,
-                title=f"star function of log|{uid}|",
-                xlabel="theta",
-                ylabel="cumulative rearranged mass",
-            ),
-        )
+    _emit(
+        ns, f"star_{_slug(uid)}", lines, {"target": uid, "curves": doc}, series,
+        title=f"star function of log|{uid}|", xlabel="theta",
+        ylabel="cumulative rearranged mass",
+    )
     return EXIT_OK
 
 
@@ -388,11 +370,7 @@ def cmd_growth(ns: argparse.Namespace) -> int:
                 "thresholds": thr,
             }
         )
-        mask = (
-            v.curve.converged
-            if v.curve.converged is not None
-            else np.ones(v.curve.radii.size, dtype=bool)
-        )
+        mask = v.curve.converged
         series.append(
             (
                 f"p={p:g}",
@@ -406,26 +384,11 @@ def cmd_growth(ns: argparse.Namespace) -> int:
             f"earlier bound {_fmt_threshold(thr['nowak']) or 'n/a'}, "
             f"distortion-only {_fmt_threshold(thr['astala_koskela']) or 'n/a'})"
         )
-    base = os.path.join(ns.out, f"growth_{_slug(f.uid)}")
-    if "csv" in ns.formats:
-        _write_atomic(base + ".csv", "\n".join(lines) + "\n")
-    if "json" in ns.formats:
-        _write_atomic(
-            base + ".json",
-            json.dumps({"target": f.uid, "rows": doc}, sort_keys=True, indent=2) + "\n",
-        )
-    if "svg" in ns.formats:
-        _write_atomic(
-            base + ".svg",
-            polyline_svg(
-                series,
-                title=f"dyadic means growth of {f.uid}",
-                xlabel="1/(1-r)",
-                ylabel="M_p(r)",
-                logx=True,
-                logy=True,
-            ),
-        )
+    _emit(
+        ns, f"growth_{_slug(f.uid)}", lines, {"target": f.uid, "rows": doc}, series,
+        title=f"dyadic means growth of {f.uid}", xlabel="1/(1-r)", ylabel="M_p(r)",
+        logx=True, logy=True,
+    )
     return EXIT_OK
 
 

@@ -2,9 +2,9 @@
 
 A harmonic map is stored as its canonical pair (h, g) of analytic functions
 together with declared class tags and, when quasiconformal, the dilatation
-bound. Shears are built from a conformal slice phi and a dilatation omega by
-h' = phi'/(1 - omega), g = h - phi; values of h come from a power series at
-moderate radii and from radial quadrature near the boundary.
+bound. Shears are built from a conformal slice phi and a dilatation omega as
+two radial integrals of closed-form derivatives, h' = phi'/(1 - omega) and
+g' = omega h', so that h - g = phi.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ from typing import Optional
 import numpy as np
 
 from .analytic import (
-    SERIES_CAP,
     AnalyticFunction,
     ClosedForm,
     DomainError,
-    PowerSeries,
     RadialIntegral,
     catalog,
+    circle_values,
     geometric_coefficients,
-    series_integrate,
     series_mul,
     series_reciprocal,
 )
@@ -58,18 +56,11 @@ class HarmonicMap:
         return "analytic" in self.class_tags
 
     def circle_values(self, r: float, n: int) -> np.ndarray:
-        """f on the uniform n-point circle grid, via component fast paths."""
-        return _component_circle(self.h, r, n) + np.conj(_component_circle(self.g, r, n))
+        """f on the uniform n-point circle grid, from its components' samples."""
+        return circle_values(self.h, r, n) + np.conj(circle_values(self.g, r, n))
 
     def __repr__(self):
         return f"<HarmonicMap {self.uid}>"
-
-
-def _component_circle(F: AnalyticFunction, r: float, n: int) -> np.ndarray:
-    fast = getattr(F, "circle_values", None)
-    if fast is not None:
-        return np.asarray(fast(r, n))
-    return np.asarray(F(r * np.exp(2j * np.pi * np.arange(n) / n)))
 
 
 def eval_harmonic(f: HarmonicMap, z):
@@ -108,17 +99,6 @@ def K_of_k(k: float) -> float:
 # shears
 
 
-def _adaptive_length(coeffs_fn, r_target: float = 0.995, tol: float = 1e-13) -> int:
-    """Shortest truncation whose last term passes the tail bound at r_target."""
-    n = 64
-    while n <= SERIES_CAP:
-        c = coeffs_fn(n)
-        if abs(c[-1]) * r_target ** (n - 1) < tol:
-            return n
-        n *= 2
-    return SERIES_CAP
-
-
 def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str] = None) -> HarmonicMap:
     """Shear construction: h - g = phi, g' = omega h'.
 
@@ -155,28 +135,15 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
         one_minus[0] += 1.0
         return series_mul(phi_prime.taylor(m), series_reciprocal(one_minus, m), m)
 
-    def gp_taylor(m: int) -> np.ndarray:
-        return series_mul(omega.taylor(m), hp_taylor(m), m)
-
-    n = _adaptive_length(hp_taylor)
-    h_series = PowerSeries(series_integrate(hp_taylor(n), n), uid + ":h-series")
-
     hp = ClosedForm(uid + ":h'", hp_fn, taylor_fn=hp_taylor)
-    h = RadialIntegral(hp, uid + ":h", series=h_series)
-
-    g = ClosedForm(
-        uid + ":g",
-        lambda z: h(z) - phi(z),
-        dfn=lambda z: omega(z) * hp_fn(z),
-        taylor_fn=lambda m: series_integrate(gp_taylor(m), m),
-    )
-    # g inherits h's spectral circle path; phi itself is a cheap closed form
-    g.circle_values = lambda r, n: h.circle_values(r, n) - phi(
-        r * np.exp(2j * np.pi * np.arange(n) / n)
+    gp = ClosedForm(
+        uid + ":g'",
+        lambda z: omega(z) * hp_fn(z),
+        taylor_fn=lambda m: series_mul(omega.taylor(m), hp_taylor(m), m),
     )
     return HarmonicMap(
-        h=h,
-        g=g,
+        h=RadialIntegral(hp, uid + ":h"),
+        g=RadialIntegral(gp, uid + ":g"),
         uid=uid,
         class_tags=frozenset({"convex-in-one-direction", "close-to-convex"}),
         qc_k=qc,
@@ -290,7 +257,7 @@ def shear_omega(kappa: float, power: int) -> AnalyticFunction:
         return out
 
     F = ClosedForm(
-        f"{kappa:g}z" + ("^2" if power == 2 else ""),
+        f"{float(kappa)!r}z" + ("^2" if power == 2 else ""),
         lambda z: kappa * z**power,
         dfn=lambda z: kappa * power * z ** (power - 1),
         taylor_fn=taylor,

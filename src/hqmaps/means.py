@@ -24,6 +24,7 @@ from .analytic import (
     DomainError,
     NonConvergenceError,
     catalog,
+    circle_values,
 )
 from .csvio import join_row
 from .harmonic import HarmonicMap
@@ -57,29 +58,24 @@ def _store(key: tuple, arr: np.ndarray) -> None:
 def circle_modulus(F: Evaluable, r: float, n: int) -> np.ndarray:
     """|F| sampled on the uniform n-point circle grid at radius r, cached.
 
-    Grid levels nest: level 2n reuses level n and evaluates only midpoints.
+    Grid levels nest: for pointwise targets level 2n reuses level n and
+    evaluates only midpoints; whole-circle targets sample every level afresh.
     """
     key = (F.uid, float(r), int(n))
     hit = _CACHE.get(key)
     if hit is not None:
         _CACHE.move_to_end(key)
         return hit
-    fast = getattr(F, "circle_values", None)
-    if fast is not None:
-        # spectral targets evaluate the whole grid at once; no midpoint merge
-        out = np.abs(fast(float(r), int(n)))
-        _store(key, out)
-        return out
-    parent = _CACHE.get((F.uid, float(r), n // 2))
+    parent = None
+    if getattr(F, "circle_values", None) is None:
+        parent = _CACHE.get((F.uid, float(r), n // 2))
     if parent is not None:
         theta = (2.0 * np.pi / n) * np.arange(1, n, 2)
-        mids = np.abs(F(r * np.exp(1j * theta)))
         out = np.empty(n)
         out[0::2] = parent
-        out[1::2] = mids
+        out[1::2] = np.abs(F(r * np.exp(1j * theta)))
     else:
-        theta = (2.0 * np.pi / n) * np.arange(n)
-        out = np.abs(F(r * np.exp(1j * theta)))
+        out = np.abs(circle_values(F, float(r), int(n)))
     _store(key, out)
     return out
 

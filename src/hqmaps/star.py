@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .analytic import RADIUS_CAP, AnalyticFunction, DomainError
+from .analytic import RADIUS_CAP, AnalyticFunction, DomainError, circle_points
 from .csvio import join_row
 
 MIN_CIRCLE_SAMPLES = 2**9
@@ -54,14 +54,14 @@ def sample_log_modulus(F: AnalyticFunction, r: float, n: int) -> SampledCircle:
     """log|F| on the n-point circle grid, nudging r off zeros of F.
 
     A sample with |F| < 1e-8 counts as a zero collision; the radius is
-    perturbed by 1e-7 up to three times before giving up.
+    perturbed by 1e-7 up to three times before giving up. The circle grid
+    starts at theta = 0; rolling it by n/2 puts the samples on [-pi, pi).
     """
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
-    theta = -np.pi + 2.0 * np.pi * np.arange(n) / n
     rr = r
     for _ in range(3):
-        mod = np.abs(F(rr * np.exp(1j * theta)))
+        mod = np.roll(np.abs(circle_points(F, rr, n)), n // 2)
         if np.min(mod) >= 1e-8:
             return SampledCircle(radius=rr, values=np.log(mod), source_id=F.uid)
         rr += 1e-7

@@ -346,23 +346,14 @@ def hardy_membership_verdict(
     if not (0.0 < p < math.inf):
         raise DomainError(f"p must lie in (0, inf), got {p}")
     curve = dyadic_means_curve(f, p, depth)
-    mask = (
-        curve.converged
-        if curve.converged is not None
-        else np.ones(curve.radii.size, dtype=bool)
-    )
-    radii = curve.radii[mask]
-    vals = curve.values[mask]
+    radii = curve.radii[curve.converged]
+    vals = curve.values[curve.converged]
     if vals.size < 6:
         raise DomainError(
             f"{f.uid}: only {vals.size} converged dyadic radii at p = {p}; "
             "increase depth"
         )
-    m = min(6, vals.size)
-    x = -np.log(1.0 - radii[-m:])
-    y = np.log(vals[-m:])
-    A = np.vstack([x, np.ones_like(x)]).T
-    beta = float(np.linalg.lstsq(A, y, rcond=None)[0][0])
+    beta = growth_exponent(MeansCurve(p=p, radii=radii, values=vals, target=curve.target))
 
     rel_inc = np.diff(vals) / vals[1:]
     tail = rel_inc[-2:]
@@ -429,6 +420,18 @@ def membership_row(
 # suites
 
 
+def _tagged_targets(corpus, K_grid, families):
+    """(f, extremal, k) for every map carrying the extremal family's tag."""
+    for f in corpus:
+        for extremal in families:
+            try:
+                _require_tags(f, extremal)
+            except ClassTagError:
+                continue
+            for k in _k_values(f, K_grid):
+                yield f, extremal, k
+
+
 def suite_means(
     corpus,
     p_grid=P_GRID,
@@ -438,14 +441,8 @@ def suite_means(
     families=("H", "scrH"),
 ):
     rows = []
-    for f in corpus:
-        for extremal in families:
-            try:
-                _require_tags(f, extremal)
-            except ClassTagError:
-                continue
-            for k in _k_values(f, K_grid):
-                rows += check_means_domination(f, extremal, k, p_grid, r_grid, tol)
+    for f, extremal, k in _tagged_targets(corpus, K_grid, families):
+        rows += check_means_domination(f, extremal, k, p_grid, r_grid, tol)
     return rows
 
 
@@ -453,15 +450,9 @@ def suite_star(
     corpus, r_grid=R_GRID, K_grid=K_GRID, tol=STAR_TOL, families=("H", "scrH")
 ):
     rows = []
-    for f in corpus:
-        for extremal in families:
-            try:
-                _require_tags(f, extremal)
-            except ClassTagError:
-                continue
-            for k in _k_values(f, K_grid):
-                for r in r_grid:
-                    rows += check_star_chain(f, k, r, extremal=extremal, tol=tol)
+    for f, extremal, k in _tagged_targets(corpus, K_grid, families):
+        for r in r_grid:
+            rows += check_star_chain(f, k, r, extremal=extremal, tol=tol)
     return rows
 
 

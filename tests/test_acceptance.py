@@ -7,6 +7,7 @@ per-criterion pass/fail record.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import hqmaps
 from hqmaps.analytic import ClosedForm, DomainError, catalog, taylor_coefficients
 from hqmaps.harmonic import build_corpus
 from hqmaps.means import (
@@ -303,6 +305,10 @@ def test_criterion_08_classical_sanity(suite):
 
 def test_criterion_09_determinism_and_interface(tmp_path):
     t0 = time.monotonic()
+    # the package root is absolute, so the CLI imports from any working directory
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(hqmaps.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
     outs = []
     for sub in ("one", "two"):
         d = tmp_path / sub
@@ -311,7 +317,7 @@ def test_criterion_09_determinism_and_interface(tmp_path):
                 sys.executable, "-m", "hqmaps.cli",
                 "verify", "--suite", "all", "--out", str(d),
             ],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert "0 violations" in proc.stdout
@@ -333,7 +339,7 @@ def test_criterion_09_determinism_and_interface(tmp_path):
     for args in malformed:
         proc = subprocess.run(
             [sys.executable, "-m", "hqmaps.cli"] + args,
-            capture_output=True, text=True, cwd=tmp_path,
+            capture_output=True, text=True, cwd=tmp_path, env=env,
         )
         assert proc.returncode == 2, args
     elapsed = time.monotonic() - t0

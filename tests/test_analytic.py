@@ -13,8 +13,11 @@ from hqmaps.analytic import (
     ClosedForm,
     DomainError,
     catalog,
+    circle_points,
+    circle_values,
     taylor_coefficients,
 )
+from hqmaps.harmonic import corpus_shear
 
 
 def test_catalog_names_complete():
@@ -106,17 +109,27 @@ def test_radius_cap_enforced():
 
 
 def test_circle_values_matches_direct_evaluation():
-    for name, k in (("H", 0.5), ("scrH", 0.25), ("G", 2 / 3)):
-        F = catalog(name, k)
-        fast = getattr(F, "circle_values", None)
-        if fast is None:
-            continue
-        n, r = 2048, 0.9
-        theta = 2 * np.pi * np.arange(n) / n
-        direct = F(r * np.exp(1j * theta))
-        spectral = fast(r, n)
-        scale = np.max(np.abs(direct))
-        assert np.max(np.abs(spectral - direct)) < 1e-11 * scale
+    targets = [catalog(name, k) for name, k in (("H", 0.5), ("scrH", 0.25), ("G", 2 / 3))]
+    # shear components are radial integrals sampled by the spectral pass
+    targets += [corpus_shear("halfplane", 0.5, 1), corpus_shear("strip", 0.8, 2)]
+    n = 4096
+    theta = 2 * np.pi * np.arange(n) / n
+    for F in targets:
+        for r in (0.9, 0.99):
+            direct = F(r * np.exp(1j * theta))
+            sampled = circle_values(F, r, n)
+            scale = np.max(np.abs(direct))
+            assert np.max(np.abs(sampled - direct)) < 1e-11 * scale, (F.uid, r)
+
+
+def test_circle_points_match_pointwise_evaluation_near_boundary():
+    # at n = 2^12 and r = 0.9999 a plain whole-circle pass aliases by percents
+    f = corpus_shear("halfplane", 0.5, 1)
+    n, r = 2**12, 0.9999
+    idx = np.arange(0, n, 64)
+    direct = f(r * np.exp(2j * np.pi * idx / n))
+    points = circle_points(f, r, n)[idx]
+    assert np.max(np.abs(points - direct)) < 1e-10 * np.max(np.abs(direct))
 
 
 def test_closed_form_without_derivative_raises():

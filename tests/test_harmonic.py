@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqmaps.analytic import DomainError, catalog
+from hqmaps.analytic import DomainError, catalog, series_integrate
 from hqmaps.harmonic import (
     K_of_k,
     analytic_dilatation,
@@ -46,6 +46,15 @@ def test_shear_value_frozen():
     f = corpus_shear("identity", 0.5, 1)
     got = complex(f.h(np.asarray(0.5 + 0j)))
     assert abs(got - (-2.0 * math.log(0.75))) < 1e-12
+
+
+def test_shear_taylor_integrates_h_prime_without_truncation():
+    h = corpus_shear("halfplane", 0.5, 1).h
+    want = series_integrate(h.derivative_function().taylor(5000), 5000)
+    got = h.taylor(5000)
+    assert np.array_equal(got, want)
+    # h' = 1/((1-z)^2 (1-z/2)) has coefficients growing like 2m: no zero tail
+    assert np.all(got[1:] != 0)
 
 
 def test_shear_evaluates_as_h_plus_conj_g():
