@@ -5,7 +5,8 @@ representations cover the whole library:
 
 ``ClosedForm``
     explicit formula with an exact derivative formula and (optionally) an
-    exact Taylor coefficient generator.
+    exact Taylor coefficient generator and the directions of its
+    singularities near the unit circle.
 ``PowerSeries``
     truncated Taylor series; calculus is term-wise.
 ``RadialIntegral``
@@ -147,11 +148,17 @@ class ClosedForm(AnalyticFunction):
         fn: Callable,
         dfn: Optional[Callable] = None,
         taylor_fn: Optional[Callable[[int], np.ndarray]] = None,
+        singular_angles: Optional[Sequence[float]] = None,
     ):
         super().__init__(uid)
         self._fn = fn
         self._dfn = dfn
         self._taylor_fn = taylor_fn
+        # directions theta where F or F' has a pole or a zero on or near the
+        # unit circle (a zero puts a cusp into |F|**p); None means undeclared
+        self.singular_angles = (
+            None if singular_angles is None else tuple(float(a) for a in singular_angles)
+        )
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -172,7 +179,10 @@ class ClosedForm(AnalyticFunction):
         if self._taylor_fn is not None:
             base = self._taylor_fn
             dtaylor = lambda n: series_differentiate(base(n + 1))[:n]
-        return ClosedForm(self.uid + "'", self._dfn, taylor_fn=dtaylor)
+        return ClosedForm(
+            self.uid + "'", self._dfn, taylor_fn=dtaylor,
+            singular_angles=self.singular_angles,
+        )
 
     def taylor(self, n: int) -> np.ndarray:
         if n < 1:
@@ -290,11 +300,12 @@ class RadialIntegral(AnalyticFunction):
         the callers' doubling loops see the usual convergence signal.
         """
         theta = (2.0 * np.pi / n) * np.arange(n)
-        z = r * np.exp(1j * theta)
+        unit = np.exp(1j * theta)
+        z = r * unit
         _check_radius(z)
         coeffs = np.fft.fft(self.integrand(z)) / n
         coeffs *= r / np.arange(1.0, n + 1.0)
-        return np.fft.ifft(coeffs) * n * np.exp(1j * theta)
+        return np.fft.ifft(coeffs) * n * unit
 
     def derivative_function(self) -> AnalyticFunction:
         return self.integrand
@@ -385,6 +396,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             lambda z: z,
             dfn=lambda z: np.ones_like(z),
             taylor_fn=lambda n: np.array([0.0, 1.0][:n], dtype=complex),
+            singular_angles=(),
         )
     if name == "koebe":
         return ClosedForm(
@@ -392,6 +404,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             lambda z: z / (1 - z) ** 2,
             dfn=lambda z: (1 + z) / (1 - z) ** 3,
             taylor_fn=lambda n: np.arange(n, dtype=complex),
+            singular_angles=(0.0, np.pi),  # pole at 1; koebe' vanishes at -1
         )
     if name == "half-plane":
         return ClosedForm(
@@ -399,6 +412,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             lambda z: z / (1 - z),
             dfn=lambda z: 1 / (1 - z) ** 2,
             taylor_fn=lambda n: np.concatenate([[0.0], np.ones(n - 1)]).astype(complex),
+            singular_angles=(0.0,),
         )
     if name == "strip-like":
         def strip_taylor(n: int) -> np.ndarray:
@@ -411,6 +425,8 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             lambda z: z / (1 - z**2),
             dfn=lambda z: (1 + z**2) / (1 - z**2) ** 2,
             taylor_fn=strip_taylor,
+            # poles at +-1; the derivative vanishes at +-i
+            singular_angles=(0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi),
         )
     if name == "H":
         uid = f"H[k={kk!r}]"

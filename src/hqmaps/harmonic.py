@@ -106,7 +106,9 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     |omega| < 1 on the closed probe disk. The result is tagged
     convex-in-one-direction and close-to-convex. qc_k is the exact sup of
     |omega| over the disk when omega declares one (the monomial family does),
-    otherwise the sampled grid sup.
+    otherwise the sampled grid sup. h' declares as singular directions those
+    of phi together with omega's ``pole_angles``, the directions of the roots
+    of 1 - omega; when either is undeclared, it declares none.
     """
     z0 = np.asarray(0.0, dtype=complex)
     if abs(phi(z0)) > 1e-12 or abs(phi.derivative(z0) - 1.0) > 1e-12:
@@ -126,6 +128,11 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     if uid is None:
         uid = f"shear[phi={phi.uid},omega={omega.uid}]"
     phi_prime = phi.derivative_function()
+    angles = None
+    phi_angles = getattr(phi_prime, "singular_angles", None)
+    pole_angles = getattr(omega, "pole_angles", None)
+    if phi_angles is not None and pole_angles is not None:
+        angles = sorted(set(phi_angles) | set(pole_angles))
 
     def hp_fn(z):
         return phi.derivative(z) / (1.0 - omega(z))
@@ -135,7 +142,7 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
         one_minus[0] += 1.0
         return series_mul(phi_prime.taylor(m), series_reciprocal(one_minus, m), m)
 
-    hp = ClosedForm(uid + ":h'", hp_fn, taylor_fn=hp_taylor)
+    hp = ClosedForm(uid + ":h'", hp_fn, taylor_fn=hp_taylor, singular_angles=angles)
     gp = ClosedForm(
         uid + ":g'",
         lambda z: omega(z) * hp_fn(z),
@@ -205,6 +212,7 @@ def harmonic_koebe() -> HarmonicMap:
         taylor_fn=lambda n: series_mul(
             np.array([0, 1.0, -0.5, 1.0 / 6]), geometric_coefficients(1.0, 3, n), n
         ),
+        singular_angles=(0.0, np.pi),
     )
     g = ClosedForm(
         "harmonic-koebe:g",
@@ -263,6 +271,8 @@ def shear_omega(kappa: float, power: int) -> AnalyticFunction:
         taylor_fn=taylor,
     )
     F.exact_sup = kappa
+    # 1 - kappa z**power vanishes in the directions of the power-th roots of 1
+    F.pole_angles = tuple(2.0 * np.pi * j / power for j in range(power))
     return F
 
 

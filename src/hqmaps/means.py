@@ -6,6 +6,13 @@ smooth and periodic for r < 1, so convergence is geometric with a rate set by
 the distance from the nearest singularity to the sampled circle. Circle
 samples are cached per (function, radius, grid size), so doubling chains and
 sweeps over p share work.
+
+That distance is about 1 - r, so near the boundary the trapezoid needs about
+1/(1 - r) samples. The Hardy-norm certificate and the boundary-kernel
+integral therefore use Gauss-Legendre panels in theta, graded geometrically
+toward the singular directions that a ``ClosedForm`` declares; two grading
+depths are compared to judge convergence. A target that declares no
+direction stays on the trapezoid.
 """
 
 from __future__ import annotations
@@ -167,11 +174,16 @@ def sup_mean(F: Evaluable, r: float) -> float:
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _graded_line_integral(fn, lo: float, hi: float, depth: int) -> float:
-    """int_lo^hi fn via 8-node Gauss-Legendre panels graded toward hi."""
-    breaks = np.concatenate(
+def _graded_breaks(lo: float, hi: float, depth: int) -> np.ndarray:
+    """lo, hi - (hi - lo) 2^-j for j = 1..depth, and hi: panels halving toward hi."""
+    return np.concatenate(
         [[lo], hi - (hi - lo) * 2.0 ** -np.arange(1, depth + 1), [hi]]
     )
+
+
+def _graded_line_integral(fn, lo: float, hi: float, depth: int) -> float:
+    """int_lo^hi fn via 8-node Gauss-Legendre panels graded toward hi."""
+    breaks = _graded_breaks(lo, hi, depth)
     total = 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -189,6 +201,61 @@ def _line_integral(fn, lo: float, hi: float, rel_tol: float = 1e-7) -> float:
             return cur
         prev = cur
     raise NonConvergenceError("radius-line quadrature stalled", last_two=(prev, cur))
+
+
+# ---------------------------------------------------------------------------
+# graded quadrature in the angle
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL24 = np.polynomial.legendre.leggauss(24)
+
+
+def _angular_breaks(angles, depth: int) -> np.ndarray:
+    """Panel ends a +- pi 2^-j, j = 0..depth, of every angle a, over one period.
+
+    The breakpoints of all angles are merged; coincident ones (closer than
+    1e-12, far below the smallest panel) are kept once. The last entry is
+    the first plus 2 pi.
+    """
+    ends = np.concatenate(
+        [_graded_breaks(a + side, a, depth) for a in angles for side in (-np.pi, np.pi)]
+    )
+    ends = np.sort(np.mod(ends, 2.0 * np.pi))
+    ends = ends[np.diff(ends, append=ends[0] + 2.0 * np.pi) > 1e-12]
+    return np.append(ends, ends[0] + 2.0 * np.pi)
+
+
+def _angular_rule(F: Evaluable, p: float, r: float, angles, depth: int, rule) -> tuple:
+    """(1/2pi) int |F(r e^{i theta})|^p dtheta on graded panels; (value, nodes)."""
+    breaks = _angular_breaks(angles, depth)
+    mid = 0.5 * (breaks[1:] + breaks[:-1])
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    nodes, weights = rule
+    theta = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
+    vals = np.abs(F(r * np.exp(1j * theta))) ** p
+    return float(w @ vals) / (2.0 * np.pi), theta.size
+
+
+def _graded_mean_pow(F: Evaluable, p: float, r: float, rel_tol: float):
+    """Raw power mean (1/2pi) int |F|^p dtheta on panels graded toward the
+    directions F declares in ``singular_angles``; p may be negative.
+
+    Panels halve toward each direction down to width pi 2^-J <= 1 - r, with
+    J = ceil(log2(pi/(1 - r))), under 16 nodes each; a second rule grades two
+    levels deeper under 24 nodes. The finer value is kept, and the radius
+    counts as converged when the two agree to rel_tol. A target without a
+    declared direction goes to the trapezoid chain ``_mean_pow`` unchanged.
+    Returns (value, nodes, converged, last_two) like ``_mean_pow``.
+    """
+    angles = getattr(F, "singular_angles", None)
+    if not angles:
+        return _mean_pow(F, p, r, rel_tol)
+    depth = math.ceil(math.log2(math.pi / (1.0 - r)))
+    coarse, _ = _angular_rule(F, p, r, angles, depth, _GL16)
+    fine, nodes = _angular_rule(F, p, r, angles, depth + 2, _GL24)
+    converged = abs(fine - coarse) <= rel_tol * abs(fine)
+    return fine, nodes, converged, (coarse, fine)
 
 
 _COROLLARY_CACHE: dict = {}
@@ -223,15 +290,19 @@ def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
 
 
 def lemmaF_integral(p: float, r: float) -> float:
-    """int_0^{2pi} dtheta / |1 - r e^{i theta}|^p, no normalization."""
+    """int_0^{2pi} dtheta / |1 - r e^{i theta}|^p, no normalization.
+
+    The graded angular rule resolves the kernel's one singular direction,
+    theta = 0, at every admitted radius; its two rules must agree to 1e-10.
+    """
     if p <= 1:
         raise DomainError(f"the boundary-kernel integral needs p > 1, got {p}")
     if not (0 <= r < 1.0 - 2.0**-20):
         raise DomainError(f"r must lie in [0, 1 - 2^-20), got {r}")
     if r == 0:
         return 2.0 * math.pi
-    one_minus = ClosedForm("one-minus-z", lambda z: 1.0 - z)
-    value, n, converged, last_two = _mean_pow(one_minus, -p, r, rel_tol=1e-10)
+    one_minus = ClosedForm("one-minus-z", lambda z: 1.0 - z, singular_angles=(0.0,))
+    value, _, converged, last_two = _graded_mean_pow(one_minus, -p, r, rel_tol=1e-10)
     if not converged:
         raise NonConvergenceError(
             f"boundary-kernel integral stalled at p={p}, r={r}", last_two=last_two
@@ -277,8 +348,10 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
 
     The full integral to r = 1 is classified by a log-log fit of the
     integrand over the last six dyadic radii: fitted exponent alpha <= -1
-    means the improper integral diverges. Values of M_p^p beyond the
-    trapezoid cap are used best-effort and flagged via all_converged.
+    means the improper integral diverges. M_p^p comes from the graded
+    angular rule when h' declares its singular directions, from the
+    trapezoid chain otherwise; all_converged is False when either one fails
+    its convergence check at some radius, and the value then is best-effort.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"the weighted h' integral needs p in (0, 1), got {p}")
@@ -290,7 +363,7 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
 
     def integrand_one(r: float) -> float:
         nonlocal all_converged
-        value, _, converged, _ = _mean_pow(hp, p, r, rel_tol=1e-7)
+        value, _, converged, _ = _graded_mean_pow(hp, p, r, rel_tol=1e-7)
         if not converged:
             all_converged = False
         return (1.0 - r) ** (p - 1.0) * value

@@ -402,6 +402,10 @@ def membership_row(
         "certificate_tail": (
             v.certificate.tail_exponent if v.certificate is not None else None
         ),
+        "certificate_converged": (
+            v.certificate.all_converged if v.certificate is not None else None
+        ),
+        "converged_radii": int(np.sum(v.curve.converged)),
     }
     return _row(
         f.uid,

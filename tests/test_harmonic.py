@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqmaps.analytic import DomainError, catalog, series_integrate
+from hqmaps.analytic import ClosedForm, DomainError, catalog, series_integrate
 from hqmaps.harmonic import (
     K_of_k,
     analytic_dilatation,
@@ -70,6 +70,24 @@ def test_shear_normalization_rejected():
     shifted = type(bad)("bad", lambda z: 0.5 * z + 0.1, None)
     with pytest.raises((DomainError, TypeError)):
         make_shear(catalog("half-plane"), shifted)
+
+
+def test_shear_declares_singular_directions():
+    # the union of phi's directions and those of the roots of 1 - kappa z^m
+    assert corpus_shear("halfplane", 0.5, 2).h_prime.singular_angles == (0.0, math.pi)
+    assert corpus_shear("identity", 0.5, 1).h_prime.singular_angles == (0.0,)
+    assert corpus_shear("strip", 0.8, 1).h_prime.singular_angles == (
+        0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi,
+    )
+    assert shear_omega(0.5, 2).pole_angles == (0.0, math.pi)
+    assert catalog("koebe").derivative_function().singular_angles == (0.0, math.pi)
+    assert harmonic_koebe().h_prime.singular_angles == (0.0, math.pi)
+
+
+def test_shear_with_undeclared_omega_declares_nothing():
+    omega = ClosedForm("0.5z", lambda z: 0.5 * z, dfn=lambda z: 0.5 + 0.0 * z)
+    f = make_shear(catalog("half-plane"), omega)
+    assert f.h_prime.singular_angles is None
 
 
 def test_shear_omega_sup_too_large():

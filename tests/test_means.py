@@ -1,5 +1,6 @@
 """Integral means: quadrature vs series oracles, bounds, dyadic curves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqmaps.analytic import DomainError, NonConvergenceError, catalog, taylor_coefficients
+from hqmaps.analytic import (
+    ClosedForm,
+    DomainError,
+    NonConvergenceError,
+    RadialIntegral,
+    catalog,
+    taylor_coefficients,
+)
 from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
 from hqmaps.means import (
     MeansCurve,
+    _graded_mean_pow,
+    _mean_pow,
     corollary_bound,
     dyadic_means_curve,
     envelope_ratio,
@@ -200,6 +210,41 @@ def test_hardy_norm_bound_flags_divergence():
     assert b.divergent
     assert b.tail_exponent <= -1.0
     assert math.isinf(float(b))
+
+
+def _with_h_prime(f, singular_angles):
+    """f with h' re-declared: same values, the given singular directions."""
+    hp = f.h_prime
+    redeclared = ClosedForm(hp.uid + "[redeclared]", hp, singular_angles=singular_angles)
+    return dataclasses.replace(f, h=RadialIntegral(redeclared, f.uid + ":h[redeclared]"))
+
+
+# the bound by the trapezoid chain, which converges at every radius for this
+# shear and p
+STRIP_SHEAR_BOUND = 6.8316192320618825
+
+
+def test_graded_bound_matches_converged_trapezoid():
+    f = corpus_shear("strip", 0.8585, 1)
+    assert f.h_prime.singular_angles == (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+    b = hardy_norm_bound(f, 0.1024)
+    assert b.all_converged
+    assert abs(b.value - STRIP_SHEAR_BOUND) < 1e-9
+
+
+def test_missing_direction_fails_the_two_rule_check():
+    # h' vanishes at +-i, so |h'|^p has cusps there that 0 and pi do not grade
+    f = _with_h_prime(corpus_shear("strip", 0.8585, 1), (0.0, math.pi))
+    b = hardy_norm_bound(f, 0.1024)
+    assert not b.all_converged
+
+
+def test_undeclared_target_keeps_the_trapezoid():
+    f = _with_h_prime(corpus_shear("strip", 0.8585, 1), None)
+    # far inside the 2.6e-11 by which the graded value differs
+    assert abs(hardy_norm_bound(f, 0.1024).value - STRIP_SHEAR_BOUND) < 1e-12
+    for r in (0.5, 1.0 - 2.0**-10):
+        assert _graded_mean_pow(f.h_prime, 0.3, r, 1e-7) == _mean_pow(f.h_prime, 0.3, r, 1e-7)
 
 
 def test_hardy_norm_bound_validation():

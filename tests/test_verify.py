@@ -20,6 +20,7 @@ from hqmaps.verify import (
     check_star_chain,
     growth_exponent,
     hardy_membership_verdict,
+    membership_row,
     run_suite,
 )
 
@@ -132,6 +133,17 @@ def test_membership_certificate_path():
     assert v.beta > 0.05
     assert v.certificate is not None
     assert v.certificate.tail_exponent > -0.95
+
+
+def test_membership_row_reports_certificate_status():
+    row = membership_row(analytic_map("half-plane"), 0.9, "member")
+    assert row.detail["certificate_converged"] is True
+    assert row.detail["converged_radii"] == 13
+    row = membership_row(analytic_map("identity"), 0.5, "member")
+    assert row.detail["certificate_tail"] is None
+    assert row.detail["certificate_converged"] is None
+    assert row.detail["converged_radii"] == 13
+    json.dumps(row.detail)
 
 
 def test_membership_needs_valid_p():
