@@ -15,6 +15,10 @@ representations cover the whole library:
     circles by a spectral FFT pass, Taylor coefficients by integrating the
     integrand's term by term.
 
+``graded_breaks``, ``gauss_panels`` and ``graded_integral`` are the one graded
+Gauss-Legendre quadrature: radial integrals here, radius-line and angular rules
+in ``means``.
+
 ``circle_values`` is the one circle sampler: it takes a target's
 whole-circle method when it has one and evaluates pointwise otherwise.
 ``circle_points`` runs it on a grid fine enough that a whole-circle pass
@@ -32,7 +36,8 @@ import numpy as np
 
 RADIUS_CAP = 1.0 - 2.0**-20
 SERIES_CAP = 4096
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# building the 24-node rule costs about half a millisecond, so rules are tabled
+_GAUSS = {m: np.polynomial.legendre.leggauss(m) for m in (8, 16, 24)}
 
 
 class DomainError(ValueError):
@@ -227,46 +232,45 @@ class PowerSeries(AnalyticFunction):
         out[:m] = self.coeffs[:m]
         return out
 
-    def tail_bound(self, r: float) -> float:
-        """|a_N| r^N at the truncation order, a cheap truncation certificate."""
-        nn = self.coeffs.size - 1
-        return float(abs(self.coeffs[-1]) * r**nn)
+
+# ---------------------------------------------------------------------------
+# graded Gauss-Legendre quadrature
 
 
-def _radial_fixed(fn: Callable, z: np.ndarray, depth: int) -> np.ndarray:
-    """Integral of fn along [0, z] with panels dyadically graded toward z."""
-    breaks = np.concatenate([[0.0], 1.0 - 2.0 ** -np.arange(1, depth + 1), [1.0]])
-    mid = 0.5 * (breaks[1:] + breaks[:-1])
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    vals = fn(t[:, None] * z[None, :])
-    return z * (w @ vals)
+def graded_breaks(lo: float, hi: float, depth: int) -> np.ndarray:
+    """lo, hi - (hi - lo) 2^-j for j = 1..depth, and hi: panels halving toward hi."""
+    return np.concatenate([[lo], hi - (hi - lo) * 2.0 ** -np.arange(1, depth + 1), [hi]])
 
 
-def radial_path_integral(
-    fn: Callable, z, rel_tol: float = 1e-12, max_depth: int = 48
-) -> np.ndarray:
-    """Antiderivative of ``fn`` at each z, integrating along the radial segment.
+def gauss_panels(breaks: np.ndarray, order: int) -> tuple:
+    """Nodes and weights of the order-node rule (8, 16 or 24) on every panel."""
+    nodes, weights = _GAUSS[order]
+    mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
+    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
-    Panel count doubles (via grading depth) until successive values agree to
-    rel_tol; the integrand is analytic on the segment so convergence is
-    geometric once the grading resolves the boundary approach.
-    """
+
+def graded_integral(fn: Callable, lo, hi, order: int, rel_tol: float, floor: float = 0.0):
+    """int_lo^hi fn(t) dt on panels graded toward hi; fn maps nodes to values
+    along its first axis. The depth doubles from 6 to 96 until two values
+    agree to rel_tol relative to max(|value|, floor), in every component."""
+    cur = None
+    for depth in (6, 12, 24, 48, 96):
+        t, w = gauss_panels(graded_breaks(lo, hi, depth), order)
+        prev, cur = cur, w @ fn(t)
+        scale = rel_tol * np.maximum(np.abs(cur), floor)
+        if prev is not None and np.all(np.abs(cur - prev) <= scale):
+            return cur
+    raise NonConvergenceError("graded quadrature stalled", last_two=(prev, cur))
+
+
+def radial_path_integral(fn: Callable, z) -> np.ndarray:
+    """Antiderivative F(z) = z int_0^1 fn(t z) dt of ``fn`` at each z, from
+    ``graded_integral``; fn is analytic on the segment, so the panels graded
+    toward z converge geometrically."""
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    depth = 6
-    prev = _radial_fixed(fn, flat, depth)
-    while depth <= max_depth:
-        depth *= 2
-        cur = _radial_fixed(fn, flat, depth)
-        scale = np.maximum(np.abs(cur), 1.0)
-        if np.max(np.abs(cur - prev) / scale) < rel_tol:
-            return cur.reshape(z.shape) if z.shape else cur[0]
-        prev = cur
-    raise NonConvergenceError(
-        "radial path integral did not stabilize", last_two=(prev, cur)
-    )
+    value = flat * graded_integral(lambda t: fn(t[:, None] * flat), 0.0, 1.0, 16, 1e-12, 1.0)
+    return value.reshape(z.shape) if z.shape else value[0]
 
 
 class RadialIntegral(AnalyticFunction):
@@ -336,15 +340,17 @@ def circle_points(F, r: float, n: int) -> np.ndarray:
     """F at the n grid points of ``circle_values``, free of aliasing.
 
     A whole-circle pass over m points folds Taylor mode j + m onto mode j
-    with weight about r**m, so the pass runs over m = n 2**j >= 40/(1 - r)
-    points (r**m <= e**-40) and every 2**j-th value is kept. Where that
-    would take more than 2**20 points, F is evaluated pointwise.
+    with weight about r**m, so for targets with a whole-circle method the
+    pass runs over m = n 2**j >= 40/(1 - r) points (r**m <= e**-40) and
+    every 2**j-th value is kept. Where that would take more than 2**20
+    points, and for every other target, F is evaluated at the n points.
     """
-    m = n
-    while m * (1.0 - r) < 40.0 and m < 2**20:
-        m *= 2
-    if m * (1.0 - r) >= 40.0:
-        return circle_values(F, r, m)[:: m // n]
+    if getattr(F, "circle_values", None) is not None:
+        m = n
+        while m * (1.0 - r) < 40.0 and m < 2**20:
+            m *= 2
+        if m * (1.0 - r) >= 40.0:
+            return circle_values(F, r, m)[:: m // n]
     theta = (2.0 * np.pi / n) * np.arange(n)
     return np.asarray(F(r * np.exp(1j * theta)))
 

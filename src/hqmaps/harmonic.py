@@ -292,7 +292,7 @@ def corpus_shear(phi_name: str, kappa: float, power: int) -> HarmonicMap:
     return make_shear(phi, omega, uid=uid)
 
 
-def build_corpus(certify_convex: bool = True) -> list:
+def build_corpus() -> list:
     """The built-in corpus: analytic references, shears, harmonic Koebe.
 
     Shears span the three slices, both dilatation shapes, and the dilatation
@@ -312,13 +312,12 @@ def build_corpus(certify_convex: bool = True) -> list:
             for kappa in (0.25, 0.5, 0.8):
                 maps.append(corpus_shear(phi_name, kappa, power))
     maps.append(harmonic_koebe())
-    if certify_convex:
-        from .probes import convexity_probe
+    from .probes import convexity_probe
 
-        for f in maps:
-            if f.meta.get("phi") == "identity" and "convex" not in f.class_tags:
-                if all(convexity_probe(f, r).ok for r in (0.5, 0.9, 0.99)):
-                    f.class_tags = f.class_tags | {"convex"}
+    for f in maps:
+        if f.meta.get("phi") == "identity" and "convex" not in f.class_tags:
+            if all(convexity_probe(f, r).ok for r in (0.5, 0.9, 0.99)):
+                f.class_tags = f.class_tags | {"convex"}
     return maps
 
 

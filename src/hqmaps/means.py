@@ -32,6 +32,9 @@ from .analytic import (
     NonConvergenceError,
     catalog,
     circle_values,
+    gauss_panels,
+    graded_breaks,
+    graded_integral,
 )
 from .csvio import join_row
 from .harmonic import HarmonicMap
@@ -45,12 +48,6 @@ HARDY_CUTOFF_EXP = 16  # improper r-integrals stop at 1 - 2**-16
 _CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
 _CACHE_BYTES = 0
 _CACHE_LIMIT = 512 * 2**20
-
-
-def clear_sample_cache() -> None:
-    global _CACHE_BYTES
-    _CACHE.clear()
-    _CACHE_BYTES = 0
 
 
 def _store(key: tuple, arr: np.ndarray) -> None:
@@ -115,21 +112,18 @@ def integral_means(
     r: float,
     rel_tol: float = 1e-9,
     n_max: int = N_MAX,
-    strict: bool = True,
 ) -> float:
     """M_p(r, F) by periodic trapezoid sums with grid doubling.
 
     Doubles from n = 2**9 until the successive relative change drops below
-    rel_tol or n reaches n_max; in strict mode hitting the cap raises, with
-    the last two iterates attached. Non-strict mode returns the best value
-    (used by sweeps that track convergence flags themselves).
+    rel_tol; hitting n_max raises, with the last two iterates attached.
     """
     if not (0 < p < math.inf):
         raise DomainError(f"p must lie in (0, inf), got {p}")
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
     value, n, converged, last_two = _mean_pow(F, p, r, rel_tol, n_max)
-    if strict and not converged:
+    if not converged:
         raise NonConvergenceError(
             f"trapezoid means for {F.uid} at p={p}, r={r} hit n={n}",
             last_two=tuple(v ** (1.0 / p) for v in last_two),
@@ -169,45 +163,7 @@ def sup_mean(F: Evaluable, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# line quadrature in the radius variable
-
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def _graded_breaks(lo: float, hi: float, depth: int) -> np.ndarray:
-    """lo, hi - (hi - lo) 2^-j for j = 1..depth, and hi: panels halving toward hi."""
-    return np.concatenate(
-        [[lo], hi - (hi - lo) * 2.0 ** -np.arange(1, depth + 1), [hi]]
-    )
-
-
-def _graded_line_integral(fn, lo: float, hi: float, depth: int) -> float:
-    """int_lo^hi fn via 8-node Gauss-Legendre panels graded toward hi."""
-    breaks = _graded_breaks(lo, hi, depth)
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total += half * float(_GL8_WEIGHTS @ fn(mid + half * _GL8_NODES))
-    return total
-
-
-def _line_integral(fn, lo: float, hi: float, rel_tol: float = 1e-7) -> float:
-    depth = 6
-    prev = _graded_line_integral(fn, lo, hi, depth)
-    while depth <= 48:
-        depth *= 2
-        cur = _graded_line_integral(fn, lo, hi, depth)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise NonConvergenceError("radius-line quadrature stalled", last_two=(prev, cur))
-
-
-# ---------------------------------------------------------------------------
 # graded quadrature in the angle
-
-_GL16 = np.polynomial.legendre.leggauss(16)
-_GL24 = np.polynomial.legendre.leggauss(24)
 
 
 def _angular_breaks(angles, depth: int) -> np.ndarray:
@@ -218,21 +174,16 @@ def _angular_breaks(angles, depth: int) -> np.ndarray:
     the first plus 2 pi.
     """
     ends = np.concatenate(
-        [_graded_breaks(a + side, a, depth) for a in angles for side in (-np.pi, np.pi)]
+        [graded_breaks(a + side, a, depth) for a in angles for side in (-np.pi, np.pi)]
     )
     ends = np.sort(np.mod(ends, 2.0 * np.pi))
     ends = ends[np.diff(ends, append=ends[0] + 2.0 * np.pi) > 1e-12]
     return np.append(ends, ends[0] + 2.0 * np.pi)
 
 
-def _angular_rule(F: Evaluable, p: float, r: float, angles, depth: int, rule) -> tuple:
+def _angular_rule(F: Evaluable, p: float, r: float, angles, depth: int, order: int) -> tuple:
     """(1/2pi) int |F(r e^{i theta})|^p dtheta on graded panels; (value, nodes)."""
-    breaks = _angular_breaks(angles, depth)
-    mid = 0.5 * (breaks[1:] + breaks[:-1])
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    nodes, weights = rule
-    theta = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
+    theta, w = gauss_panels(_angular_breaks(angles, depth), order)
     vals = np.abs(F(r * np.exp(1j * theta))) ** p
     return float(w @ vals) / (2.0 * np.pi), theta.size
 
@@ -252,13 +203,10 @@ def _graded_mean_pow(F: Evaluable, p: float, r: float, rel_tol: float):
     if not angles:
         return _mean_pow(F, p, r, rel_tol)
     depth = math.ceil(math.log2(math.pi / (1.0 - r)))
-    coarse, _ = _angular_rule(F, p, r, angles, depth, _GL16)
-    fine, nodes = _angular_rule(F, p, r, angles, depth + 2, _GL24)
+    coarse, _ = _angular_rule(F, p, r, angles, depth, 16)
+    fine, nodes = _angular_rule(F, p, r, angles, depth + 2, 24)
     converged = abs(fine - coarse) <= rel_tol * abs(fine)
     return fine, nodes, converged, (coarse, fine)
-
-
-_COROLLARY_CACHE: dict = {}
 
 
 def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
@@ -275,18 +223,12 @@ def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
         raise DomainError(f"extremal must be 'H' or 'scrH', got {extremal!r}")
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
-    key = (float(k), float(p), float(r), extremal)
-    hit = _COROLLARY_CACHE.get(key)
-    if hit is not None:
-        return hit
     E = catalog(extremal, k)
 
     def fn(s: np.ndarray) -> np.ndarray:
         return np.array([integral_means(E, p, float(x), rel_tol=1e-8) for x in s])
 
-    value = (1.0 + k) * _line_integral(fn, 0.0, r, rel_tol=1e-7)
-    _COROLLARY_CACHE[key] = value
-    return value
+    return (1.0 + k) * float(graded_integral(fn, 0.0, r, 8, 1e-7))
 
 
 def lemmaF_integral(p: float, r: float) -> float:
@@ -343,6 +285,15 @@ class HardyBound:
         return math.inf if self.divergent else float(self.value)
 
 
+def loglog_slope(one_minus_r, values) -> float:
+    """Least-squares slope of log(values) against log(1/(1 - r)), the
+    exponent beta of a power law values ~ (1 - r)**-beta."""
+    x = -np.log(np.asarray(one_minus_r, dtype=float))
+    y = np.log(np.asarray(values, dtype=float))
+    A = np.vstack([x, np.ones_like(x)]).T
+    return float(np.linalg.lstsq(A, y, rcond=None)[0][0])
+
+
 def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
     """int_0^{1 - 2^-16} (1-r)^{p-1} M_p^p(r, h') dr with the constant set to 1.
 
@@ -371,17 +322,12 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
     def integrand(rs: np.ndarray) -> np.ndarray:
         return np.array([integrand_one(float(x)) for x in rs])
 
-    bulk_hi = 1.0 - 2.0**-6
-    total = _line_integral(integrand, 0.0, bulk_hi, rel_tol=1e-6)
-    for j in range(6, HARDY_CUTOFF_EXP):
-        lo, hi = 1.0 - 2.0**-j, 1.0 - 2.0 ** -(j + 1)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += half * float(_GL8_WEIGHTS @ integrand(mid + half * _GL8_NODES))
+    total = float(graded_integral(integrand, 0.0, 1.0 - 2.0**-6, 8, 1e-6))
+    t, w = gauss_panels(1.0 - 2.0 ** -np.arange(6, HARDY_CUTOFF_EXP + 1), 8)  # dyadic tail
+    total += float(w @ integrand(t))
 
-    tail_js = np.arange(HARDY_CUTOFF_EXP - 5, HARDY_CUTOFF_EXP + 1)
-    logs = np.array([math.log(integrand_one(1.0 - 2.0**-j)) for j in tail_js])
-    x = -tail_js * math.log(2.0)  # log(1 - r) at the dyadic radii
-    slope = float(np.polyfit(x, logs, 1)[0])
+    gaps = 2.0 ** -np.arange(HARDY_CUTOFF_EXP - 5, HARDY_CUTOFF_EXP + 1)
+    slope = -loglog_slope(gaps, [integrand_one(1.0 - g) for g in gaps])
     return HardyBound(
         value=total,
         tail_exponent=slope,

@@ -24,6 +24,7 @@ from .means import (
     dyadic_means_curve,
     hardy_norm_bound,
     integral_means,
+    loglog_slope,
 )
 from .probes import qc_certify
 from .star import sample_log_modulus, star_dominates, star_function, star_grid_size
@@ -298,11 +299,7 @@ def growth_exponent(curve: MeansCurve) -> float:
     js = np.log2(1.0 / (1.0 - radii))
     if float(np.max(np.abs(js - np.round(js)))) > 1e-9:
         raise DomainError("growth fit needs radii of the form 1 - 2**-j")
-    x = -np.log(1.0 - radii[-6:])
-    y = np.log(np.asarray(curve.values, dtype=float)[-6:])
-    A = np.vstack([x, np.ones_like(x)]).T
-    slope = np.linalg.lstsq(A, y, rcond=None)[0][0]
-    return float(slope)
+    return loglog_slope(1.0 - radii[-6:], np.asarray(curve.values, dtype=float)[-6:])
 
 
 def _thresholds(f: HarmonicMap) -> dict:
@@ -471,7 +468,10 @@ def suite_cumulative(
 
     By default convex members are held to the tighter convex-family bound;
     force_family pins every member to one family (used by class filters).
+    Members with the same k share their bounds, so each distinct one is
+    computed once.
     """
+    bounds = {}
     rows = []
     for f in corpus:
         if f.qc_k is None or f.qc_k >= 1.0:
@@ -489,7 +489,10 @@ def suite_cumulative(
         for p in p_grid:
             for r in r_grid:
                 lhs = integral_means(f, p, r, rel_tol=1e-8)
-                rhs = corollary_bound(k, p, r, extremal=extremal)
+                key = (k, p, r, extremal)
+                if key not in bounds:
+                    bounds[key] = corollary_bound(*key)
+                rhs = bounds[key]
                 rows.append(
                     _row(
                         f.uid, f"cumulative-bound-{prefix}", k, p, r, lhs, rhs,

@@ -12,9 +12,12 @@ from hqmaps.analytic import (
     RADIUS_CAP,
     ClosedForm,
     DomainError,
+    NonConvergenceError,
     catalog,
     circle_points,
     circle_values,
+    graded_integral,
+    radial_path_integral,
     taylor_coefficients,
 )
 from hqmaps.harmonic import corpus_shear
@@ -130,6 +133,55 @@ def test_circle_points_match_pointwise_evaluation_near_boundary():
     direct = f(r * np.exp(2j * np.pi * idx / n))
     points = circle_points(f, r, n)[idx]
     assert np.max(np.abs(points - direct)) < 1e-10 * np.max(np.abs(direct))
+
+
+def test_circle_points_evaluate_a_pointwise_target_once_per_point():
+    # a closed form has no whole-circle pass to alias, so no oversampling
+    koebe = catalog("koebe")
+    evaluated = []
+
+    def counted(z):
+        evaluated.append(np.size(z))
+        return koebe(z)
+
+    F = ClosedForm("counted-koebe", counted)
+    theta = 2 * np.pi * np.arange(2**12) / 2**12
+    for r in (0.999, 0.9999):
+        evaluated.clear()
+        points = circle_points(F, r, 2**12)
+        assert sum(evaluated) == 2**12, r
+        assert np.array_equal(points, koebe(r * np.exp(1j * theta)))
+
+
+def test_graded_integral_resolves_a_near_endpoint_singularity():
+    # (1 + eps - t)^(-1/2) has its branch point just past the end at t = 1;
+    # deep breakpoints round to 1 itself, where the integrand is still finite
+    eps = 2.0**-40
+    value = graded_integral(lambda t: ((1.0 - t) + eps) ** -0.5, 0.0, 1.0, 8, 1e-10)
+    assert abs(value / (2.0 * (math.sqrt(1.0 + eps) - math.sqrt(eps))) - 1.0) < 1e-12
+
+
+def test_graded_integral_integrates_vector_integrands_componentwise():
+    powers = np.arange(4)
+    value = graded_integral(lambda t: t[:, None] ** powers, 0.0, 2.0, 16, 1e-12, floor=1.0)
+    assert value.shape == (4,)
+    assert np.allclose(value, 2.0 ** (powers + 1) / (powers + 1), rtol=1e-14, atol=0)
+
+
+def test_graded_integral_reports_a_stalled_integrand():
+    # int_0^1 dt / (1 - t) diverges, so each doubling of the depth adds to
+    # it; the shift 2^-60 keeps the integrand finite at t = 1
+    with pytest.raises(NonConvergenceError) as info:
+        graded_integral(lambda t: 1.0 / ((1.0 - t) + 2.0**-60), 0.0, 1.0, 8, 1e-7)
+    coarse, fine = info.value.last_two
+    assert fine > coarse + 1.0
+
+
+def test_radial_path_integral_matches_the_antiderivative():
+    z = 0.9999 * np.exp(1j * np.linspace(0.0, 2 * np.pi, 7))
+    got = radial_path_integral(lambda w: 1.0 / (1.0 - w) ** 2, z)
+    assert np.allclose(got, z / (1.0 - z), rtol=1e-12, atol=0)
+    assert radial_path_integral(lambda w: 2.0 * w, 0.5j) == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_closed_form_without_derivative_raises():

@@ -148,7 +148,7 @@ def test_corollary_bound_frozen():
     # (1+0) * int_0^0.5 M_1(s, H_0) ds, H_0 = (1+z)/(1-z)^2
     got = corollary_bound(0.0, 1.0, 0.5)
     assert abs(got - 0.6084111029) < 1e-8
-    # cached second call is bit-identical
+    # a second call recomputes the bound bit for bit
     assert corollary_bound(0.0, 1.0, 0.5) == got
 
 

@@ -1,18 +1,30 @@
-"""Closed-form oracles for the graded angular rule at deep radii.
+"""Independent oracles for the integral means.
 
-With a = p (or p/2), (1/2pi) int |1 - r e^{i theta}|^{-2a} dtheta equals
-2F1(a, a; 1; r^2), the classical identity behind the growth of integral
-means. mpmath evaluates the hypergeometric function; it is a test-only
-dependency.
+Parseval: for f = h + conj(g) with h(0) = g(0) = 0, M_2(r, f)^2 equals
+sum (|a_n|^2 + |b_n|^2) r^(2n) over the Taylor coefficients of h and g.
+
+Hypergeometric closed forms: with a = p (or p/2),
+(1/2pi) int |1 - r e^{i theta}|^{-2a} dtheta equals 2F1(a, a; 1; r^2), the
+classical identity behind the growth of integral means. It gives M_p^p of
+koebe, half-plane and strip-like exactly, for the trapezoid chain and for
+the graded angular rule at deep radii. mpmath evaluates the hypergeometric
+function; it is a test-only dependency.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from hqmaps.analytic import ClosedForm, catalog
 from hqmaps.harmonic import analytic_map, harmonic_koebe
-from hqmaps.means import _graded_mean_pow, hardy_norm_bound, lemmaF_integral
+from hqmaps.means import (
+    _graded_mean_pow,
+    corollary_bound,
+    hardy_norm_bound,
+    integral_means,
+    lemmaF_integral,
+)
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 30
@@ -20,8 +32,44 @@ mpmath.mp.dps = 30
 DEEP = 1.0 - 2.0**-16
 
 
-def hyp(a: float, r: float) -> float:
-    return float(mpmath.hyp2f1(a, a, 1, mpmath.mpf(r) ** 2))
+def hyp(a: float, r: float, power: int = 2) -> float:
+    return float(mpmath.hyp2f1(a, a, 1, mpmath.mpf(r) ** power))
+
+
+def test_parseval_for_every_corpus_member(corpus):
+    n = np.arange(1024)
+    for f in corpus:
+        weights = np.abs(f.h.taylor(n.size)) ** 2 + np.abs(f.g.taylor(n.size)) ** 2
+        for r in (0.3, 0.7, 0.95):
+            want = float(np.sum(weights * r ** (2.0 * n)))
+            got = integral_means(f, 2.0, r) ** 2
+            assert abs(got / want - 1.0) <= 1e-12, (f.uid, r)
+
+
+@pytest.mark.parametrize("extremal", ["H", "scrH"])
+def test_cumulative_bound_at_p2_matches_parseval(extremal):
+    # (1 + k) int_0^r M_2(s, E_k) ds with M_2 from Parseval's sum, by mpmath.quad
+    n = np.arange(1024)
+    for k in (0.0, 0.5):
+        c2 = np.abs(catalog(extremal, k).taylor(n.size)) ** 2
+        m2 = lambda s: math.sqrt(float(np.sum(c2 * float(s) ** (2.0 * n))))
+        for r in (0.5, 0.9):
+            want = (1.0 + k) * float(mpmath.quad(m2, [0, r]))
+            assert abs(corollary_bound(k, 2.0, r, extremal) / want - 1.0) <= 1e-10, (k, r)
+
+
+# M_p^p(r, F) = r^p 2F1(c p, c p; 1; r^power) for these (c, power)
+_MEANS_CLOSED_FORMS = {"koebe": (1.0, 2), "half-plane": (0.5, 2), "strip-like": (0.5, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(_MEANS_CLOSED_FORMS))
+def test_integral_means_match_hypergeometric_closed_forms(name):
+    F = catalog(name)
+    c, power = _MEANS_CLOSED_FORMS[name]
+    for p in (0.25, 0.5, 1.0, 2.0, 4.0):
+        for r in (0.5, 0.9, 0.99, 1.0 - 2.0**-10):
+            want = r * hyp(c * p, r, power) ** (1.0 / p)
+            assert abs(integral_means(F, p, r) / want - 1.0) <= 1e-12, (p, r)
 
 
 @pytest.mark.parametrize("p", [0.25, 0.45, 0.9, 2.0, 4.0])
