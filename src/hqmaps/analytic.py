@@ -10,10 +10,11 @@ representations cover the whole library:
 ``PowerSeries``
     truncated Taylor series; calculus is term-wise.
 ``RadialIntegral``
-    antiderivative of a closed-form integrand: pointwise values by composite
-    Gauss-Legendre panels along [0, z] graded toward the endpoint, whole
-    circles by a spectral FFT pass, Taylor coefficients by integrating the
-    integrand's term by term.
+    antiderivative of a closed-form integrand: pointwise values from an exact
+    antiderivative when one is supplied (shears have one by partial
+    fractions) and otherwise by composite Gauss-Legendre panels along [0, z]
+    graded toward the endpoint, whole circles by a spectral FFT pass, Taylor
+    coefficients by integrating the integrand's term by term.
 
 ``graded_breaks``, ``gauss_panels`` and ``graded_integral`` are the one graded
 Gauss-Legendre quadrature: radial integrals here, radius-line and angular rules
@@ -276,20 +277,28 @@ def radial_path_integral(fn: Callable, z) -> np.ndarray:
 class RadialIntegral(AnalyticFunction):
     """F(z) = integral of a given derivative along [0, z].
 
-    The derivative is exact (it is the integrand). Values come from graded
-    Gauss-Legendre quadrature, whole circles from a spectral pass, and Taylor
-    coefficients from the integrand's, integrated term by term.
+    The derivative is exact (it is the integrand). Pointwise values come from
+    ``antiderivative`` when the caller knows F in closed form (it must vanish
+    at 0), else from graded Gauss-Legendre quadrature; whole circles always
+    come from a spectral pass, and Taylor coefficients from the integrand's,
+    integrated term by term. F declares the integrand's singular directions.
     """
 
     kind = "radial-path-integral"
 
-    def __init__(self, integrand: AnalyticFunction, uid: str):
+    def __init__(
+        self, integrand: AnalyticFunction, uid: str, antiderivative: Optional[Callable] = None
+    ):
         super().__init__(uid)
         self.integrand = integrand
+        self._antiderivative = antiderivative
+        self.singular_angles = getattr(integrand, "singular_angles", None)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         _check_radius(z)
+        if self._antiderivative is not None:
+            return self._antiderivative(z)
         return radial_path_integral(self.integrand, z)
 
     def derivative(self, z):

@@ -4,7 +4,8 @@ A harmonic map is stored as its canonical pair (h, g) of analytic functions
 together with declared class tags and, when quasiconformal, the dilatation
 bound. Shears are built from a conformal slice phi and a dilatation omega as
 two radial integrals of closed-form derivatives, h' = phi'/(1 - omega) and
-g' = omega h', so that h - g = phi.
+g' = omega h', so that h - g = phi; for the named slices and omega = kappa z^m
+h is also exact by partial fractions.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ class HarmonicMap:
     def g_prime(self) -> AnalyticFunction:
         return self.g.derivative_function()
 
+    @property
+    def singular_angles(self):
+        """The union of the directions h and g declare; None unless both do."""
+        h_angles = getattr(self.h, "singular_angles", None)
+        g_angles = getattr(self.g, "singular_angles", None)
+        if h_angles is None or g_angles is None:
+            return None
+        return tuple(sorted(set(h_angles) | set(g_angles)))
+
     def is_analytic(self) -> bool:
         return "analytic" in self.class_tags
 
@@ -98,6 +108,44 @@ def K_of_k(k: float) -> float:
 # ---------------------------------------------------------------------------
 # shears
 
+# phi' = c + sum w (1 - z/b)^-2 over the double poles b of each named slice,
+# as (c, ((w, b), ...)); the strip-like slice has (1 + z^2)/(1 - z^2)^2
+_SLICE_PARTIAL_FRACTIONS = {
+    "identity": (1.0, ()),
+    "half-plane": (0.0, ((1.0, 1.0),)),
+    "strip-like": (0.0, ((0.5, 1.0), (0.5, -1.0))),
+}
+
+
+def _exact_shear_h(phi_prime_terms, kappa: float, m: int):
+    """h with h(0) = 0 and h' = phi'/(1 - kappa z^m), kappa > 0, exactly.
+
+    With u = 1/(1 - kappa z^m), the partial fractions of h' are
+    w u(b) (1 - z/b)^-2 - w b u'(b) (1 - z/b)^-1 at each double pole b of
+    phi', and (phi'(a)/m) (1 - z/a)^-1 at each of the m roots a of
+    1 - kappa z^m. Integrated from 0, (1 - z/c)^-2 gives z/(1 - z/c) and
+    (1 - z/c)^-1 gives -c log(1 - z/c); every pole c lies on or outside the
+    unit circle, so the principal logarithm is the right branch in the disk.
+    """
+    const, doubles = phi_prime_terms
+    u = [1.0 / (1.0 - kappa * b**m) for _, b in doubles]
+    rational = [(w * ub, b) for (w, b), ub in zip(doubles, u)]  # c z/(1 - z/b)
+    # c log(1 - z/b) from -w b u'(b), u'(b) = kappa m b^(m-1) u(b)^2
+    logs = [(w * kappa * m * b ** (m + 1) * ub**2, b) for (w, b), ub in zip(doubles, u)]
+    for a in kappa ** (-1.0 / m) * np.exp(2j * np.pi * np.arange(m) / m):
+        phi_prime_a = const + sum(w / (1.0 - a / b) ** 2 for w, b in doubles)
+        logs.append((-a * phi_prime_a / m, a))
+
+    def h(z):
+        out = np.zeros_like(z)
+        for c, b in rational:
+            out += c * z / (1.0 - z / b)
+        for c, b in logs:
+            out += c * np.log(1.0 - z / b)
+        return out
+
+    return h
+
 
 def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str] = None) -> HarmonicMap:
     """Shear construction: h - g = phi, g' = omega h'.
@@ -106,9 +154,16 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     |omega| < 1 on the closed probe disk. The result is tagged
     convex-in-one-direction and close-to-convex. qc_k is the exact sup of
     |omega| over the disk when omega declares one (the monomial family does),
-    otherwise the sampled grid sup. h' declares as singular directions those
-    of phi together with omega's ``pole_angles``, the directions of the roots
-    of 1 - omega; when either is undeclared, it declares none.
+    otherwise the sampled grid sup. h' and g' declare as singular directions
+    those of phi together with omega's ``pole_angles``, the directions of the
+    roots of 1 - omega; when either is undeclared, they declare none.
+
+    h and g are radial integrals of h' and g'. When phi is a named slice of
+    the catalog and omega declares itself ``monomial`` = (kappa, m), h is also
+    known exactly by partial fractions and g = h - phi, so both evaluate at
+    any point without quadrature; whole circles and Taylor coefficients come
+    from the integrands either way. Any other omega keeps the radial
+    quadrature for pointwise values.
     """
     z0 = np.asarray(0.0, dtype=complex)
     if abs(phi(z0)) > 1e-12 or abs(phi.derivative(z0) - 1.0) > 1e-12:
@@ -147,10 +202,17 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
         uid + ":g'",
         lambda z: omega(z) * hp_fn(z),
         taylor_fn=lambda m: series_mul(omega.taylor(m), hp_taylor(m), m),
+        singular_angles=angles,
     )
+    h_exact = g_exact = None
+    monomial = getattr(omega, "monomial", None)
+    terms = _SLICE_PARTIAL_FRACTIONS.get(phi.uid)
+    if monomial is not None and monomial[0] > 0.0 and terms is not None:
+        h_exact = _exact_shear_h(terms, *monomial)
+        g_exact = lambda z: h_exact(z) - phi(z)
     return HarmonicMap(
-        h=RadialIntegral(hp, uid + ":h"),
-        g=RadialIntegral(gp, uid + ":g"),
+        h=RadialIntegral(hp, uid + ":h", h_exact),
+        g=RadialIntegral(gp, uid + ":g", g_exact),
         uid=uid,
         class_tags=frozenset({"convex-in-one-direction", "close-to-convex"}),
         qc_k=qc,
@@ -271,6 +333,7 @@ def shear_omega(kappa: float, power: int) -> AnalyticFunction:
         taylor_fn=taylor,
     )
     F.exact_sup = kappa
+    F.monomial = (float(kappa), power)
     # 1 - kappa z**power vanishes in the directions of the power-th roots of 1
     F.pole_angles = tuple(2.0 * np.pi * j / power for j in range(power))
     return F

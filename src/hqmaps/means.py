@@ -8,11 +8,13 @@ samples are cached per (function, radius, grid size), so doubling chains and
 sweeps over p share work.
 
 That distance is about 1 - r, so near the boundary the trapezoid needs about
-1/(1 - r) samples. The Hardy-norm certificate and the boundary-kernel
-integral therefore use Gauss-Legendre panels in theta, graded geometrically
-toward the singular directions that a ``ClosedForm`` declares; two grading
-depths are compared to judge convergence. A target that declares no
-direction stays on the trapezoid.
+1/(1 - r) samples. The Hardy-norm certificate, the boundary-kernel integral
+and the dyadic means curves behind the membership verdicts therefore use
+Gauss-Legendre panels in theta, graded geometrically toward the singular
+directions that a target declares (a ``ClosedForm`` directly, a radial
+integral through its integrand, a harmonic map when both components do);
+two grading depths are compared to judge convergence. A target that declares
+no direction stays on the trapezoid.
 """
 
 from __future__ import annotations
@@ -93,17 +95,17 @@ def _mean_pow(
 ):
     """Raw power mean (1/2pi) int |F|^p dtheta with doubling; p may be negative.
 
-    Returns (value, n, converged, last_two).
+    Returns (value, n, converged, last_two); last_two are the values at the
+    last two grid sizes, n/2 and n.
     """
     n = N_START
-    prev = float(np.mean(circle_modulus(F, r, n) ** p))
+    prev = cur = float(np.mean(circle_modulus(F, r, n) ** p))
     while n < n_max:
         n *= 2
-        cur = float(np.mean(circle_modulus(F, r, n) ** p))
+        prev, cur = cur, float(np.mean(circle_modulus(F, r, n) ** p))
         if abs(cur - prev) <= rel_tol * abs(cur):
             return cur, n, True, (prev, cur)
-        prev = cur
-    return prev, n, False, (prev, prev)
+    return cur, n, False, (prev, cur)
 
 
 def integral_means(
@@ -368,17 +370,21 @@ class MeansCurve:
 def dyadic_means_curve(
     F: Evaluable, p: float, depth: int, rel_tol: float = 1e-7
 ) -> MeansCurve:
-    """M_p at radii 1 - 2^-j, j = 1..depth, best-effort past the grid cap.
+    """M_p at radii 1 - 2^-j, j = 1..depth, from ``_graded_mean_pow``.
 
-    The per-radius convergence mask lets downstream fits discard radii whose
-    trapezoid chains hit the cap before stabilizing.
+    Targets that declare their singular directions take the graded angular
+    rule: among harmonic maps, the shears, whose components evaluate exactly
+    at any point. The others stay on the trapezoid chain, best-effort past
+    its sample cap: the analytic maps, whose g = 0 declares nothing, and
+    harmonic Koebe. The per-radius convergence mask lets downstream fits
+    discard radii where either rule failed its check.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
     radii = 1.0 - 2.0 ** -np.arange(1, depth + 1)
     values, flags = [], []
     for r in radii:
-        value, _, converged, _ = _mean_pow(F, p, float(r), rel_tol=rel_tol)
+        value, _, converged, _ = _graded_mean_pow(F, p, float(r), rel_tol=rel_tol)
         values.append(value ** (1.0 / p))
         flags.append(converged)
     return MeansCurve(

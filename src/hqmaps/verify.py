@@ -337,8 +337,10 @@ def hardy_membership_verdict(
     increment tail certifies membership outright; otherwise, for p < 1, the
     weighted h'-integral certificate decides (its integrand tail must beat
     exponent -1 with margin); only then does a steep exponent mean divergent.
-    The fit uses converged radii only, so targets whose trapezoid chains hit
-    the sample cap at deep radii are judged on trustworthy data.
+    The fit uses converged radii only: shears take M_p from graded angular
+    panels, and targets left on the trapezoid chain (harmonic Koebe) drop the
+    deep radii where it hits the sample cap, so verdicts rest on trustworthy
+    data.
     """
     if not (0.0 < p < math.inf):
         raise DomainError(f"p must lie in (0, inf), got {p}")

@@ -84,10 +84,24 @@ def test_shear_declares_singular_directions():
     assert harmonic_koebe().h_prime.singular_angles == (0.0, math.pi)
 
 
+def test_harmonic_map_declares_the_union_of_its_components():
+    f = corpus_shear("strip", 0.8, 2)
+    assert f.g_prime.singular_angles == f.h_prime.singular_angles
+    assert f.singular_angles == (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+    assert corpus_shear("identity", 0.5, 1).singular_angles == (0.0,)
+    assert corpus_shear("halfplane", 0.25, 2).singular_angles == (0.0, math.pi)
+    # g = 0 and harmonic Koebe's g declare nothing, so neither map does
+    for name in ("identity", "koebe", "half-plane", "strip-like"):
+        assert analytic_map(name).singular_angles is None
+    assert corpus_shear("halfplane", 0.0, 1).singular_angles is None
+    assert harmonic_koebe().singular_angles is None
+
+
 def test_shear_with_undeclared_omega_declares_nothing():
     omega = ClosedForm("0.5z", lambda z: 0.5 * z, dfn=lambda z: 0.5 + 0.0 * z)
     f = make_shear(catalog("half-plane"), omega)
     assert f.h_prime.singular_angles is None
+    assert f.singular_angles is None
 
 
 def test_shear_omega_sup_too_large():

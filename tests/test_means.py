@@ -81,6 +81,12 @@ def test_nonconvergence_carries_last_iterates():
     with pytest.raises(NonConvergenceError) as info:
         integral_means(catalog("koebe"), 4.0, 0.999999, n_max=2**14)
     assert len(info.value.last_two) == 2
+    # the values at n = 2**13 and 2**14, not the last one twice
+    first, last = info.value.last_two
+    assert first != last
+    value, n, converged, last_two = _mean_pow(catalog("koebe"), 4.0, 0.999999, n_max=2**14)
+    assert (n, converged) == (2**14, False)
+    assert last_two[1] == value and last_two[0] != value
 
 
 def test_zero_component_mean_is_zero():
@@ -264,6 +270,38 @@ def test_dyadic_curve_shape():
     rows = c.csv_rows()
     assert len(rows) == 8
     assert MeansCurve.csv_header() == "target_id,p,r,value"
+
+
+@pytest.mark.parametrize("phi, kappa, power", [("halfplane", 0.5, 1), ("strip", 0.8, 2)])
+@pytest.mark.parametrize("p", [0.25, 0.45])
+def test_shear_curve_on_graded_panels_matches_the_trapezoid(phi, kappa, power, p):
+    f = corpus_shear(phi, kappa, power)
+    c = dyadic_means_curve(f, p, 10)
+    assert np.all(c.converged)
+    checked = 0
+    for r, value in zip(c.radii, c.values):
+        want, _, converged, _ = _mean_pow(f, p, float(r), rel_tol=1e-7)
+        if converged:
+            assert abs(value / want ** (1.0 / p) - 1.0) <= 1e-7, r
+            checked += 1
+    assert checked == 10
+
+
+# dyadic_means_curve(harmonic_koebe(), 0.4, 13) on the trapezoid chain; the
+# last six radii hit the sample cap
+HARMONIC_KOEBE_CURVE = (
+    0.6124435468636646, 1.3726092840491275, 2.4682833065352674, 4.006697967348452,
+    6.130225197517701, 9.04366238788777, 13.037606141187865, 18.520919876888094,
+    26.067278370486687, 36.477547144293716, 50.86484503631503, 70.90590866538494,
+    98.6786759913155,
+)
+
+
+def test_undeclared_harmonic_map_curve_stays_on_the_trapezoid():
+    # harmonic Koebe's g declares no directions, so neither does the map
+    c = dyadic_means_curve(harmonic_koebe(), 0.4, 13)
+    assert tuple(c.values.tolist()) == HARMONIC_KOEBE_CURVE
+    assert int(np.sum(c.converged)) == 7
 
 
 def test_curve_radii_must_increase():

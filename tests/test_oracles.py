@@ -9,6 +9,11 @@ classical identity behind the growth of integral means. It gives M_p^p of
 koebe, half-plane and strip-like exactly, for the trapezoid chain and for
 the graded angular rule at deep radii. mpmath evaluates the hypergeometric
 function; it is a test-only dependency.
+
+Shear components: the partial-fraction antiderivatives of h' and g' must
+match the graded radial quadrature of the same integrands on the whole
+corpus, and mpmath's quadrature of the rational h' and g' at the singular
+directions.
 """
 
 import math
@@ -16,8 +21,8 @@ import math
 import numpy as np
 import pytest
 
-from hqmaps.analytic import ClosedForm, catalog
-from hqmaps.harmonic import analytic_map, harmonic_koebe
+from hqmaps.analytic import RADIUS_CAP, ClosedForm, catalog, radial_path_integral
+from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
 from hqmaps.means import (
     _graded_mean_pow,
     corollary_bound,
@@ -106,3 +111,53 @@ def test_report_certificates_converge_with_exact_tails(f, p, tail):
     b = hardy_norm_bound(f, p)
     assert b.all_converged
     assert abs(b.tail_exponent - tail) < 0.01
+
+
+CORPUS_SHEARS = [
+    (phi, kappa, power)
+    for phi in ("identity", "halfplane", "strip")
+    for power in (1, 2)
+    for kappa in (0.25, 0.5, 0.8)
+]
+
+
+def test_exact_shear_components_match_radial_quadrature():
+    # one circle of 37 points per row, each compared relative to its largest value
+    radii = np.array([0.3, 0.9, 1.0 - 2.0**-13, RADIUS_CAP])
+    z = radii[:, None] * np.exp(2j * np.pi * np.arange(37) / 37)
+    for phi, kappa, power in CORPUS_SHEARS:
+        f = corpus_shear(phi, kappa, power)
+        for part in (f.h, f.g):
+            want = radial_path_integral(part.integrand, z)
+            err = np.max(np.abs(part(z) - want), axis=1) / np.max(np.abs(want), axis=1)
+            assert np.all(err <= 1e-11), (part.uid, err)
+
+
+# phi' of the slices, in mpmath arithmetic
+_SLICE_DERIVATIVES = {
+    "identity": lambda t: mpmath.mpf(1),
+    "halfplane": lambda t: 1 / (1 - t) ** 2,
+    "strip": lambda t: (1 + t**2) / (1 - t**2) ** 2,
+}
+
+
+@pytest.mark.parametrize(
+    "phi, kappa, power",
+    [("identity", 0.5, 2), ("halfplane", 0.8, 1), ("strip", 0.8, 2)],
+)
+def test_exact_shear_components_match_mpmath_at_singular_directions(phi, kappa, power):
+    f = corpus_shear(phi, kappa, power)
+    dphi = _SLICE_DERIVATIVES[phi]
+    for angle in f.singular_angles:
+        r = 1.0 - 2.0**-13
+        z = mpmath.mpc(r * math.cos(angle), r * math.sin(angle))
+        # breakpoints 1 - 8^-j of the way to z, next to the nearest singularity
+        path = [0] + [z * (1 - mpmath.mpf(2) ** -j) for j in range(1, 14, 3)] + [z]
+        for part, weight in ((f.h, lambda t: 1), (f.g, lambda t: kappa * t**power)):
+            with mpmath.workdps(20):
+                want = complex(
+                    mpmath.quad(lambda t: weight(t) * dphi(t) / (1 - kappa * t**power), path)
+                )
+            got = complex(part(np.array([complex(z)]))[0])
+            # h'(0) = 1 sets the scale where g = h - phi is small
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (part.uid, angle)

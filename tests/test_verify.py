@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hqmaps import analytic
 from hqmaps.analytic import DomainError, catalog
 from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
 from hqmaps.means import MeansCurve, dyadic_means_curve
@@ -123,6 +124,27 @@ def test_membership_ctc_shear():
     v = hardy_membership_verdict(corpus_shear("halfplane", 0.5, 1), 0.45)
     assert v.verdict == "member"
     assert abs(v.thresholds["astala_koskela"] - 1.0 / 6.0) < 1e-12
+
+
+def test_shear_verdict_needs_no_whole_circle_pass_or_radial_quadrature(monkeypatch):
+    # the curve runs on graded panels over the exact components, and the
+    # certificate integrates the closed-form h'
+    calls = {"circle_values": 0, "radial_path_integral": 0}
+    circle, radial = analytic.RadialIntegral.circle_values, analytic.radial_path_integral
+
+    def counted_circle(self, r, n):
+        calls["circle_values"] += 1
+        return circle(self, r, n)
+
+    def counted_radial(fn, z):
+        calls["radial_path_integral"] += 1
+        return radial(fn, z)
+
+    monkeypatch.setattr(analytic.RadialIntegral, "circle_values", counted_circle)
+    monkeypatch.setattr(analytic, "radial_path_integral", counted_radial)
+    v = hardy_membership_verdict(corpus_shear("strip", 0.8, 2), 0.45)
+    assert v.verdict == "member"
+    assert calls == {"circle_values": 0, "radial_path_integral": 0}
 
 
 def test_membership_certificate_path():
