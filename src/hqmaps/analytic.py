@@ -21,9 +21,9 @@ Gauss-Legendre quadrature: radial integrals here, radius-line and angular rules
 in ``means``.
 
 ``circle_values`` is the one circle sampler: it takes a target's
-whole-circle method when it has one and evaluates pointwise otherwise.
-``circle_points`` runs it on a grid fine enough that a whole-circle pass
-does not alias, for callers that use the samples as point values.
+whole-circle method when it has one and evaluates pointwise otherwise. Every
+sample it returns is a point value; a spectral pass oversamples until its
+aliasing is below double precision, so grids at any level nest.
 
 Evaluation is capped at |z| <= 1 - 2**-20; all the closed forms of interest
 blow up at z = 1 and double precision carries no information beyond that.
@@ -194,9 +194,7 @@ class ClosedForm(AnalyticFunction):
         if n < 1:
             raise DomainError("need n >= 1 coefficients")
         if self._taylor_fn is None:
-            raise NonConvergenceError(
-                f"{self.uid} has no coefficient expansion; use series resampling"
-            )
+            raise DomainError(f"{self.uid} carries no Taylor coefficient generator")
         out = np.asarray(self._taylor_fn(n), dtype=complex)
         if out.size < n:
             out = np.pad(out, (0, n - out.size))
@@ -279,9 +277,10 @@ class RadialIntegral(AnalyticFunction):
 
     The derivative is exact (it is the integrand). Pointwise values come from
     ``antiderivative`` when the caller knows F in closed form (it must vanish
-    at 0), else from graded Gauss-Legendre quadrature; whole circles always
-    come from a spectral pass, and Taylor coefficients from the integrand's,
-    integrated term by term. F declares the integrand's singular directions.
+    at 0), else from graded Gauss-Legendre quadrature; whole circles come
+    from an oversampled spectral pass, whose samples are point values too,
+    and Taylor coefficients from the integrand's, integrated term by term.
+    F declares the integrand's singular directions.
     """
 
     kind = "radial-path-integral"
@@ -305,20 +304,27 @@ class RadialIntegral(AnalyticFunction):
         return self.integrand(z)
 
     def circle_values(self, r: float, n: int) -> np.ndarray:
-        """F on the uniform n-point circle grid via spectral integration.
+        """F at the n points of the uniform circle grid via spectral integration.
 
-        FFT of the integrand samples recovers its aliased Taylor data on the
-        circle; dividing mode m by m+1 and rotating once integrates term by
-        term. Aliasing error matches the trapezoid error at the same n, so
-        the callers' doubling loops see the usual convergence signal.
+        FFT of the integrand samples recovers its Taylor data on the circle;
+        dividing mode j by j+1 and rotating once integrates term by term. A
+        pass over m points folds mode j + m onto mode j with weight about
+        r**m, so it runs over m = n 2**i >= 40/(1 - r) points (r**m <= e**-40)
+        and keeps every 2**i-th value. Where that would take more than 2**20
+        points, F is evaluated at the n points instead.
         """
-        theta = (2.0 * np.pi / n) * np.arange(n)
+        m = n
+        while m * (1.0 - r) < 40.0 and m < 2**20:
+            m *= 2
+        if m * (1.0 - r) < 40.0:
+            return self(r * np.exp(1j * (2.0 * np.pi / n) * np.arange(n)))
+        theta = (2.0 * np.pi / m) * np.arange(m)
         unit = np.exp(1j * theta)
         z = r * unit
         _check_radius(z)
-        coeffs = np.fft.fft(self.integrand(z)) / n
-        coeffs *= r / np.arange(1.0, n + 1.0)
-        return np.fft.ifft(coeffs) * n * unit
+        coeffs = np.fft.fft(self.integrand(z)) / m
+        coeffs *= r / np.arange(1.0, m + 1.0)
+        return (np.fft.ifft(coeffs) * m * unit)[:: m // n]
 
     def derivative_function(self) -> AnalyticFunction:
         return self.integrand
@@ -330,36 +336,15 @@ class RadialIntegral(AnalyticFunction):
 
 
 def circle_values(F, r: float, n: int) -> np.ndarray:
-    """F on the uniform n-point grid theta_j = 2 pi j / n of the circle |z| = r.
+    """F at the n points theta_j = 2 pi j / n of the circle |z| = r.
 
     Targets with a whole-circle ``circle_values`` method (radial integrals,
-    harmonic maps) use it; any other target is evaluated pointwise. A
-    whole-circle pass aliases like the trapezoid rule at n points, which
-    doubling chains control by comparing grid levels; fixed grids take
-    ``circle_points``.
+    harmonic maps) use it; any other target is evaluated pointwise. Either
+    way every sample is a point value, free of aliasing.
     """
     fast = getattr(F, "circle_values", None)
     if fast is not None:
         return np.asarray(fast(r, n))
-    theta = (2.0 * np.pi / n) * np.arange(n)
-    return np.asarray(F(r * np.exp(1j * theta)))
-
-
-def circle_points(F, r: float, n: int) -> np.ndarray:
-    """F at the n grid points of ``circle_values``, free of aliasing.
-
-    A whole-circle pass over m points folds Taylor mode j + m onto mode j
-    with weight about r**m, so for targets with a whole-circle method the
-    pass runs over m = n 2**j >= 40/(1 - r) points (r**m <= e**-40) and
-    every 2**j-th value is kept. Where that would take more than 2**20
-    points, and for every other target, F is evaluated at the n points.
-    """
-    if getattr(F, "circle_values", None) is not None:
-        m = n
-        while m * (1.0 - r) < 40.0 and m < 2**20:
-            m *= 2
-        if m * (1.0 - r) >= 40.0:
-            return circle_values(F, r, m)[:: m // n]
     theta = (2.0 * np.pi / n) * np.arange(n)
     return np.asarray(F(r * np.exp(1j * theta)))
 

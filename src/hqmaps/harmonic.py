@@ -152,16 +152,17 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
 
     Requires the usual normalization phi(0) = 0, phi'(0) = 1, omega(0) = 0 and
     |omega| < 1 on the closed probe disk. The result is tagged
-    convex-in-one-direction and close-to-convex. qc_k is the exact sup of
-    |omega| over the disk when omega declares one (the monomial family does),
-    otherwise the sampled grid sup. h' and g' declare as singular directions
-    those of phi together with omega's ``pole_angles``, the directions of the
-    roots of 1 - omega; when either is undeclared, they declare none.
+    convex-in-one-direction and close-to-convex. When omega declares itself
+    ``monomial`` = (kappa, m), that is kappa z^m, qc_k is kappa, the exact sup
+    of |omega| over the disk, and 1 - omega vanishes in the directions
+    2 pi j/m; any other omega gets the sampled grid sup and no directions.
+    h' and g' declare as singular directions those of phi together with
+    those of omega, and none when either is undeclared.
 
     h and g are radial integrals of h' and g'. When phi is a named slice of
-    the catalog and omega declares itself ``monomial`` = (kappa, m), h is also
-    known exactly by partial fractions and g = h - phi, so both evaluate at
-    any point without quadrature; whole circles and Taylor coefficients come
+    the catalog and omega is a monomial with kappa > 0, h is also known
+    exactly by partial fractions and g = h - phi, so both evaluate at any
+    point without quadrature; whole circles and Taylor coefficients come
     from the integrands either way. Any other omega keeps the radial
     quadrature for pointwise values.
     """
@@ -174,10 +175,9 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     sup_omega = float(np.max(np.abs(omega(grid))))
     if sup_omega >= 1.0:
         raise DomainError(f"|omega| reaches {sup_omega:.6f} >= 1 on the probe grid")
-    qc = getattr(omega, "exact_sup", None)
-    if qc is None:
-        qc = sup_omega
-    elif sup_omega > qc + 1e-10:
+    monomial = getattr(omega, "monomial", None)
+    qc = sup_omega if monomial is None else monomial[0]
+    if sup_omega > qc + 1e-10:
         raise DomainError("declared sup of |omega| contradicted on the probe grid")
 
     if uid is None:
@@ -185,9 +185,9 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     phi_prime = phi.derivative_function()
     angles = None
     phi_angles = getattr(phi_prime, "singular_angles", None)
-    pole_angles = getattr(omega, "pole_angles", None)
-    if phi_angles is not None and pole_angles is not None:
-        angles = sorted(set(phi_angles) | set(pole_angles))
+    if phi_angles is not None and monomial is not None:
+        m = monomial[1]
+        angles = sorted(set(phi_angles) | {2.0 * np.pi * j / m for j in range(m)})
 
     def hp_fn(z):
         return phi.derivative(z) / (1.0 - omega(z))
@@ -205,7 +205,6 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
         singular_angles=angles,
     )
     h_exact = g_exact = None
-    monomial = getattr(omega, "monomial", None)
     terms = _SLICE_PARTIAL_FRACTIONS.get(phi.uid)
     if monomial is not None and monomial[0] > 0.0 and terms is not None:
         h_exact = _exact_shear_h(terms, *monomial)
@@ -314,7 +313,7 @@ _SHEAR_PHI = {"identity": "identity", "halfplane": "half-plane", "strip": "strip
 
 
 def shear_omega(kappa: float, power: int) -> AnalyticFunction:
-    """omega(z) = kappa z**power for power in {1, 2}."""
+    """omega(z) = kappa z**power for power in {1, 2}, declared ``monomial``."""
     if power not in (1, 2):
         raise DomainError("omega power must be 1 or 2")
     if not (0.0 <= kappa < 1.0):
@@ -332,10 +331,7 @@ def shear_omega(kappa: float, power: int) -> AnalyticFunction:
         dfn=lambda z: kappa * power * z ** (power - 1),
         taylor_fn=taylor,
     )
-    F.exact_sup = kappa
     F.monomial = (float(kappa), power)
-    # 1 - kappa z**power vanishes in the directions of the power-th roots of 1
-    F.pole_angles = tuple(2.0 * np.pi * j / power for j in range(power))
     return F
 
 

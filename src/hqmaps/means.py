@@ -4,8 +4,10 @@ The p-mean M_p(r, F) = ((1/2pi) int |F(r e^{i theta})|^p dtheta)^{1/p} is
 computed by the periodic trapezoid rule with grid doubling; the integrand is
 smooth and periodic for r < 1, so convergence is geometric with a rate set by
 the distance from the nearest singularity to the sampled circle. Circle
-samples are cached per (function, radius, grid size), so doubling chains and
-sweeps over p share work.
+samples are point values for every target, so the grid levels of a doubling
+chain nest: each level keeps the one below and evaluates only the new
+midpoints. Samples are cached per (function, radius, grid size), so doubling
+chains and sweeps over p share work.
 
 That distance is about 1 - r, so near the boundary the trapezoid needs about
 1/(1 - r) samples. The Hardy-norm certificate, the boundary-kernel integral
@@ -64,17 +66,17 @@ def _store(key: tuple, arr: np.ndarray) -> None:
 def circle_modulus(F: Evaluable, r: float, n: int) -> np.ndarray:
     """|F| sampled on the uniform n-point circle grid at radius r, cached.
 
-    Grid levels nest: for pointwise targets level 2n reuses level n and
-    evaluates only midpoints; whole-circle targets sample every level afresh.
+    Grid levels nest for every target: when level n/2 is cached, level n
+    keeps its samples and evaluates F only at the n/2 midpoints; any other
+    level comes from ``circle_values``. A doubling chain thus takes at most
+    one whole-circle pass, at its first level.
     """
     key = (F.uid, float(r), int(n))
     hit = _CACHE.get(key)
     if hit is not None:
         _CACHE.move_to_end(key)
         return hit
-    parent = None
-    if getattr(F, "circle_values", None) is None:
-        parent = _CACHE.get((F.uid, float(r), n // 2))
+    parent = _CACHE.get((F.uid, float(r), n // 2))
     if parent is not None:
         theta = (2.0 * np.pi / n) * np.arange(1, n, 2)
         out = np.empty(n)

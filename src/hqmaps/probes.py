@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .analytic import AnalyticFunction, DomainError, circle_points
+from .analytic import AnalyticFunction, DomainError, circle_values
 from .harmonic import HarmonicMap, K_of_k
 
 DEFAULT_RADII = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
@@ -124,7 +124,7 @@ def convexity_probe(f: HarmonicMap, r: float, n: int = 2**10) -> ConvexityVerdic
     be 2 pi within 1e-6. Coincident consecutive points are a degeneracy
     error.
     """
-    gamma = circle_points(f, r, n)
+    gamma = circle_values(f, r, n)
     sec = np.roll(gamma, -1) - gamma
     norms = np.abs(sec)
     if np.min(norms) < 1e-14:

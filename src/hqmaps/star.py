@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .analytic import RADIUS_CAP, AnalyticFunction, DomainError, circle_points
+from .analytic import RADIUS_CAP, AnalyticFunction, DomainError, circle_values
 from .csvio import join_row
 
 MIN_CIRCLE_SAMPLES = 2**9
@@ -61,7 +61,7 @@ def sample_log_modulus(F: AnalyticFunction, r: float, n: int) -> SampledCircle:
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
     rr = r
     for _ in range(3):
-        mod = np.roll(np.abs(circle_points(F, rr, n)), n // 2)
+        mod = np.roll(np.abs(circle_values(F, rr, n)), n // 2)
         if np.min(mod) >= 1e-8:
             return SampledCircle(radius=rr, values=np.log(mod), source_id=F.uid)
         rr += 1e-7

@@ -14,7 +14,6 @@ from hqmaps.analytic import (
     DomainError,
     NonConvergenceError,
     catalog,
-    circle_points,
     circle_values,
     graded_integral,
     radial_path_integral,
@@ -125,17 +124,26 @@ def test_circle_values_matches_direct_evaluation():
             assert np.max(np.abs(sampled - direct)) < 1e-11 * scale, (F.uid, r)
 
 
-def test_circle_points_match_pointwise_evaluation_near_boundary():
+def test_circle_values_match_pointwise_evaluation_near_boundary():
     # at n = 2^12 and r = 0.9999 a plain whole-circle pass aliases by percents
     f = corpus_shear("halfplane", 0.5, 1)
     n, r = 2**12, 0.9999
     idx = np.arange(0, n, 64)
     direct = f(r * np.exp(2j * np.pi * idx / n))
-    points = circle_points(f, r, n)[idx]
+    points = circle_values(f, r, n)[idx]
     assert np.max(np.abs(points - direct)) < 1e-10 * np.max(np.abs(direct))
 
 
-def test_circle_points_evaluate_a_pointwise_target_once_per_point():
+def test_radial_integral_circle_values_are_point_values():
+    # the spectral pass oversamples, so it agrees with the exact antiderivative
+    h = corpus_shear("halfplane", 0.5, 1).h
+    n, r = 2**12, 0.9999
+    direct = h(r * np.exp(1j * (2 * np.pi / n) * np.arange(n)))
+    sampled = h.circle_values(r, n)
+    assert np.max(np.abs(sampled - direct)) < 1e-10 * np.max(np.abs(direct))
+
+
+def test_circle_values_evaluate_a_pointwise_target_once_per_point():
     # a closed form has no whole-circle pass to alias, so no oversampling
     koebe = catalog("koebe")
     evaluated = []
@@ -148,7 +156,7 @@ def test_circle_points_evaluate_a_pointwise_target_once_per_point():
     theta = 2 * np.pi * np.arange(2**12) / 2**12
     for r in (0.999, 0.9999):
         evaluated.clear()
-        points = circle_points(F, r, 2**12)
+        points = circle_values(F, r, 2**12)
         assert sum(evaluated) == 2**12, r
         assert np.array_equal(points, koebe(r * np.exp(1j * theta)))
 
@@ -188,6 +196,11 @@ def test_closed_form_without_derivative_raises():
     F = ClosedForm("cube", lambda z: z**3)
     with pytest.raises(DomainError):
         F.derivative(np.asarray(0.1 + 0j))
+
+
+def test_closed_form_without_taylor_generator_raises_a_domain_error():
+    with pytest.raises(DomainError, match="carries no Taylor coefficient generator"):
+        ClosedForm("x", lambda z: z).taylor(4)
 
 
 @given(st.floats(0.05, 0.95), st.floats(0, 2 * math.pi))

@@ -79,7 +79,6 @@ def test_shear_declares_singular_directions():
     assert corpus_shear("strip", 0.8, 1).h_prime.singular_angles == (
         0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi,
     )
-    assert shear_omega(0.5, 2).pole_angles == (0.0, math.pi)
     assert catalog("koebe").derivative_function().singular_angles == (0.0, math.pi)
     assert harmonic_koebe().h_prime.singular_angles == (0.0, math.pi)
 

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqmaps import means
 from hqmaps.analytic import (
     ClosedForm,
     DomainError,
@@ -87,6 +89,24 @@ def test_nonconvergence_carries_last_iterates():
     value, n, converged, last_two = _mean_pow(catalog("koebe"), 4.0, 0.999999, n_max=2**14)
     assert (n, converged) == (2**14, False)
     assert last_two[1] == value and last_two[0] != value
+
+
+def test_doubling_levels_nest_for_a_whole_circle_target(monkeypatch):
+    # a harmonic map has a whole-circle sampler, yet each level keeps the one
+    # below and evaluates h only at the new midpoints: n points in all
+    monkeypatch.setattr(means, "_CACHE", OrderedDict())
+    monkeypatch.setattr(means, "_CACHE_BYTES", 0)
+    f = harmonic_koebe()
+    h, evaluated = f.h, []
+
+    def counted(z):
+        evaluated.append(np.size(z))
+        return h(z)
+
+    f = dataclasses.replace(f, h=ClosedForm(h.uid, counted))
+    _, n, _, _ = _mean_pow(f, 0.4, 1 - 2**-5, 1e-7)
+    assert n > 2**9
+    assert sum(evaluated) == n
 
 
 def test_zero_component_mean_is_zero():
