@@ -24,7 +24,7 @@ import numpy as np
 from .analytic import CATALOG_NAMES, DomainError, NonConvergenceError, catalog
 from .csvio import join_row, parse_rows
 from .harmonic import build_corpus, corpus_shear
-from .means import MeansCurve, integral_means
+from .means import MeansCurve, _integral_means_grid
 from .star import StarFunction, sample_log_modulus, star_function, star_grid_size
 from .svgplot import polyline_svg
 from .verify import DEFAULT_DEPTH, K_GRID, REL_TOL, SUITES, hardy_membership_verdict, run_suite
@@ -284,8 +284,8 @@ def cmd_means(ns: argparse.Namespace) -> int:
     lines = [MeansCurve.csv_header()]
     curves_doc = []
     series = []
-    for p in p_list:
-        values = [integral_means(target, p, r) for r in r_list]
+    by_r = [_integral_means_grid(target, p_list, r) for r in r_list]  # one chain per radius
+    for p, values in zip(p_list, map(list, zip(*by_r))):
         curve = MeansCurve(
             p=p, radii=np.array(r_list), values=np.array(values), target=uid
         )
@@ -478,9 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
     for sp in (means, star, growth, verify):
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--out", help="output directory (default: $HQMAPS_OUT or .)")
-        sp.add_argument(
-            "--formats", type=_formats, help="comma-separated subset of csv,json,svg"
-        )
+        if sp is not verify:  # verify always writes verify_report.{json,csv}
+            sp.add_argument(
+                "--formats", type=_formats, help="comma-separated subset of csv,json,svg"
+            )
     return parser
 
 

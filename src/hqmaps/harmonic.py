@@ -305,6 +305,7 @@ def analytic_map(name: str) -> HarmonicMap:
         lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
         dfn=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
         taylor_fn=lambda n: np.zeros(n, dtype=complex),
+        singular_angles=(),
     )
     return HarmonicMap(h=F, g=zero, uid=name, class_tags=frozenset(tags), qc_k=0.0)
 

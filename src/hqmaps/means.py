@@ -6,8 +6,8 @@ smooth and periodic for r < 1, so convergence is geometric with a rate set by
 the distance from the nearest singularity to the sampled circle. Circle
 samples are point values for every target, so the grid levels of a doubling
 chain nest: each level keeps the one below and evaluates only the new
-midpoints. Samples are cached per (function, radius, grid size), so doubling
-chains and sweeps over p share work.
+midpoints. Nothing is kept between calls; a caller that sweeps p at one
+radius asks for the whole p grid at once, and one chain serves it.
 
 That distance is about 1 - r, so near the boundary the trapezoid needs about
 1/(1 - r) samples. The Hardy-norm certificate, the boundary-kernel integral
@@ -21,8 +21,8 @@ no direction stays on the trapezoid.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -49,42 +49,35 @@ N_START = 2**9
 N_MAX = 2**20
 HARDY_CUTOFF_EXP = 16  # improper r-integrals stop at 1 - 2**-16
 
-_CACHE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-_CACHE_BYTES = 0
-_CACHE_LIMIT = 512 * 2**20
 
+def circle_modulus(F: Evaluable, r: float, n: int, half: Optional[np.ndarray] = None) -> np.ndarray:
+    """|F| sampled on the uniform n-point circle grid at radius r.
 
-def _store(key: tuple, arr: np.ndarray) -> None:
-    global _CACHE_BYTES
-    _CACHE[key] = arr
-    _CACHE_BYTES += arr.nbytes
-    while _CACHE_BYTES > _CACHE_LIMIT and _CACHE:
-        _, old = _CACHE.popitem(last=False)
-        _CACHE_BYTES -= old.nbytes
-
-
-def circle_modulus(F: Evaluable, r: float, n: int) -> np.ndarray:
-    """|F| sampled on the uniform n-point circle grid at radius r, cached.
-
-    Grid levels nest for every target: when level n/2 is cached, level n
-    keeps its samples and evaluates F only at the n/2 midpoints; any other
-    level comes from ``circle_values``. A doubling chain thus takes at most
-    one whole-circle pass, at its first level.
+    Grid levels nest for every target: handed ``half``, the level n/2 that a
+    doubling chain holds, level n keeps it and evaluates F only at the n/2
+    midpoints; without it the level comes from ``circle_values``. A chain
+    thus takes one whole-circle pass, at its first level.
     """
-    key = (F.uid, float(r), int(n))
-    hit = _CACHE.get(key)
-    if hit is not None:
-        _CACHE.move_to_end(key)
-        return hit
-    parent = _CACHE.get((F.uid, float(r), n // 2))
-    if parent is not None:
-        theta = (2.0 * np.pi / n) * np.arange(1, n, 2)
-        out = np.empty(n)
-        out[0::2] = parent
-        out[1::2] = np.abs(F(r * np.exp(1j * theta)))
-    else:
-        out = np.abs(circle_values(F, float(r), int(n)))
-    _store(key, out)
+    if half is None:
+        return np.abs(circle_values(F, float(r), int(n)))
+    midpoints = np.abs(F(r * np.exp(1j * (2.0 * np.pi / n) * np.arange(1, n, 2))))
+    return np.stack((half, midpoints), axis=1).ravel()
+
+
+def _mean_pow_grid(F: Evaluable, ps, r: float, rel_tol: float = 1e-9, n_max: int = N_MAX) -> list:
+    """``_mean_pow`` for every p in ps from one doubling chain, which doubles
+    until every p has converged or n reaches n_max. Each p keeps the first
+    level that agrees with the level below: bitwise what its own chain gives.
+    """
+    n, level = N_START, circle_modulus(F, r, N_START)
+    out = [(v, n, False, (v, v)) for v in (float(np.mean(level**p)) for p in ps)]
+    while n < n_max and not all(res[2] for res in out):
+        n *= 2
+        level = circle_modulus(F, r, n, level)
+        for i, p in enumerate(ps):
+            if not out[i][2]:
+                prev, cur = out[i][0], float(np.mean(level**p))
+                out[i] = (cur, n, abs(cur - prev) <= rel_tol * abs(cur), (prev, cur))
     return out
 
 
@@ -100,14 +93,7 @@ def _mean_pow(
     Returns (value, n, converged, last_two); last_two are the values at the
     last two grid sizes, n/2 and n.
     """
-    n = N_START
-    prev = cur = float(np.mean(circle_modulus(F, r, n) ** p))
-    while n < n_max:
-        n *= 2
-        prev, cur = cur, float(np.mean(circle_modulus(F, r, n) ** p))
-        if abs(cur - prev) <= rel_tol * abs(cur):
-            return cur, n, True, (prev, cur)
-    return cur, n, False, (prev, cur)
+    return _mean_pow_grid(F, (p,), r, rel_tol, n_max)[0]
 
 
 def integral_means(
@@ -122,17 +108,25 @@ def integral_means(
     Doubles from n = 2**9 until the successive relative change drops below
     rel_tol; hitting n_max raises, with the last two iterates attached.
     """
-    if not (0 < p < math.inf):
-        raise DomainError(f"p must lie in (0, inf), got {p}")
+    return _integral_means_grid(F, (p,), r, rel_tol, n_max)[0]
+
+
+def _integral_means_grid(F: Evaluable, ps, r: float, rel_tol: float = 1e-9, n_max=N_MAX) -> list:
+    """``integral_means`` for every p in ps from one doubling chain."""
+    for p in ps:
+        if not (0 < p < math.inf):
+            raise DomainError(f"p must lie in (0, inf), got {p}")
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
-    value, n, converged, last_two = _mean_pow(F, p, r, rel_tol, n_max)
-    if not converged:
-        raise NonConvergenceError(
-            f"trapezoid means for {F.uid} at p={p}, r={r} hit n={n}",
-            last_two=tuple(v ** (1.0 / p) for v in last_two),
-        )
-    return value ** (1.0 / p)
+    out = []
+    for p, (value, n, converged, last_two) in zip(ps, _mean_pow_grid(F, ps, r, rel_tol, n_max)):
+        if not converged:
+            raise NonConvergenceError(
+                f"trapezoid means for {F.uid} at p={p}, r={r} hit n={n}",
+                last_two=tuple(v ** (1.0 / p) for v in last_two),
+            )
+        out.append(value ** (1.0 / p))
+    return out
 
 
 def sup_mean(F: Evaluable, r: float) -> float:
@@ -219,8 +213,14 @@ def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
     The precondition p >= 1 mirrors the Minkowski step the bound rests on;
     smaller p is a domain error by contract.
     """
-    if p < 1:
-        raise DomainError(f"cumulative bound requires p >= 1, got {p}")
+    return float(_corollary_bounds(k, (p,), r, extremal)[0])
+
+
+def _corollary_bounds(k: float, ps, r: float, extremal: str = "H") -> np.ndarray:
+    """``corollary_bound`` for every p in ps from one vector integrand: the
+    radius-line panels are shared and each node takes one doubling chain."""
+    if min(ps) < 1:
+        raise DomainError(f"cumulative bound requires p >= 1, got {min(ps)}")
     if not (0.0 <= k < 1.0):
         raise DomainError(f"k must lie in [0, 1), got {k}")
     if extremal not in ("H", "scrH"):
@@ -229,10 +229,13 @@ def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
     E = catalog(extremal, k)
 
-    def fn(s: np.ndarray) -> np.ndarray:
-        return np.array([integral_means(E, p, float(x), rel_tol=1e-8) for x in s])
+    @functools.cache  # each grading depth keeps the panels of the one before
+    def means_at(s: float) -> list:
+        return _integral_means_grid(E, ps, s, rel_tol=1e-8)
 
-    return (1.0 + k) * float(graded_integral(fn, 0.0, r, 8, 1e-7))
+    return (1.0 + k) * graded_integral(
+        lambda s: np.array([means_at(float(x)) for x in s]), 0.0, r, 8, 1e-7
+    )
 
 
 def lemmaF_integral(p: float, r: float) -> float:
@@ -376,10 +379,11 @@ def dyadic_means_curve(
 
     Targets that declare their singular directions take the graded angular
     rule: among harmonic maps, the shears, whose components evaluate exactly
-    at any point. The others stay on the trapezoid chain, best-effort past
-    its sample cap: the analytic maps, whose g = 0 declares nothing, and
-    harmonic Koebe. The per-radius convergence mask lets downstream fits
-    discard radii where either rule failed its check.
+    at any point, and the analytic maps, whose g = 0 has no such direction.
+    The others stay on the trapezoid chain, best-effort past its sample cap:
+    identity, which declares none, and harmonic Koebe, whose g declares
+    nothing. The per-radius convergence mask lets downstream fits discard
+    radii where either rule failed its check.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")

@@ -20,10 +20,10 @@ from .harmonic import HarmonicMap, K_of_k, build_corpus, corpus_manifest, k_of_K
 from .means import (
     HardyBound,
     MeansCurve,
-    corollary_bound,
+    _corollary_bounds,
+    _integral_means_grid,
     dyadic_means_curve,
     hardy_norm_bound,
-    integral_means,
     loglog_slope,
 )
 from .probes import qc_certify
@@ -210,30 +210,33 @@ def check_means_domination(
     tol: float = REL_TOL,
 ) -> list:
     """Rows for M_p(r, h') vs the extremal and M_p(r, g') vs its companion."""
-    prefix = _require_tags(f, extremal)
-    _require_certificate(f, k)
-    E = catalog(extremal, k)
-    C = catalog("G" if extremal == "H" else "scrG", k)
-    hp, gp = f.h_prime, f.g_prime
+    return _means_rows(f, [(extremal, k)], p_grid, r_grid, tol, {})
+
+
+def _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means: dict) -> list:
+    """``check_means_domination`` for every (extremal, k) in pairs. Each
+    target takes one doubling chain per radius for the whole p grid; the
+    means of h' and g' serve every pair, and those of the extremal pair are
+    kept in extremal_means under (name, k, r) for the maps that share it."""
+    checked = [(_require_tags(f, extremal), extremal, k) for extremal, k in pairs]
+    for _, _, k in checked:
+        _require_certificate(f, k)
     rows = []
-    for p in p_grid:
-        for r in r_grid:
-            lhs = integral_means(hp, p, r, rel_tol=1e-8)
-            rhs = integral_means(E, p, r, rel_tol=1e-8)
-            rows.append(
-                _row(
-                    f.uid, f"means-{prefix}-hprime", k, p, r, lhs, rhs,
-                    tol * max(abs(lhs), abs(rhs), 1.0),
-                )
-            )
-            glhs = integral_means(gp, p, r, rel_tol=1e-8)
-            grhs = integral_means(C, p, r, rel_tol=1e-8)
-            rows.append(
-                _row(
-                    f.uid, f"means-{prefix}-gprime", k, p, r, glhs, grhs,
-                    tol * max(abs(glhs), abs(grhs), 1.0),
-                )
-            )
+    for r in r_grid:
+        for side, target in (("hprime", f.h_prime), ("gprime", f.g_prime)):
+            lhs_means = _integral_means_grid(target, p_grid, r, rel_tol=1e-8)
+            for prefix, extremal, k in checked:
+                name = extremal if side == "hprime" else ("G" if extremal == "H" else "scrG")
+                if (name, k, r) not in extremal_means:
+                    E = catalog(name, k)
+                    extremal_means[name, k, r] = _integral_means_grid(E, p_grid, r, rel_tol=1e-8)
+                for p, lhs, rhs in zip(p_grid, lhs_means, extremal_means[name, k, r]):
+                    rows.append(
+                        _row(
+                            f.uid, f"means-{prefix}-{side}", k, p, r, lhs, rhs,
+                            tol * max(abs(lhs), abs(rhs), 1.0),
+                        )
+                    )
     return rows
 
 
@@ -255,31 +258,19 @@ def check_star_chain(
     prefix = _require_tags(f, extremal)
     _require_certificate(f, k)
     n = star_grid_size(r)
-    E = catalog(extremal, k)
-    rows = []
-
-    star_h = star_function(sample_log_modulus(f.h_prime, r, n))
-    star_E = star_function(sample_log_modulus(E, r, n))
-    scale = max(1.0, float(np.max(np.abs(star_E.values))))
-    v = star_dominates(star_h, star_E, tol=tol * scale)
-    rows.append(
-        _row(
-            f.uid, f"star-{prefix}-hprime", k, 0.0, r,
-            v.max_violation, 0.0, tol * scale,
-            detail={"n": n, "at_theta": float(v.theta_at_max)},
-        )
-    )
-
+    sides = [("hprime", f.h_prime, extremal)]
     # the companion row needs log|g'|; skip it when g vanishes identically
     if k > 0 and not f.is_analytic():
-        C = catalog("G" if extremal == "H" else "scrG", k)
-        star_g = star_function(sample_log_modulus(f.g_prime, r, n))
-        star_C = star_function(sample_log_modulus(C, r, n))
-        scale = max(1.0, float(np.max(np.abs(star_C.values))))
-        v = star_dominates(star_g, star_C, tol=tol * scale)
+        sides.append(("gprime", f.g_prime, "G" if extremal == "H" else "scrG"))
+    rows = []
+    for side, target, name in sides:
+        star_f = star_function(sample_log_modulus(target, r, n))
+        star_E = star_function(sample_log_modulus(catalog(name, k), r, n))
+        scale = max(1.0, float(np.max(np.abs(star_E.values))))
+        v = star_dominates(star_f, star_E, tol=tol * scale)
         rows.append(
             _row(
-                f.uid, f"star-{prefix}-gprime", k, 0.0, r,
+                f.uid, f"star-{prefix}-{side}", k, 0.0, r,
                 v.max_violation, 0.0, tol * scale,
                 detail={"n": n, "at_theta": float(v.theta_at_max)},
             )
@@ -337,10 +328,10 @@ def hardy_membership_verdict(
     increment tail certifies membership outright; otherwise, for p < 1, the
     weighted h'-integral certificate decides (its integrand tail must beat
     exponent -1 with margin); only then does a steep exponent mean divergent.
-    The fit uses converged radii only: shears take M_p from graded angular
-    panels, and targets left on the trapezoid chain (harmonic Koebe) drop the
-    deep radii where it hits the sample cap, so verdicts rest on trustworthy
-    data.
+    The fit uses converged radii only: shears and analytic maps take M_p
+    from graded angular panels, and targets left on the trapezoid chain
+    (identity, harmonic Koebe) drop the deep radii where it hits the sample
+    cap, so verdicts rest on trustworthy data.
     """
     if not (0.0 < p < math.inf):
         raise DomainError(f"p must lie in (0, inf), got {p}")
@@ -443,9 +434,12 @@ def suite_means(
     tol=REL_TOL,
     families=("H", "scrH"),
 ):
+    """Means domination rows for every tagged map, extremal means shared."""
+    extremal_means = {}
     rows = []
-    for f, extremal, k in _tagged_targets(corpus, K_grid, families):
-        rows += check_means_domination(f, extremal, k, p_grid, r_grid, tol)
+    for f in corpus:
+        pairs = [(extremal, k) for _, extremal, k in _tagged_targets([f], K_grid, families)]
+        rows += _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means)
     return rows
 
 
@@ -471,7 +465,8 @@ def suite_cumulative(
     By default convex members are held to the tighter convex-family bound;
     force_family pins every member to one family (used by class filters).
     Members with the same k share their bounds, so each distinct one is
-    computed once.
+    computed once; one doubling chain, and one radius-line integral for the
+    bounds, serves the whole p grid.
     """
     bounds = {}
     rows = []
@@ -488,13 +483,12 @@ def suite_cumulative(
             continue
         k = float(f.qc_k)
         _require_certificate(f, k)
-        for p in p_grid:
-            for r in r_grid:
-                lhs = integral_means(f, p, r, rel_tol=1e-8)
-                key = (k, p, r, extremal)
-                if key not in bounds:
-                    bounds[key] = corollary_bound(*key)
-                rhs = bounds[key]
+        for r in r_grid:
+            key = (k, r, extremal)
+            if key not in bounds:
+                bounds[key] = _corollary_bounds(k, p_grid, r, extremal)
+            lhs_means = _integral_means_grid(f, p_grid, r, rel_tol=1e-8)
+            for p, lhs, rhs in zip(p_grid, lhs_means, bounds[key]):
                 rows.append(
                     _row(
                         f.uid, f"cumulative-bound-{prefix}", k, p, r, lhs, rhs,
@@ -508,21 +502,19 @@ def suite_classic(corpus, p_grid=P_GRID, r_grid=R_GRID, tol=CLASSIC_TOL):
     """Analytic starlike members against the slit-plane extremal and its
     derivative; tolerance is absolute by contract."""
     K = catalog("koebe")
-    Kd = K.derivative_function()
+    sides = (
+        ("means-classic-koebe", lambda f: f.h, K),
+        ("means-classic-koebe-deriv", lambda f: f.h_prime, K.derivative_function()),
+    )
+    members = [f for f in corpus if {"analytic", "starlike"} <= f.class_tags]
     rows = []
-    for f in corpus:
-        if not ({"analytic", "starlike"} <= f.class_tags):
-            continue
-        for p in p_grid:
-            for r in r_grid:
-                lhs = integral_means(f.h, p, r, rel_tol=1e-9)
-                rhs = integral_means(K, p, r, rel_tol=1e-9)
-                rows.append(_row(f.uid, "means-classic-koebe", 0.0, p, r, lhs, rhs, tol))
-                lhs = integral_means(f.h_prime, p, r, rel_tol=1e-9)
-                rhs = integral_means(Kd, p, r, rel_tol=1e-9)
-                rows.append(
-                    _row(f.uid, "means-classic-koebe-deriv", 0.0, p, r, lhs, rhs, tol)
-                )
+    for r in r_grid if members else ():
+        for inequality, target, koebe in sides:
+            rhs_means = _integral_means_grid(koebe, p_grid, r, rel_tol=1e-9)
+            for f in members:
+                lhs_means = _integral_means_grid(target(f), p_grid, r, rel_tol=1e-9)
+                for p, lhs, rhs in zip(p_grid, lhs_means, rhs_means):
+                    rows.append(_row(f.uid, inequality, 0.0, p, r, lhs, rhs, tol))
     return rows
 
 

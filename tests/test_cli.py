@@ -251,6 +251,15 @@ def test_verify_classic_suite(tmp_path, monkeypatch, capsys):
     assert ids == {"means-classic-koebe", "means-classic-koebe-deriv"}
 
 
+def test_verify_rejects_formats(tmp_path, monkeypatch):
+    # verify always writes verify_report.{json,csv}; a formats flag would be ignored
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "classic", "--formats", "svg"])
+    assert info.value.code == EXIT_USAGE
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_verify_stamp_sets_timestamp(tmp_path, monkeypatch, capsys):
     code, _, _ = run_main(
         ["verify", "--suite", "classic", "--stamp"], tmp_path, monkeypatch, capsys

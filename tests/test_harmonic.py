@@ -89,10 +89,12 @@ def test_harmonic_map_declares_the_union_of_its_components():
     assert f.singular_angles == (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
     assert corpus_shear("identity", 0.5, 1).singular_angles == (0.0,)
     assert corpus_shear("halfplane", 0.25, 2).singular_angles == (0.0, math.pi)
-    # g = 0 and harmonic Koebe's g declare nothing, so neither map does
+    # g = 0 has no singular direction, so an analytic map declares h's, and
+    # so does a shear of dilatation 0, which is one
     for name in ("identity", "koebe", "half-plane", "strip-like"):
-        assert analytic_map(name).singular_angles is None
-    assert corpus_shear("halfplane", 0.0, 1).singular_angles is None
+        assert analytic_map(name).singular_angles == catalog(name).singular_angles
+    assert corpus_shear("halfplane", 0.0, 1).singular_angles == (0.0,)
+    # harmonic Koebe's g declares nothing, so neither does the map
     assert harmonic_koebe().singular_angles is None
 
 

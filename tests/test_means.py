@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -91,11 +90,9 @@ def test_nonconvergence_carries_last_iterates():
     assert last_two[1] == value and last_two[0] != value
 
 
-def test_doubling_levels_nest_for_a_whole_circle_target(monkeypatch):
+def test_doubling_levels_nest_for_a_whole_circle_target():
     # a harmonic map has a whole-circle sampler, yet each level keeps the one
     # below and evaluates h only at the new midpoints: n points in all
-    monkeypatch.setattr(means, "_CACHE", OrderedDict())
-    monkeypatch.setattr(means, "_CACHE_BYTES", 0)
     f = harmonic_koebe()
     h, evaluated = f.h, []
 
@@ -107,6 +104,51 @@ def test_doubling_levels_nest_for_a_whole_circle_target(monkeypatch):
     _, n, _, _ = _mean_pow(f, 0.4, 1 - 2**-5, 1e-7)
     assert n > 2**9
     assert sum(evaluated) == n
+
+
+def test_functions_sharing_a_uid_share_no_samples():
+    # the uid names a function; it is no key to another function's samples
+    assert abs(integral_means(ClosedForm("same", lambda z: z), 2.0, 0.5) - 0.5) < 1e-14
+    assert abs(integral_means(ClosedForm("same", lambda z: 2 * z), 2.0, 0.5) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "F, r, ps, n_max",
+    [
+        (catalog("H", 0.5), 0.99, (0.25, 0.5, 1.0, 2.0, 4.0), means.N_MAX),
+        (corpus_shear("strip", 0.8, 2).g_prime, 0.9, (0.25, 0.5, 1.0, 2.0, 4.0), means.N_MAX),
+        (harmonic_koebe(), 0.95, (1.0, 2.0, 4.0), means.N_MAX),
+        # p = -1 converges at n = 2**10 while p = 4 stalls at the cap
+        (catalog("koebe"), 0.999999, (-1.0, 4.0), 2**14),
+    ],
+)
+def test_one_chain_serves_the_whole_p_grid(F, r, ps, n_max):
+    def own_chain(p):
+        n = means.N_START
+        level = means.circle_modulus(F, r, n)
+        prev = cur = float(np.mean(level**p))
+        while n < n_max:
+            n *= 2
+            level = means.circle_modulus(F, r, n, level)
+            prev, cur = cur, float(np.mean(level**p))
+            if abs(cur - prev) <= 1e-8 * abs(cur):
+                return cur, n, True, (prev, cur)
+        return cur, n, False, (prev, cur)
+
+    got = means._mean_pow_grid(F, ps, r, 1e-8, n_max)
+    assert got == [own_chain(p) for p in ps]
+    assert got == [_mean_pow(F, p, r, 1e-8, n_max) for p in ps]
+    if n_max == 2**14:
+        assert [res[1:3] for res in got] == [(2**10, True), (2**14, False)]
+
+
+def test_one_radius_line_integral_serves_every_p():
+    ps = (1.0, 2.0, 4.0)
+    for k, r, extremal in ((0.0, 0.5, "H"), (0.5, 0.9, "scrH"), (0.25, 0.99, "H")):
+        got = means._corollary_bounds(k, ps, r, extremal)
+        for p, value in zip(ps, got):
+            want = corollary_bound(k, p, r, extremal)
+            assert abs(value / want - 1.0) <= 1e-14, (k, r, extremal, p)
 
 
 def test_zero_component_mean_is_zero():
