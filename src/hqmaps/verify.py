@@ -27,7 +27,13 @@ from .means import (
     loglog_slope,
 )
 from .probes import qc_certify
-from .star import sample_log_modulus, star_dominates, star_function, star_grid_size
+from .star import (
+    StarFunction,
+    sample_log_modulus,
+    star_dominates,
+    star_function,
+    star_grid_size,
+)
 
 R_GRID = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
 P_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -189,6 +195,15 @@ def _require_certificate(f: HarmonicMap, k: float):
     return cert
 
 
+def _checked_pairs(f: HarmonicMap, pairs) -> list:
+    """(prefix, extremal, k) for every (extremal, k) in pairs, once the tags
+    and each distinct k's certificate have passed."""
+    checked = [(_require_tags(f, extremal), extremal, k) for extremal, k in pairs]
+    for k in dict.fromkeys(k for _, _, k in checked):
+        _require_certificate(f, k)
+    return checked
+
+
 def _k_values(f: HarmonicMap, K_grid: Sequence[float] = K_GRID) -> list:
     """Own declared k plus every grid k at or above it; [] if not QC."""
     if f.qc_k is None or f.qc_k >= 1.0:
@@ -218,9 +233,7 @@ def _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means: dict) -> list:
     target takes one doubling chain per radius for the whole p grid; the
     means of h' and g' serve every pair, and those of the extremal pair are
     kept in extremal_means under (name, k, r) for the maps that share it."""
-    checked = [(_require_tags(f, extremal), extremal, k) for extremal, k in pairs]
-    for _, _, k in checked:
-        _require_certificate(f, k)
+    checked = _checked_pairs(f, pairs)
     rows = []
     for r in r_grid:
         for side, target in (("hprime", f.h_prime), ("gprime", f.g_prime)):
@@ -255,26 +268,40 @@ def check_star_chain(
     """
     if extremal is None:
         extremal = "H" if "convex" in f.class_tags else "scrH"
-    prefix = _require_tags(f, extremal)
-    _require_certificate(f, k)
+    return _star_rows(f, _checked_pairs(f, [(extremal, k)]), r, tol, {})
+
+
+def _star_rows(f, checked, r, tol, extremal_stars: dict) -> list:
+    """``check_star_chain`` at radius r for every (prefix, extremal, k) in
+    checked, whose tags and certificates have passed. The star functions of
+    log|h'| and log|g'| serve every pair; the values of each extremal's are
+    kept in extremal_stars under (name, k) for the maps that share it at r."""
     n = star_grid_size(r)
-    sides = [("hprime", f.h_prime, extremal)]
-    # the companion row needs log|g'|; skip it when g vanishes identically
-    if k > 0 and not f.is_analytic():
-        sides.append(("gprime", f.g_prime, "G" if extremal == "H" else "scrG"))
+    map_stars = {}
     rows = []
-    for side, target, name in sides:
-        star_f = star_function(sample_log_modulus(target, r, n))
-        star_E = star_function(sample_log_modulus(catalog(name, k), r, n))
-        scale = max(1.0, float(np.max(np.abs(star_E.values))))
-        v = star_dominates(star_f, star_E, tol=tol * scale)
-        rows.append(
-            _row(
-                f.uid, f"star-{prefix}-{side}", k, 0.0, r,
-                v.max_violation, 0.0, tol * scale,
-                detail={"n": n, "at_theta": float(v.theta_at_max)},
+    for prefix, extremal, k in checked:
+        sides = [("hprime", f.h_prime, extremal)]
+        # the companion row needs log|g'|; skip it when g vanishes identically
+        if k > 0 and not f.is_analytic():
+            sides.append(("gprime", f.g_prime, "G" if extremal == "H" else "scrG"))
+        for side, target, name in sides:
+            if side not in map_stars:
+                map_stars[side] = star_function(sample_log_modulus(target, r, n))
+            star_f = map_stars[side]
+            if (name, k) not in extremal_stars:
+                E = catalog(name, k)
+                extremal_stars[name, k] = star_function(sample_log_modulus(E, r, n)).values
+            # every star function on this n-point grid shares its thetas
+            star_E = StarFunction(star_f.thetas, extremal_stars[name, k])
+            scale = max(1.0, float(np.max(np.abs(star_E.values))))
+            v = star_dominates(star_f, star_E, tol=tol * scale)
+            rows.append(
+                _row(
+                    f.uid, f"star-{prefix}-{side}", k, 0.0, r,
+                    v.max_violation, 0.0, tol * scale,
+                    detail={"n": n, "at_theta": float(v.theta_at_max)},
+                )
             )
-        )
     return rows
 
 
@@ -446,10 +473,19 @@ def suite_means(
 def suite_star(
     corpus, r_grid=R_GRID, K_grid=K_GRID, tol=STAR_TOL, families=("H", "scrH")
 ):
+    """Star-chain rows for every tagged map, each (map, k) certified once.
+    Radii run outermost: at each radius a map's star functions serve all its
+    (extremal, k) pairs, and each extremal's is computed once per (name, k)
+    and dropped when the radius moves on."""
+    groups = []
+    for f in corpus:
+        pairs = [(extremal, k) for _, extremal, k in _tagged_targets([f], K_grid, families)]
+        groups.append((f, _checked_pairs(f, pairs)))
     rows = []
-    for f, extremal, k in _tagged_targets(corpus, K_grid, families):
-        for r in r_grid:
-            rows += check_star_chain(f, k, r, extremal=extremal, tol=tol)
+    for r in r_grid:
+        extremal_stars = {}
+        for f, checked in groups:
+            rows += _star_rows(f, checked, r, tol, extremal_stars)
     return rows
 
 

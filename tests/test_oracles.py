@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqmaps.analytic import RADIUS_CAP, ClosedForm, catalog, radial_path_integral
 from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
@@ -49,6 +51,22 @@ def test_parseval_for_every_corpus_member(corpus):
             want = float(np.sum(weights * r ** (2.0 * n)))
             got = integral_means(f, 2.0, r) ** 2
             assert abs(got / want - 1.0) <= 1e-12, (f.uid, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["H", "G", "scrH", "scrG"]),
+    k=st.floats(0.0, 0.95, exclude_max=True),
+    r=st.floats(0.3, 0.95),
+)
+def test_parseval_for_the_extremals_at_random_k(name, k, r):
+    n = np.arange(1024)
+    E = catalog(name, k)
+    want = float(np.sum(np.abs(E.taylor(n.size)) ** 2 * r ** (2.0 * n)))
+    got = integral_means(E, 2.0, r) ** 2
+    # G_k and scrG_k scale with k: below ~1e-150 their M_2^2 is a subnormal
+    # double, which carries an absolute precision only (G_0 = 0 exactly)
+    assert abs(got - want) <= 1e-12 * want + np.finfo(float).tiny, (name, k, r)
 
 
 @pytest.mark.parametrize("extremal", ["H", "scrH"])

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hqmaps import analytic
+from hqmaps import analytic, verify
 from hqmaps.analytic import DomainError, catalog
 from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
 from hqmaps.means import MeansCurve, dyadic_means_curve
@@ -23,6 +23,7 @@ from hqmaps.verify import (
     hardy_membership_verdict,
     membership_row,
     run_suite,
+    suite_star,
 )
 
 
@@ -76,6 +77,50 @@ def test_check_star_chain_skips_trivial_g():
     rows = check_star_chain(analytic_map("identity"), 0.0, 0.5)
     assert len(rows) == 1
     assert rows[0].inequality_id.endswith("hprime")
+
+
+def test_suite_star_matches_check_star_chain_and_samples_each_target_once(
+    corpus_by_uid, monkeypatch
+):
+    # half-plane carries both families' tags, so its h' serves four pairs per
+    # radius; the extremals at k = 0.5 and 2/3 serve both maps
+    corpus = [corpus_by_uid["half-plane"], corpus_shear("halfplane", 0.5, 1)]
+    r_grid, K_grid = (0.5, 0.99), (1.0, 3.0, 5.0)
+    sampled, certified = [], []
+    sample = verify.sample_log_modulus
+    certify = verify.qc_certify
+    monkeypatch.setattr(
+        verify, "sample_log_modulus", lambda F, r, n: sampled.append(F.uid) or sample(F, r, n)
+    )
+    monkeypatch.setattr(
+        verify, "qc_certify", lambda f, k: certified.append((f.uid, k)) or certify(f, k)
+    )
+    rows = suite_star(corpus, r_grid=r_grid, K_grid=K_grid)
+    monkeypatch.undo()
+
+    targets = list(verify._tagged_targets(corpus, K_grid, ("H", "scrH")))
+    assert {(f.uid, k) for f, _, k in targets} >= {
+        (f.uid, k) for f in corpus for k in (0.5, round(2 / 3, 12))
+    }
+    want = [
+        row
+        for f, extremal, k in targets
+        for r in r_grid
+        for row in check_star_chain(f, k, r, extremal=extremal)
+    ]
+    key = VerificationRow.sort_key
+    assert [row.as_dict() for row in sorted(rows, key=key)] == [
+        row.as_dict() for row in sorted(want, key=key)
+    ]
+
+    companion = {"convex": ("H", "G"), "ctc": ("scrH", "scrG")}
+    distinct = set()
+    for row in rows:
+        _, prefix, side = row.inequality_id.split("-")
+        name = companion[prefix][side == "gprime"]
+        distinct |= {(row.mapping_id, side, row.r), (name, row.k, row.r)}
+    assert len(sampled) == len(distinct)
+    assert sorted(certified) == sorted({(f.uid, k) for f, _, k in targets})
 
 
 def test_growth_exponent_synthetic():
