@@ -41,9 +41,12 @@ class HarmonicMap:
     class_tags: frozenset = frozenset()
     qc_k: Optional[float] = None
     meta: dict = field(default_factory=dict)
+    # phi when g = h - phi exactly (make_shear's exact path): f(z) takes h once
+    slice_phi: Optional[AnalyticFunction] = field(default=None, init=False, repr=False)
 
     def __call__(self, z):
-        return self.h(z) + np.conj(self.g(z))
+        hz = self.h(z)
+        return hz + np.conj(self.g(z) if self.slice_phi is None else hz - self.slice_phi(z))
 
     @property
     def h_prime(self) -> AnalyticFunction:
@@ -209,7 +212,7 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     if monomial is not None and monomial[0] > 0.0 and terms is not None:
         h_exact = _exact_shear_h(terms, *monomial)
         g_exact = lambda z: h_exact(z) - phi(z)
-    return HarmonicMap(
+    f = HarmonicMap(
         h=RadialIntegral(hp, uid + ":h", h_exact),
         g=RadialIntegral(gp, uid + ":g", g_exact),
         uid=uid,
@@ -217,6 +220,8 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
         qc_k=qc,
         meta={"phi": phi.uid, "omega": omega.uid},
     )
+    f.slice_phi = None if h_exact is None else phi
+    return f
 
 
 def normalize_to_S0(f: HarmonicMap) -> HarmonicMap:

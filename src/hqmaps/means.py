@@ -15,13 +15,15 @@ and the dyadic means curves behind the membership verdicts therefore use
 Gauss-Legendre panels in theta, graded geometrically toward the singular
 directions that a target declares (a ``ClosedForm`` directly, a radial
 integral through its integrand, a harmonic map when both components do);
-two grading depths are compared to judge convergence. A target that declares
-no direction stays on the trapezoid.
+two grading depths are compared to judge convergence, and the target is
+evaluated once on the nodes of many radii. A target that declares no
+direction stays on the trapezoid.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -179,32 +181,46 @@ def _angular_breaks(angles, depth: int) -> np.ndarray:
     return np.append(ends, ends[0] + 2.0 * np.pi)
 
 
-def _angular_rule(F: Evaluable, p: float, r: float, angles, depth: int, order: int) -> tuple:
-    """(1/2pi) int |F(r e^{i theta})|^p dtheta on graded panels; (value, nodes)."""
-    theta, w = gauss_panels(_angular_breaks(angles, depth), order)
-    vals = np.abs(F(r * np.exp(1j * theta))) ** p
-    return float(w @ vals) / (2.0 * np.pi), theta.size
+def _graded_mean_pows(F: Evaluable, p: float, rs, rel_tol: float) -> list:
+    """Raw power means (1/2pi) int |F(r e^{i theta})|^p dtheta at every r in rs
+    on panels graded toward the directions F declares in ``singular_angles``.
 
-
-def _graded_mean_pow(F: Evaluable, p: float, r: float, rel_tol: float):
-    """Raw power mean (1/2pi) int |F|^p dtheta on panels graded toward the
-    directions F declares in ``singular_angles``; p may be negative.
-
-    Panels halve toward each direction down to width pi 2^-J <= 1 - r, with
-    J = ceil(log2(pi/(1 - r))), under 16 nodes each; a second rule grades two
-    levels deeper under 24 nodes. The finer value is kept, and the radius
-    counts as converged when the two agree to rel_tol. A target without a
-    declared direction goes to the trapezoid chain ``_mean_pow`` unchanged.
-    Returns (value, nodes, converged, last_two) like ``_mean_pow``.
+    At r, panels halve toward each direction down to width pi 2^-J <= 1 - r,
+    J = ceil(log2(pi/(1 - r))), under 16 nodes each; a second rule two levels
+    deeper takes 24. The finer value is kept, and r counts as converged when
+    the two agree to rel_tol. Radii of one depth share their panels, and F is
+    evaluated once on the nodes of all radii and both rules, per 2^20 points.
+    Undeclared targets take ``_mean_pow`` at each radius. Returns (value,
+    nodes, converged, last_two) per radius, like ``_mean_pow``; p may be < 0.
     """
     angles = getattr(F, "singular_angles", None)
     if not angles:
-        return _mean_pow(F, p, r, rel_tol)
-    depth = math.ceil(math.log2(math.pi / (1.0 - r)))
-    coarse, _ = _angular_rule(F, p, r, angles, depth, 16)
-    fine, nodes = _angular_rule(F, p, r, angles, depth + 2, 24)
-    converged = abs(fine - coarse) <= rel_tol * abs(fine)
-    return fine, nodes, converged, (coarse, fine)
+        return [_mean_pow(F, p, float(r), rel_tol) for r in rs]
+    rs = [float(r) for r in rs]
+    depths = [math.ceil(math.log2(math.pi / (1.0 - r))) for r in rs]
+    rules = {}  # depth: the unit points of both rules, then each rule's weights
+    for J in set(depths):
+        (t16, w16), (t24, w24) = (
+            gauss_panels(_angular_breaks(angles, J + d), 16 + 4 * d) for d in (0, 2)
+        )
+        rules[J] = (np.exp(1j * np.concatenate((t16, t24))), w16, w24)
+    ends = np.cumsum([rules[J][0].size for J in depths])
+    out = []
+    for _, piece in itertools.groupby(range(len(rs)), key=lambda i: (ends[i] - 1) // 2**20):
+        piece = list(piece)
+        vals = np.abs(F(np.concatenate([rs[i] * rules[depths[i]][0] for i in piece]))) ** p
+        for i in piece:
+            unit, w16, w24 = rules[depths[i]]
+            coarse = float(w16 @ vals[: w16.size]) / (2.0 * np.pi)
+            fine = float(w24 @ vals[w16.size : unit.size]) / (2.0 * np.pi)
+            out.append((fine, w24.size, abs(fine - coarse) <= rel_tol * abs(fine), (coarse, fine)))
+            vals = vals[unit.size :]
+    return out
+
+
+def _graded_mean_pow(F: Evaluable, p: float, r: float, rel_tol: float):
+    """``_graded_mean_pows`` at the one radius r."""
+    return _graded_mean_pows(F, p, (r,), rel_tol)[0]
 
 
 def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
@@ -310,6 +326,8 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
     angular rule when h' declares its singular directions, from the
     trapezoid chain otherwise; all_converged is False when either one fails
     its convergence check at some radius, and the value then is best-effort.
+    Each radius node is computed once; the new nodes of each depth of the
+    r-integral, the dyadic tail and the fit's radii take one batch each.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"the weighted h' integral needs p in (0, 1), got {p}")
@@ -317,24 +335,20 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
     if abs(f(z0)) > 1e-12:
         raise DomainError("normalization f(0) = 0 required")
     hp = f.h_prime
-    all_converged = True
-
-    def integrand_one(r: float) -> float:
-        nonlocal all_converged
-        value, _, converged, _ = _graded_mean_pow(hp, p, r, rel_tol=1e-7)
-        if not converged:
-            all_converged = False
-        return (1.0 - r) ** (p - 1.0) * value
+    means = {}  # radius node: _graded_mean_pow there, each node computed once
 
     def integrand(rs: np.ndarray) -> np.ndarray:
-        return np.array([integrand_one(float(x)) for x in rs])
+        new = [r for r in dict.fromkeys(map(float, rs)) if r not in means]
+        means.update(zip(new, _graded_mean_pows(hp, p, new, rel_tol=1e-7)))
+        return np.array([(1.0 - r) ** (p - 1.0) * means[r][0] for r in map(float, rs)])
 
     total = float(graded_integral(integrand, 0.0, 1.0 - 2.0**-6, 8, 1e-6))
     t, w = gauss_panels(1.0 - 2.0 ** -np.arange(6, HARDY_CUTOFF_EXP + 1), 8)  # dyadic tail
     total += float(w @ integrand(t))
 
     gaps = 2.0 ** -np.arange(HARDY_CUTOFF_EXP - 5, HARDY_CUTOFF_EXP + 1)
-    slope = -loglog_slope(gaps, [integrand_one(1.0 - g) for g in gaps])
+    slope = -loglog_slope(gaps, integrand(1.0 - gaps))
+    all_converged = all(converged for _, _, converged, _ in means.values())
     return HardyBound(
         value=total,
         tail_exponent=slope,
@@ -375,7 +389,8 @@ class MeansCurve:
 def dyadic_means_curve(
     F: Evaluable, p: float, depth: int, rel_tol: float = 1e-7
 ) -> MeansCurve:
-    """M_p at radii 1 - 2^-j, j = 1..depth, from ``_graded_mean_pow``.
+    """M_p at radii 1 - 2^-j, j = 1..depth, from one batch of
+    ``_graded_mean_pows``.
 
     Targets that declare their singular directions take the graded angular
     rule: among harmonic maps, the shears, whose components evaluate exactly
@@ -388,11 +403,9 @@ def dyadic_means_curve(
     if depth < 1:
         raise DomainError("depth must be >= 1")
     radii = 1.0 - 2.0 ** -np.arange(1, depth + 1)
-    values, flags = [], []
-    for r in radii:
-        value, _, converged, _ = _graded_mean_pow(F, p, float(r), rel_tol=rel_tol)
-        values.append(value ** (1.0 / p))
-        flags.append(converged)
+    means = _graded_mean_pows(F, p, radii, rel_tol=rel_tol)
+    values = [value ** (1.0 / p) for value, _, _, _ in means]
+    flags = [converged for _, _, converged, _ in means]
     return MeansCurve(
         p=p, radii=radii, values=np.array(values), target=getattr(F, "uid", "?"),
         converged=np.array(flags, dtype=bool),

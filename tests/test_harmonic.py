@@ -1,5 +1,6 @@
 """Harmonic map construction: shears, corpus, tags, normalization."""
 
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqmaps import harmonic
 from hqmaps.analytic import ClosedForm, DomainError, catalog, series_integrate
 from hqmaps.harmonic import (
     K_of_k,
@@ -62,6 +64,31 @@ def test_shear_evaluates_as_h_plus_conj_g():
     direct = f(GRID)
     assert np.allclose(direct, f.h(GRID) + np.conj(f.g(GRID)), atol=1e-12)
     assert np.allclose(direct, eval_harmonic(f, GRID), atol=1e-14)
+
+
+def test_exact_shear_evaluates_h_once_per_call(monkeypatch, corpus):
+    # g = h - phi, so f(z) = h(z) + conj(h(z) - phi(z)) bit for bit
+    for f in corpus:
+        if f.uid.startswith("shear["):
+            assert np.array_equal(f(GRID), f.h(GRID) + np.conj(f.g(GRID))), f.uid
+    calls = []
+
+    def counted_exact_h(*args):
+        h = exact_h(*args)
+
+        def counted(z):
+            calls.append(np.size(z))
+            return h(z)
+
+        return counted
+
+    exact_h = harmonic._exact_shear_h
+    monkeypatch.setattr(harmonic, "_exact_shear_h", counted_exact_h)
+    f = corpus_shear("strip", 0.5, 2)
+    f(GRID)
+    assert calls == [GRID.size]
+    # a copy with another h must not reuse g = h - phi
+    assert dataclasses.replace(f, h=catalog("koebe")).slice_phi is None
 
 
 def test_shear_normalization_rejected():

@@ -21,6 +21,7 @@ from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
 from hqmaps.means import (
     MeansCurve,
     _graded_mean_pow,
+    _graded_mean_pows,
     _mean_pow,
     corollary_bound,
     dyadic_means_curve,
@@ -313,6 +314,60 @@ def test_undeclared_target_keeps_the_trapezoid():
     assert abs(hardy_norm_bound(f, 0.1024).value - STRIP_SHEAR_BOUND) < 1e-12
     for r in (0.5, 1.0 - 2.0**-10):
         assert _graded_mean_pow(f.h_prime, 0.3, r, 1e-7) == _mean_pow(f.h_prime, 0.3, r, 1e-7)
+
+
+_BATCH_RADII = tuple(1.0 - 2.0 ** -np.arange(1, 14)) + (0.05, 0.3, 0.62, 0.9, 0.97, 0.985)
+
+
+@pytest.mark.parametrize(
+    "F, p",
+    [
+        (corpus_shear("identity", 0.8, 1), 0.45),
+        (corpus_shear("halfplane", 0.5, 2), 0.45),
+        (corpus_shear("strip", 0.8, 1), 0.3),
+        (corpus_shear("strip", 0.25, 2).h_prime, 0.45),
+        (analytic_map("half-plane"), 0.9),
+        (catalog("koebe"), 0.45),
+        (ClosedForm("one-minus-z", lambda z: 1.0 - z, singular_angles=(0.0,)), -1.5),
+    ],
+    ids=lambda v: getattr(v, "uid", None),
+)
+def test_batched_graded_means_equal_one_radius_at_a_time(F, p):
+    batched = _graded_mean_pows(F, p, _BATCH_RADII, 1e-7)
+    assert batched == [_graded_mean_pow(F, p, r, 1e-7) for r in _BATCH_RADII]
+
+
+# hardy_norm_bound's (value, tail_exponent, all_converged) with the angular
+# rule run one radius node at a time; batching must not move a bit
+HARDY_PINS = {
+    ("koebe", 0.45): (8.53569658305601, -0.9080674925170812, True),
+    ("half-plane", 0.9): (4.1862462314400775, -0.8999991310276758, True),
+    ("shear[phi=strip,omega=0.5z^2]", 0.45): (3.4883867207983306, -0.6095706327858698, True),
+}
+
+
+@pytest.mark.parametrize(
+    "f, p",
+    [
+        (analytic_map("koebe"), 0.45),
+        (analytic_map("half-plane"), 0.9),
+        (corpus_shear("strip", 0.5, 2), 0.45),
+    ],
+    ids=lambda v: getattr(v, "uid", None),
+)
+def test_hardy_norm_bound_evaluates_h_prime_once_per_radius_line_level(f, p):
+    hp, calls = f.h_prime, []
+
+    def counted(z):
+        calls.append(z.size)
+        return hp(z)
+
+    redeclared = ClosedForm(hp.uid, counted, singular_angles=hp.singular_angles)
+    f = dataclasses.replace(f, h=RadialIntegral(redeclared, f.h.uid, antiderivative=f.h))
+    b = hardy_norm_bound(f, p)
+    assert (b.value, b.tail_exponent, b.all_converged) == HARDY_PINS[f.uid, p]
+    # two depths of the [0, 1 - 2^-6] integral, the dyadic tail, the gap radii
+    assert len(calls) <= 4, calls
 
 
 def test_hardy_norm_bound_validation():
