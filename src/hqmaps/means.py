@@ -196,7 +196,6 @@ def _graded_mean_pows(F: Evaluable, p: float, rs, rel_tol: float) -> list:
     angles = getattr(F, "singular_angles", None)
     if not angles:
         return [_mean_pow(F, p, float(r), rel_tol) for r in rs]
-    rs = [float(r) for r in rs]
     depths = [math.ceil(math.log2(math.pi / (1.0 - r))) for r in rs]
     rules = {}  # depth: the unit points of both rules, then each rule's weights
     for J in set(depths):
