@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,6 +43,9 @@ class HarmonicMap:
     meta: dict = field(default_factory=dict)
     # phi when g = h - phi exactly (make_shear's exact path): f(z) takes h once
     slice_phi: Optional[AnalyticFunction] = field(default=None, init=False, repr=False)
+    # radii -> one row of directions per radius where |f| dips between the
+    # declared singular directions (harmonic_koebe's +-theta*(r))
+    dip_angles: Optional[Callable] = field(default=None, init=False, repr=False)
 
     def __call__(self, z):
         hz = self.h(z)
@@ -265,11 +268,35 @@ def normalize_to_S0(f: HarmonicMap) -> HarmonicMap:
 # named harmonic maps
 
 
+def _harmonic_koebe_dips(rs) -> np.ndarray:
+    """theta*(r) and 2 pi - theta*(r) at every r in rs: the one sign change on
+    (0, pi) of Re f = Re((z + z^3/3)/(1 - z)^3), z = r e^{i theta}.
+
+    Re f is positive at theta = 0 and negative at pi, so [0, pi] brackets
+    the sign change; 64 bisection steps, vectorised over the radii, pin it
+    to pi 2^-64, far inside the dip's width of about (1 - r)^2.
+    """
+    rs = np.asarray(rs, dtype=float)
+    lo, hi = np.zeros_like(rs), np.full_like(rs, np.pi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        z = rs * np.exp(1j * mid)
+        positive = ((z + z**3 / 3) / (1 - z) ** 3).real > 0
+        lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
+    theta = 0.5 * (lo + hi)
+    return np.stack((theta, 2.0 * np.pi - theta), axis=1)
+
+
 def harmonic_koebe() -> HarmonicMap:
     """The harmonic Koebe map: dilatation z, image the slit plane.
 
     Not quasiconformal (|omega| -> 1 at the boundary); the canonical contrast
-    case for membership thresholds.
+    case for membership thresholds, in h^p exactly for p < 1/3. h and g
+    declare the directions 0 (their pole) and pi (where h' and g' vanish).
+    The leading terms of h and g cancel in Im f = Im(z/(1 - z)^2), so |f|
+    also dips, about (1 - r)^2 wide, where Re f changes sign: at
+    +-theta*(r), with theta*(r)/(1 - r) -> 1/sqrt(3). The map declares them
+    as ``dip_angles``, which ``dataclasses.replace`` does not carry over.
     """
     h = ClosedForm(
         "harmonic-koebe:h",
@@ -287,14 +314,17 @@ def harmonic_koebe() -> HarmonicMap:
         taylor_fn=lambda n: series_mul(
             np.array([0, 0, 0.5, 1.0 / 6]), geometric_coefficients(1.0, 3, n), n
         ),
+        singular_angles=(0.0, np.pi),  # pole at 1; g' vanishes at -1
     )
-    return HarmonicMap(
+    f = HarmonicMap(
         h=h,
         g=g,
         uid="harmonic-koebe",
         class_tags=frozenset({"close-to-convex", "starlike"}),
         qc_k=None,
     )
+    f.dip_angles = _harmonic_koebe_dips
+    return f
 
 
 def analytic_map(name: str) -> HarmonicMap:

@@ -14,10 +14,12 @@ That distance is about 1 - r, so near the boundary the trapezoid needs about
 and the dyadic means curves behind the membership verdicts therefore use
 Gauss-Legendre panels in theta, graded geometrically toward the singular
 directions that a target declares (a ``ClosedForm`` directly, a radial
-integral through its integrand, a harmonic map when both components do);
-two grading depths are compared to judge convergence, and the target is
-evaluated once on the nodes of many radii. A target that declares no
-direction stays on the trapezoid.
+integral through its integrand, a harmonic map when both components do,
+plus the radius-dependent ``dip_angles`` of harmonic Koebe); two grading
+depths are compared to judge convergence, a radius where they disagree is
+run once more at twice the depth, and the target is evaluated once on the
+nodes of many radii. A target that declares no direction stays on the
+trapezoid.
 """
 
 from __future__ import annotations
@@ -183,33 +185,50 @@ def _angular_breaks(angles, depth: int) -> np.ndarray:
 
 def _graded_mean_pows(F: Evaluable, p: float, rs, rel_tol: float) -> list:
     """Raw power means (1/2pi) int |F(r e^{i theta})|^p dtheta at every r in rs
-    on panels graded toward the directions F declares in ``singular_angles``.
+    on panels graded toward the directions F declares: ``singular_angles``,
+    and at each radius those its ``dip_angles`` give there.
 
     At r, panels halve toward each direction down to width pi 2^-J <= 1 - r,
     J = ceil(log2(pi/(1 - r))), under 16 nodes each; a second rule two levels
     deeper takes 24. The finer value is kept, and r counts as converged when
-    the two agree to rel_tol. Radii of one depth share their panels, and F is
-    evaluated once on the nodes of all radii and both rules, per 2^20 points.
-    Undeclared targets take ``_mean_pow`` at each radius. Returns (value,
-    nodes, converged, last_two) per radius, like ``_mean_pow``; p may be < 0.
+    the two agree to rel_tol. A radius where they disagree is run once more
+    at depth 2J, panels about (1 - r)^2 wide, and that run's check is its
+    flag. F is evaluated once on the nodes of all radii and both rules, per
+    2^20 points, and once more for the radii run again. Undeclared targets
+    take ``_mean_pow`` at each radius. Returns (value, nodes, converged,
+    last_two) per radius, like ``_mean_pow``; p may be < 0.
     """
     angles = getattr(F, "singular_angles", None)
     if not angles:
         return [_mean_pow(F, p, float(r), rel_tol) for r in rs]
+    dips = getattr(F, "dip_angles", None)
     depths = [math.ceil(math.log2(math.pi / (1.0 - r))) for r in rs]
-    rules = {}  # depth: the unit points of both rules, then each rule's weights
-    for J in set(depths):
+    keys = [(J, angles + tuple(d)) for J, d in zip(depths, dips(rs) if dips else [()] * len(rs))]
+    out = _graded_batch(F, p, rs, keys, rel_tol)
+    again = [i for i, (_, _, converged, _) in enumerate(out) if not converged]
+    deeper = [(2 * keys[i][0], keys[i][1]) for i in again]
+    for i, res in zip(again, _graded_batch(F, p, [rs[i] for i in again], deeper, rel_tol)):
+        out[i] = res
+    return out
+
+
+def _graded_batch(F: Evaluable, p: float, rs, keys, rel_tol: float) -> list:
+    """The two graded rules at every r in rs, keys[i] = (depth, directions)
+    of rs[i]; radii of one key share their panels, and F is evaluated once
+    per 2^20 points."""
+    rules = {}  # key: the unit points of both rules, then each rule's weights
+    for J, directions in set(keys):
         (t16, w16), (t24, w24) = (
-            gauss_panels(_angular_breaks(angles, J + d), 16 + 4 * d) for d in (0, 2)
+            gauss_panels(_angular_breaks(directions, J + d), 16 + 4 * d) for d in (0, 2)
         )
-        rules[J] = (np.exp(1j * np.concatenate((t16, t24))), w16, w24)
-    ends = np.cumsum([rules[J][0].size for J in depths])
+        rules[J, directions] = (np.exp(1j * np.concatenate((t16, t24))), w16, w24)
+    ends = np.cumsum([rules[key][0].size for key in keys])
     out = []
     for _, piece in itertools.groupby(range(len(rs)), key=lambda i: (ends[i] - 1) // 2**20):
         piece = list(piece)
-        vals = np.abs(F(np.concatenate([rs[i] * rules[depths[i]][0] for i in piece]))) ** p
+        vals = np.abs(F(np.concatenate([rs[i] * rules[keys[i]][0] for i in piece]))) ** p
         for i in piece:
-            unit, w16, w24 = rules[depths[i]]
+            unit, w16, w24 = rules[keys[i]]
             coarse = float(w16 @ vals[: w16.size]) / (2.0 * np.pi)
             fine = float(w24 @ vals[w16.size : unit.size]) / (2.0 * np.pi)
             out.append((fine, w24.size, abs(fine - coarse) <= rel_tol * abs(fine), (coarse, fine)))
@@ -393,11 +412,11 @@ def dyadic_means_curve(
 
     Targets that declare their singular directions take the graded angular
     rule: among harmonic maps, the shears, whose components evaluate exactly
-    at any point, and the analytic maps, whose g = 0 has no such direction.
-    The others stay on the trapezoid chain, best-effort past its sample cap:
-    identity, which declares none, and harmonic Koebe, whose g declares
-    nothing. The per-radius convergence mask lets downstream fits discard
-    radii where either rule failed its check.
+    at any point, the analytic maps, whose g = 0 has no such direction, and
+    harmonic Koebe, graded also toward the two dips of |f| at each radius.
+    Identity declares none and stays on the trapezoid chain, best-effort
+    past its sample cap. The per-radius convergence mask lets downstream
+    fits discard radii where either rule failed its check.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")

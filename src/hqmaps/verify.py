@@ -355,10 +355,11 @@ def hardy_membership_verdict(
     increment tail certifies membership outright; otherwise, for p < 1, the
     weighted h'-integral certificate decides (its integrand tail must beat
     exponent -1 with margin); only then does a steep exponent mean divergent.
-    The fit uses converged radii only: shears and analytic maps take M_p
-    from graded angular panels, and targets left on the trapezoid chain
-    (identity, harmonic Koebe) drop the deep radii where it hits the sample
-    cap, so verdicts rest on trustworthy data.
+    The fit uses converged radii only: shears, analytic maps and harmonic
+    Koebe take M_p from graded angular panels, which converge at all 13
+    default radii for every corpus map, and a target left on the trapezoid
+    chain (identity) drops the deep radii where it hits the sample cap, so
+    verdicts rest on trustworthy data.
     """
     if not (0.0 < p < math.inf):
         raise DomainError(f"p must lie in (0, inf), got {p}")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqmaps import harmonic
-from hqmaps.analytic import ClosedForm, DomainError, catalog, series_integrate
+from hqmaps.analytic import RADIUS_CAP, ClosedForm, DomainError, catalog, series_integrate
 from hqmaps.harmonic import (
     K_of_k,
     analytic_dilatation,
@@ -121,8 +121,9 @@ def test_harmonic_map_declares_the_union_of_its_components():
     for name in ("identity", "koebe", "half-plane", "strip-like"):
         assert analytic_map(name).singular_angles == catalog(name).singular_angles
     assert corpus_shear("halfplane", 0.0, 1).singular_angles == (0.0,)
-    # harmonic Koebe's g declares nothing, so neither does the map
-    assert harmonic_koebe().singular_angles is None
+    # harmonic Koebe's h and g both have their pole at 1, and h' and g'
+    # vanish at -1
+    assert harmonic_koebe().singular_angles == (0.0, math.pi)
 
 
 def test_shear_with_undeclared_omega_declares_nothing():
@@ -165,6 +166,34 @@ def test_harmonic_koebe_structure():
     assert f.qc_k is None
     assert "close-to-convex" in f.class_tags
     assert "convex" not in f.class_tags
+
+
+def test_harmonic_koebe_declares_the_one_sign_change_of_re_f():
+    f = harmonic_koebe()
+    rs = np.concatenate((np.linspace(0.01, 0.99, 99), 1.0 - 2.0 ** -np.arange(7, 21)))
+    assert rs[-1] == RADIUS_CAP
+    dips = f.dip_angles(rs)
+    assert dips.shape == (rs.size, 2)
+    assert np.array_equal(dips[:, 1], 2.0 * np.pi - dips[:, 0])
+    for r, theta in zip(rs, dips[:, 0]):
+        # uniform in (0, pi), and geometric on both sides of theta at distances
+        # from 1e-6 theta (about the dip's width at RADIUS_CAP) to theta
+        t = np.concatenate(
+            (np.linspace(0.0, np.pi, 4097)[1:-1], theta * (1.0 + np.geomspace(1e-6, 1.0, 200)))
+        )
+        t = np.concatenate((t, 2.0 * theta - t[t < theta]))
+        t = t[(t > 0.0) & (t < np.pi)]
+        re = f(r * np.exp(1j * t)).real
+        assert np.all((re > 0) == (t < theta)), r
+    # theta*(r)/(1 - r) falls from 0.850 at r = 1/2 toward 1/sqrt(3)
+    assert abs(f.dip_angles(np.array([0.5]))[0, 0] / 0.5 - 0.850) < 5e-4
+    assert abs(dips[-1, 0] / (1.0 - RADIUS_CAP) - 1.0 / math.sqrt(3.0)) < 1e-5
+
+
+def test_a_replaced_harmonic_map_carries_no_dips():
+    f = dataclasses.replace(harmonic_koebe())
+    assert f.dip_angles is None
+    assert f.singular_angles == (0.0, math.pi)
 
 
 def test_analytic_map_identity():

@@ -404,21 +404,77 @@ def test_shear_curve_on_graded_panels_matches_the_trapezoid(phi, kappa, power, p
     assert checked == 10
 
 
-# dyadic_means_curve(harmonic_koebe(), 0.4, 13) on the trapezoid chain; the
-# last six radii hit the sample cap
+# dyadic_means_curve(harmonic_koebe(), 0.4, 13) at its first seven radii by
+# the trapezoid chain, which converges there; it hits the sample cap at the
+# other six
 HARMONIC_KOEBE_CURVE = (
     0.6124435468636646, 1.3726092840491275, 2.4682833065352674, 4.006697967348452,
-    6.130225197517701, 9.04366238788777, 13.037606141187865, 18.520919876888094,
-    26.067278370486687, 36.477547144293716, 50.86484503631503, 70.90590866538494,
-    98.6786759913155,
+    6.130225197517701, 9.04366238788777, 13.037606141187865,
 )
 
 
-def test_undeclared_harmonic_map_curve_stays_on_the_trapezoid():
-    # harmonic Koebe's g declares no directions, so neither does the map
+def test_harmonic_koebe_curve_converges_on_graded_panels():
+    # graded toward 0, pi and the two dips +-theta*(r) of |f|
     c = dyadic_means_curve(harmonic_koebe(), 0.4, 13)
-    assert tuple(c.values.tolist()) == HARMONIC_KOEBE_CURVE
-    assert int(np.sum(c.converged)) == 7
+    assert int(np.sum(c.converged)) == 13
+    for got, want in zip(c.values, HARMONIC_KOEBE_CURVE):
+        assert abs(got / want - 1.0) <= 1e-9
+
+
+def test_an_undeclared_dip_is_never_reported_converged():
+    # dataclasses.replace carries no dip_angles: the panels grade toward 0 and
+    # pi only, and from r = 7/8 on neither depth J nor 2J passes the check
+    f = dataclasses.replace(harmonic_koebe())
+    assert f.dip_angles is None
+    c = dyadic_means_curve(f, 0.4, 13)
+    assert c.converged.tolist() == [True] * 2 + [False] * 11
+
+
+class _Counted:
+    """A target that records the size of every batch it is evaluated on."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, []
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __call__(self, z):
+        self.calls.append(np.size(z))
+        return self.f(z)
+
+
+# points of the one batch of a depth-13 curve on graded panels, by the
+# directions the map declares; identity declares none and keeps 13 chains
+_CURVE_POINTS = {
+    (0.0,): 11648,
+    (0.0, math.pi): 21216,
+    (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi): 38272,
+}
+# M_0.45 at r = 1 - 2^-13 from the one pass at depth J, which these maps pass
+_CURVE_PINS = {
+    "koebe": 7.2693747357576814,
+    "half-plane": 1.3178226144251275,
+    "strip-like": 1.3152087770624603,
+    "shear[phi=identity,omega=0.8z^2]": 1.0007659199739176,
+    "shear[phi=halfplane,omega=0.8z]": 2.026579372104775,
+    "shear[phi=strip,omega=0.8z^2]": 2.0615035527078653,
+}
+
+
+def test_curves_that_converge_at_depth_J_are_not_run_again(corpus):
+    for f in corpus:
+        if f.uid == "harmonic-koebe":
+            continue
+        F = _Counted(f)
+        c = dyadic_means_curve(F, 0.45, 13)
+        assert np.all(c.converged), f.uid
+        if f.singular_angles:
+            assert F.calls == [_CURVE_POINTS[f.singular_angles]], f.uid
+        else:
+            assert (len(F.calls), sum(F.calls)) == (13, 6656), f.uid
+        if f.uid in _CURVE_PINS:
+            assert c.values[-1] == _CURVE_PINS[f.uid], f.uid
 
 
 def test_curve_radii_must_increase():

@@ -10,6 +10,10 @@ koebe, half-plane and strip-like exactly, for the trapezoid chain and for
 the graded angular rule at deep radii. mpmath evaluates the hypergeometric
 function; it is a test-only dependency.
 
+Harmonic Koebe: mpmath's quadrature of |f|^p over the circle, split at 0,
+pi and the two directions +-theta*(r) where |f| dips, checks the graded
+rule at deep radii.
+
 Shear components: the partial-fraction antiderivatives of h' and g' must
 match the graded radial quadrature of the same integrands on the whole
 corpus, and mpmath's quadrature of the rational h' and g' at the singular
@@ -28,6 +32,7 @@ from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
 from hqmaps.means import (
     _graded_mean_pow,
     corollary_bound,
+    dyadic_means_curve,
     hardy_norm_bound,
     integral_means,
     lemmaF_integral,
@@ -129,6 +134,26 @@ def test_report_certificates_converge_with_exact_tails(f, p, tail):
     b = hardy_norm_bound(f, p)
     assert b.all_converged
     assert abs(b.tail_exponent - tail) < 0.01
+
+
+def test_harmonic_koebe_curve_matches_mpmath_at_deep_radii():
+    f = harmonic_koebe()
+    c = dyadic_means_curve(f, 0.4, 13)
+    assert int(np.sum(c.converged)) == 13
+    for j in (8, 13):
+        r = 1 - mpmath.mpf(2) ** -j
+        theta = f.dip_angles(np.array([float(r)]))[0, 0]
+
+        def power(t):
+            z = r * mpmath.expj(t)
+            h = (z - z**2 / 2 + z**3 / 6) / (1 - z) ** 3
+            g = (z**2 / 2 + z**3 / 6) / (1 - z) ** 3
+            return abs(h + mpmath.conj(g)) ** 0.4
+
+        with mpmath.workdps(20):
+            mean = mpmath.quad(power, [-mpmath.pi, -theta, 0, theta, mpmath.pi]) / (2 * mpmath.pi)
+        want = float(mean) ** (1 / 0.4)
+        assert abs(c.values[j - 1] / want - 1.0) <= 1e-9, j
 
 
 CORPUS_SHEARS = [

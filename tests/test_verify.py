@@ -163,6 +163,18 @@ def test_membership_harmonic_koebe_divergent():
     assert abs(v.beta_pp - 0.2) <= 0.1
     assert v.thresholds["theorem"] == 0.5  # close-to-convex, no QC certificate
     assert v.thresholds["astala_koskela"] is None
+    assert int(np.sum(v.curve.converged)) == 13
+
+
+# f has a pole of order 3 at 1, so harmonic Koebe lies in h^p exactly for p < 1/3
+@pytest.mark.parametrize(
+    "delta, verdict",
+    [(-0.1, "member"), (-0.03, "member"), (0.03, "divergent"), (0.1, "divergent")],
+)
+def test_membership_harmonic_koebe_on_both_sides_of_its_threshold(delta, verdict):
+    v = hardy_membership_verdict(harmonic_koebe(), 1.0 / 3.0 + delta, depth=13)
+    assert v.verdict == verdict
+    assert int(np.sum(v.curve.converged)) == 13
 
 
 def test_membership_ctc_shear():
