@@ -39,6 +39,9 @@ RADIUS_CAP = 1.0 - 2.0**-20
 SERIES_CAP = 4096
 # building the 24-node rule costs about half a millisecond, so rules are tabled
 _GAUSS = {m: np.polynomial.legendre.leggauss(m) for m in (8, 16, 24)}
+# exp(2 pi i j / 2^16), 1 MiB: every grid of n | 2^16 points is a stride of it
+_UNIT_CIRCLE = np.exp(1j * ((2.0 * np.pi / 2**16) * np.arange(2**16)))
+_UNIT_CIRCLE.flags.writeable = False
 
 
 class DomainError(ValueError):
@@ -236,9 +239,11 @@ class PowerSeries(AnalyticFunction):
 # graded Gauss-Legendre quadrature
 
 
-def graded_breaks(lo: float, hi: float, depth: int) -> np.ndarray:
-    """lo, hi - (hi - lo) 2^-j for j = 1..depth, and hi: panels halving toward hi."""
-    return np.concatenate([[lo], hi - (hi - lo) * 2.0 ** -np.arange(1, depth + 1), [hi]])
+def graded_breaks(lo, hi, depth: int) -> np.ndarray:
+    """lo, hi - (hi - lo) 2^-j for j = 1..depth, and hi: panels halving toward
+    hi. Arrays of ends broadcast together and give one row of breaks each."""
+    lo, hi = np.broadcast_arrays(*(np.asarray(end, dtype=float)[..., None] for end in (lo, hi)))
+    return np.concatenate([lo, hi - (hi - lo) * 2.0 ** -np.arange(1, depth + 1), hi], axis=-1)
 
 
 def gauss_panels(breaks: np.ndarray, order: int) -> tuple:
@@ -317,9 +322,8 @@ class RadialIntegral(AnalyticFunction):
         while m * (1.0 - r) < 40.0 and m < 2**20:
             m *= 2
         if m * (1.0 - r) < 40.0:
-            return self(r * np.exp(1j * (2.0 * np.pi / n) * np.arange(n)))
-        theta = (2.0 * np.pi / m) * np.arange(m)
-        unit = np.exp(1j * theta)
+            return self(r * unit_circle(n))
+        unit = unit_circle(m)
         z = r * unit
         _check_radius(z)
         coeffs = np.fft.fft(self.integrand(z)) / m
@@ -335,18 +339,28 @@ class RadialIntegral(AnalyticFunction):
         return series_integrate(self.integrand.taylor(n), n)
 
 
-def circle_values(F, r: float, n: int) -> np.ndarray:
-    """F at the n points theta_j = 2 pi j / n of the circle |z| = r.
+def unit_circle(n: int, start: int = 0, step: int = 1) -> np.ndarray:
+    """exp(2 pi i j / n) for j = start, start + step, ... below n: a view of a
+    constant table when n divides 2^16, bitwise what the expression gives,
+    since 2 pi / n and 2 pi / 2^16 differ by an exact power of two."""
+    if 2**16 % n == 0:
+        return _UNIT_CIRCLE[start * (2**16 // n) :: step * (2**16 // n)]
+    return np.exp(1j * ((2.0 * np.pi / n) * np.arange(start, n, step)))
+
+
+def circle_values(F, r, n: int) -> np.ndarray:
+    """F at the n points theta_j = 2 pi j / n of the circle |z| = r; for an
+    array of radii, one row per radius.
 
     Targets with a whole-circle ``circle_values`` method (radial integrals,
-    harmonic maps) use it; any other target is evaluated pointwise. Either
-    way every sample is a point value, free of aliasing.
+    harmonic maps) use it circle by circle; any other target is evaluated
+    pointwise, once on all the circles. Either way every sample is a point
+    value, free of aliasing.
     """
     fast = getattr(F, "circle_values", None)
-    if fast is not None:
-        return np.asarray(fast(r, n))
-    theta = (2.0 * np.pi / n) * np.arange(n)
-    return np.asarray(F(r * np.exp(1j * theta)))
+    if fast is None:
+        return np.asarray(F(np.multiply.outer(r, unit_circle(n))))
+    return np.array([fast(float(s), n) for s in r]) if np.ndim(r) else np.asarray(fast(r, n))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ smooth and periodic for r < 1, so convergence is geometric with a rate set by
 the distance from the nearest singularity to the sampled circle. Circle
 samples are point values for every target, so the grid levels of a doubling
 chain nest: each level keeps the one below and evaluates only the new
-midpoints. Nothing is kept between calls; a caller that sweeps p at one
-radius asks for the whole p grid at once, and one chain serves it.
+midpoints. Nothing is kept between calls; a caller asks for its whole p grid
+and all its radii at once, and the chains of all the radii advance together,
+each serving every p, the target evaluated once per level.
 
 That distance is about 1 - r, so near the boundary the trapezoid needs about
 1/(1 - r) samples. The Hardy-norm certificate, the boundary-kernel integral
@@ -18,13 +19,12 @@ integral through its integrand, a harmonic map when both components do,
 plus the radius-dependent ``dip_angles`` of harmonic Koebe); two grading
 depths are compared to judge convergence, a radius where they disagree is
 run once more at twice the depth, and the target is evaluated once on the
-nodes of many radii. A target that declares no direction stays on the
-trapezoid.
+nodes of many radii for a whole p grid. A target that declares no direction
+stays on the trapezoid.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,6 +43,7 @@ from .analytic import (
     gauss_panels,
     graded_breaks,
     graded_integral,
+    unit_circle,
 )
 from .csvio import join_row
 from .harmonic import HarmonicMap
@@ -62,26 +63,40 @@ def circle_modulus(F: Evaluable, r: float, n: int, half: Optional[np.ndarray] = 
     midpoints; without it the level comes from ``circle_values``. A chain
     thus takes one whole-circle pass, at its first level.
     """
-    if half is None:
-        return np.abs(circle_values(F, float(r), int(n)))
-    midpoints = np.abs(F(r * np.exp(1j * (2.0 * np.pi / n) * np.arange(1, n, 2))))
-    return np.stack((half, midpoints), axis=1).ravel()
+    return np.abs(circle_values(F, float(r), int(n))) if half is None else _next_level(F, r, half)
 
 
-def _mean_pow_grid(F: Evaluable, ps, r: float, rel_tol: float = 1e-9, n_max: int = N_MAX) -> list:
-    """``_mean_pow`` for every p in ps from one doubling chain, which doubles
-    until every p has converged or n reaches n_max. Each p keeps the first
-    level that agrees with the level below: bitwise what its own chain gives.
+def _next_level(F: Evaluable, r, half: np.ndarray) -> np.ndarray:
+    """The level of twice the points of ``half`` at radius r, or at each of an
+    array of radii, a row of ``half`` each: F runs once, on the midpoints."""
+    n = 2 * half.shape[-1]
+    midpoints = np.abs(F(np.multiply.outer(r, unit_circle(n, 1, 2))))
+    return np.stack((half, midpoints), axis=-1).reshape(half.shape[:-1] + (n,))
+
+
+def _mean_pow_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9, n_max: int = N_MAX) -> list:
+    """``_mean_pow`` for every p in ps at every r in rs: per radius, a list of
+    results by p. The doubling chains of all radii advance together, F
+    running once per level on the radii not yet converged for every p, until
+    none is left or n reaches n_max. Each p keeps the first level that agrees
+    with the level below: bitwise what its own chain at its own radius gives.
     """
-    n, level = N_START, circle_modulus(F, r, N_START)
-    out = [(v, n, False, (v, v)) for v in (float(np.mean(level**p)) for p in ps)]
-    while n < n_max and not all(res[2] for res in out):
-        n *= 2
-        level = circle_modulus(F, r, n, level)
-        for i, p in enumerate(ps):
-            if not out[i][2]:
-                prev, cur = out[i][0], float(np.mean(level**p))
-                out[i] = (cur, n, abs(cur - prev) <= rel_tol * abs(cur), (prev, cur))
+    rs = np.asarray(rs, dtype=float)
+    n, level = N_START, np.abs(circle_values(F, rs, N_START))
+    first = zip(*(np.mean(level**p, axis=1).tolist() for p in ps))
+    out = [[(v, n, False, (v, v)) for v in row] for row in first]
+    live = list(range(rs.size))
+    while n < n_max:
+        keep = [j for j, i in enumerate(live) if not all(res[2] for res in out[i])]
+        if not keep:
+            break
+        live, n = [live[j] for j in keep], 2 * n
+        level = _next_level(F, rs[live], level[keep])
+        for j, p in enumerate(ps):
+            for i, cur in zip(live, np.mean(level**p, axis=1).tolist()):
+                if not out[i][j][2]:
+                    prev = out[i][j][0]
+                    out[i][j] = (cur, n, abs(cur - prev) <= rel_tol * abs(cur), (prev, cur))
     return out
 
 
@@ -97,7 +112,7 @@ def _mean_pow(
     Returns (value, n, converged, last_two); last_two are the values at the
     last two grid sizes, n/2 and n.
     """
-    return _mean_pow_grid(F, (p,), r, rel_tol, n_max)[0]
+    return _mean_pow_grid(F, (p,), (r,), rel_tol, n_max)[0][0]
 
 
 def integral_means(
@@ -112,24 +127,27 @@ def integral_means(
     Doubles from n = 2**9 until the successive relative change drops below
     rel_tol; hitting n_max raises, with the last two iterates attached.
     """
-    return _integral_means_grid(F, (p,), r, rel_tol, n_max)[0]
+    return _integral_means_grid(F, (p,), (r,), rel_tol, n_max)[0][0]
 
 
-def _integral_means_grid(F: Evaluable, ps, r: float, rel_tol: float = 1e-9, n_max=N_MAX) -> list:
-    """``integral_means`` for every p in ps from one doubling chain."""
+def _integral_means_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9, n_max=N_MAX) -> list:
+    """``integral_means`` for every p in ps at every r in rs, per radius a
+    list by p, from the doubling chains of ``_mean_pow_grid``."""
     for p in ps:
         if not (0 < p < math.inf):
             raise DomainError(f"p must lie in (0, inf), got {p}")
-    if not (0 < r <= RADIUS_CAP):
-        raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
+    for r in rs:
+        if not (0 < r <= RADIUS_CAP):
+            raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
     out = []
-    for p, (value, n, converged, last_two) in zip(ps, _mean_pow_grid(F, ps, r, rel_tol, n_max)):
-        if not converged:
-            raise NonConvergenceError(
-                f"trapezoid means for {F.uid} at p={p}, r={r} hit n={n}",
-                last_two=tuple(v ** (1.0 / p) for v in last_two),
-            )
-        out.append(value ** (1.0 / p))
+    for r, results in zip(rs, _mean_pow_grid(F, ps, rs, rel_tol, n_max)):
+        for p, (value, n, converged, last_two) in zip(ps, results):
+            if not converged:
+                raise NonConvergenceError(
+                    f"trapezoid means for {F.uid} at p={p}, r={r} hit n={n}",
+                    last_two=tuple(v ** (1.0 / p) for v in last_two),
+                )
+        out.append([value ** (1.0 / p) for p, (value, *_) in zip(ps, results)])
     return out
 
 
@@ -175,47 +193,47 @@ def _angular_breaks(angles, depth: int) -> np.ndarray:
     1e-12, far below the smallest panel) are kept once. The last entry is
     the first plus 2 pi.
     """
-    ends = np.concatenate(
-        [graded_breaks(a + side, a, depth) for a in angles for side in (-np.pi, np.pi)]
-    )
-    ends = np.sort(np.mod(ends, 2.0 * np.pi))
+    a = np.asarray(angles, dtype=float)[:, None]
+    ends = graded_breaks(a + np.array([-np.pi, np.pi]), a, depth)  # by angle, then side
+    ends = np.sort(np.mod(ends, 2.0 * np.pi), axis=None)
     ends = ends[np.diff(ends, append=ends[0] + 2.0 * np.pi) > 1e-12]
     return np.append(ends, ends[0] + 2.0 * np.pi)
 
 
-def _graded_mean_pows(F: Evaluable, p: float, rs, rel_tol: float) -> list:
-    """Raw power means (1/2pi) int |F(r e^{i theta})|^p dtheta at every r in rs
-    on panels graded toward the directions F declares: ``singular_angles``,
-    and at each radius those its ``dip_angles`` give there.
+def _graded_mean_pows(F: Evaluable, ps, rs, rel_tol: float) -> list:
+    """Raw power means (1/2pi) int |F(r e^{i theta})|^p dtheta for every p in
+    ps at every r in rs on panels graded toward the directions F declares:
+    ``singular_angles``, and at each radius those its ``dip_angles`` give.
 
     At r, panels halve toward each direction down to width pi 2^-J <= 1 - r,
     J = ceil(log2(pi/(1 - r))), under 16 nodes each; a second rule two levels
     deeper takes 24. The finer value is kept, and r counts as converged when
     the two agree to rel_tol. A radius where they disagree is run once more
     at depth 2J, panels about (1 - r)^2 wide, and that run's check is its
-    flag. F is evaluated once on the nodes of all radii and both rules, per
-    2^20 points, and once more for the radii run again. Undeclared targets
-    take ``_mean_pow`` at each radius. Returns (value, nodes, converged,
-    last_two) per radius, like ``_mean_pow``; p may be < 0.
+    flag, for each p apart. |F| is taken once on the nodes of all radii and
+    both rules, per 2^20 points, and once more for the radii run again; each
+    p only raises it to its power. Undeclared targets take the trapezoid
+    chains of ``_mean_pow_grid``. Returns, per radius, (value, nodes,
+    converged, last_two) by p, like ``_mean_pow``; p may be < 0.
     """
     angles = getattr(F, "singular_angles", None)
     if not angles:
-        return [_mean_pow(F, p, float(r), rel_tol) for r in rs]
+        return _mean_pow_grid(F, ps, rs, rel_tol)
     dips = getattr(F, "dip_angles", None)
     depths = [math.ceil(math.log2(math.pi / (1.0 - r))) for r in rs]
     keys = [(J, angles + tuple(d)) for J, d in zip(depths, dips(rs) if dips else [()] * len(rs))]
-    out = _graded_batch(F, p, rs, keys, rel_tol)
-    again = [i for i, (_, _, converged, _) in enumerate(out) if not converged]
+    out = _graded_batch(F, ps, rs, keys, rel_tol)
+    again = [i for i, res in enumerate(out) if not all(converged for _, _, converged, _ in res)]
     deeper = [(2 * keys[i][0], keys[i][1]) for i in again]
-    for i, res in zip(again, _graded_batch(F, p, [rs[i] for i in again], deeper, rel_tol)):
-        out[i] = res
+    for i, res in zip(again, _graded_batch(F, ps, [rs[i] for i in again], deeper, rel_tol)):
+        out[i] = [old if old[2] else new for old, new in zip(out[i], res)]
     return out
 
 
-def _graded_batch(F: Evaluable, p: float, rs, keys, rel_tol: float) -> list:
-    """The two graded rules at every r in rs, keys[i] = (depth, directions)
-    of rs[i]; radii of one key share their panels, and F is evaluated once
-    per 2^20 points."""
+def _graded_batch(F: Evaluable, ps, rs, keys, rel_tol: float) -> list:
+    """The two graded rules for every p in ps at every r in rs, keys[i] =
+    (depth, directions) of rs[i]; radii of one key share their panels, and
+    F is evaluated once per 2^20 points."""
     rules = {}  # key: the unit points of both rules, then each rule's weights
     for J, directions in set(keys):
         (t16, w16), (t24, w24) = (
@@ -226,19 +244,21 @@ def _graded_batch(F: Evaluable, p: float, rs, keys, rel_tol: float) -> list:
     out = []
     for _, piece in itertools.groupby(range(len(rs)), key=lambda i: (ends[i] - 1) // 2**20):
         piece = list(piece)
-        vals = np.abs(F(np.concatenate([rs[i] * rules[keys[i]][0] for i in piece]))) ** p
+        mods = np.abs(F(np.concatenate([rs[i] * rules[keys[i]][0] for i in piece])))
+        pows = [mods**p for p in ps]
         for i in piece:
             unit, w16, w24 = rules[keys[i]]
-            coarse = float(w16 @ vals[: w16.size]) / (2.0 * np.pi)
-            fine = float(w24 @ vals[w16.size : unit.size]) / (2.0 * np.pi)
-            out.append((fine, w24.size, abs(fine - coarse) <= rel_tol * abs(fine), (coarse, fine)))
-            vals = vals[unit.size :]
+            coarse = [float(w16 @ vals[: w16.size]) / (2.0 * np.pi) for vals in pows]
+            fine = [float(w24 @ vals[w16.size : unit.size]) / (2.0 * np.pi) for vals in pows]
+            out.append([(f, w24.size, abs(f - c) <= rel_tol * abs(f), (c, f))
+                        for c, f in zip(coarse, fine)])
+            pows = [vals[unit.size :] for vals in pows]
     return out
 
 
 def _graded_mean_pow(F: Evaluable, p: float, r: float, rel_tol: float):
-    """``_graded_mean_pows`` at the one radius r."""
-    return _graded_mean_pows(F, p, (r,), rel_tol)[0]
+    """``_graded_mean_pows`` at the one p and radius r."""
+    return _graded_mean_pows(F, (p,), (r,), rel_tol)[0][0]
 
 
 def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
@@ -251,8 +271,8 @@ def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
 
 
 def _corollary_bounds(k: float, ps, r: float, extremal: str = "H") -> np.ndarray:
-    """``corollary_bound`` for every p in ps from one vector integrand: the
-    radius-line panels are shared and each node takes one doubling chain."""
+    """``corollary_bound`` for every p in ps from one vector integrand on shared
+    radius-line panels; the new nodes of each depth run their chains together."""
     if min(ps) < 1:
         raise DomainError(f"cumulative bound requires p >= 1, got {min(ps)}")
     if not (0.0 <= k < 1.0):
@@ -262,14 +282,14 @@ def _corollary_bounds(k: float, ps, r: float, extremal: str = "H") -> np.ndarray
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
     E = catalog(extremal, k)
+    means = {}  # radius node: M_p there by p; each depth keeps the panels of the one before
 
-    @functools.cache  # each grading depth keeps the panels of the one before
-    def means_at(s: float) -> list:
-        return _integral_means_grid(E, ps, s, rel_tol=1e-8)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        new = [x for x in dict.fromkeys(map(float, s)) if x not in means]
+        means.update(zip(new, _integral_means_grid(E, ps, new, rel_tol=1e-8)))
+        return np.array([means[x] for x in map(float, s)])
 
-    return (1.0 + k) * graded_integral(
-        lambda s: np.array([means_at(float(x)) for x in s]), 0.0, r, 8, 1e-7
-    )
+    return (1.0 + k) * graded_integral(integrand, 0.0, r, 8, 1e-7)
 
 
 def lemmaF_integral(p: float, r: float) -> float:
@@ -357,7 +377,7 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
 
     def integrand(rs: np.ndarray) -> np.ndarray:
         new = [r for r in dict.fromkeys(map(float, rs)) if r not in means]
-        means.update(zip(new, _graded_mean_pows(hp, p, new, rel_tol=1e-7)))
+        means.update((r, res[0]) for r, res in zip(new, _graded_mean_pows(hp, (p,), new, 1e-7)))
         return np.array([(1.0 - r) ** (p - 1.0) * means[r][0] for r in map(float, rs)])
 
     total = float(graded_integral(integrand, 0.0, 1.0 - 2.0**-6, 8, 1e-6))
@@ -408,7 +428,7 @@ def dyadic_means_curve(
     F: Evaluable, p: float, depth: int, rel_tol: float = 1e-7
 ) -> MeansCurve:
     """M_p at radii 1 - 2^-j, j = 1..depth, from one batch of
-    ``_graded_mean_pows``.
+    ``_graded_mean_pows``: ``_dyadic_means_curves`` at the one p.
 
     Targets that declare their singular directions take the graded angular
     rule: among harmonic maps, the shears, whose components evaluate exactly
@@ -418,13 +438,17 @@ def dyadic_means_curve(
     past its sample cap. The per-radius convergence mask lets downstream
     fits discard radii where either rule failed its check.
     """
+    return _dyadic_means_curves(F, (p,), depth, rel_tol)[0]
+
+
+def _dyadic_means_curves(F: Evaluable, ps, depth: int, rel_tol: float = 1e-7) -> list:
+    """``dyadic_means_curve`` for every p in ps, from one batch for them all."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
     radii = 1.0 - 2.0 ** -np.arange(1, depth + 1)
-    means = _graded_mean_pows(F, p, radii, rel_tol=rel_tol)
-    values = [value ** (1.0 / p) for value, _, _, _ in means]
-    flags = [converged for _, _, converged, _ in means]
-    return MeansCurve(
-        p=p, radii=radii, values=np.array(values), target=getattr(F, "uid", "?"),
-        converged=np.array(flags, dtype=bool),
-    )
+    by_p = zip(ps, zip(*_graded_mean_pows(F, ps, radii, rel_tol=rel_tol)))
+    return [
+        MeansCurve(p, radii, [value ** (1.0 / p) for value, *_ in means], getattr(F, "uid", "?"),
+                   converged=np.array([converged for _, _, converged, _ in means]))
+        for p, means in by_p
+    ]

@@ -21,6 +21,7 @@ from .means import (
     HardyBound,
     MeansCurve,
     _corollary_bounds,
+    _dyadic_means_curves,
     _integral_means_grid,
     dyadic_means_curve,
     hardy_norm_bound,
@@ -230,20 +231,21 @@ def check_means_domination(
 
 def _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means: dict) -> list:
     """``check_means_domination`` for every (extremal, k) in pairs. Each
-    target takes one doubling chain per radius for the whole p grid; the
-    means of h' and g' serve every pair, and those of the extremal pair are
-    kept in extremal_means under (name, k, r) for the maps that share it."""
+    target takes one batch of doubling chains over r_grid for the whole p
+    grid; the means of h' and g' serve every pair, and those of the extremal
+    pair are kept in extremal_means under (name, k) for the maps that share it."""
     checked = _checked_pairs(f, pairs)
+    sides = (("hprime", f.h_prime), ("gprime", f.g_prime))
+    lhs_means = {side: _integral_means_grid(F, p_grid, r_grid, 1e-8) for side, F in sides}
     rows = []
-    for r in r_grid:
-        for side, target in (("hprime", f.h_prime), ("gprime", f.g_prime)):
-            lhs_means = _integral_means_grid(target, p_grid, r, rel_tol=1e-8)
+    for i, r in enumerate(r_grid):
+        for side, _ in sides:
             for prefix, extremal, k in checked:
                 name = extremal if side == "hprime" else ("G" if extremal == "H" else "scrG")
-                if (name, k, r) not in extremal_means:
+                if (name, k) not in extremal_means:
                     E = catalog(name, k)
-                    extremal_means[name, k, r] = _integral_means_grid(E, p_grid, r, rel_tol=1e-8)
-                for p, lhs, rhs in zip(p_grid, lhs_means, extremal_means[name, k, r]):
+                    extremal_means[name, k] = _integral_means_grid(E, p_grid, r_grid, 1e-8)
+                for p, lhs, rhs in zip(p_grid, lhs_means[side][i], extremal_means[name, k][i]):
                     rows.append(
                         _row(
                             f.uid, f"means-{prefix}-{side}", k, p, r, lhs, rhs,
@@ -347,7 +349,7 @@ class MembershipVerdict:
 
 
 def hardy_membership_verdict(
-    f: HarmonicMap, p: float, depth: int = DEFAULT_DEPTH
+    f: HarmonicMap, p: float, depth: int = DEFAULT_DEPTH, curve: Optional[MeansCurve] = None
 ) -> MembershipVerdict:
     """Classify boundedness of M_p(r, f) as r -> 1.
 
@@ -359,11 +361,12 @@ def hardy_membership_verdict(
     Koebe take M_p from graded angular panels, which converge at all 13
     default radii for every corpus map, and a target left on the trapezoid
     chain (identity) drops the deep radii where it hits the sample cap, so
-    verdicts rest on trustworthy data.
+    verdicts rest on trustworthy data. A caller holding that curve passes it.
     """
     if not (0.0 < p < math.inf):
         raise DomainError(f"p must lie in (0, inf), got {p}")
-    curve = dyadic_means_curve(f, p, depth)
+    if curve is None:
+        curve = dyadic_means_curve(f, p, depth)
     radii = curve.radii[curve.converged]
     vals = curve.values[curve.converged]
     if vals.size < 6:
@@ -404,10 +407,11 @@ def hardy_membership_verdict(
 
 
 def membership_row(
-    f: HarmonicMap, p: float, expected: str, depth: int = DEFAULT_DEPTH
+    f: HarmonicMap, p: float, expected: str, depth: int = DEFAULT_DEPTH,
+    curve: Optional[MeansCurve] = None,
 ) -> VerificationRow:
     """Pattern row: lhs is 0/1 mismatch against the expected verdict."""
-    v = hardy_membership_verdict(f, p, depth)
+    v = hardy_membership_verdict(f, p, depth, curve)
     detail = {
         "expected": expected,
         "actual": v.verdict,
@@ -502,8 +506,8 @@ def suite_cumulative(
     By default convex members are held to the tighter convex-family bound;
     force_family pins every member to one family (used by class filters).
     Members with the same k share their bounds, so each distinct one is
-    computed once; one doubling chain, and one radius-line integral for the
-    bounds, serves the whole p grid.
+    computed once; one batch of doubling chains over r_grid, and one
+    radius-line integral per bound, serves the whole p grid.
     """
     bounds = {}
     rows = []
@@ -520,11 +524,10 @@ def suite_cumulative(
             continue
         k = float(f.qc_k)
         _require_certificate(f, k)
-        for r in r_grid:
+        for r, lhs_means in zip(r_grid, _integral_means_grid(f, p_grid, r_grid, 1e-8)):
             key = (k, r, extremal)
             if key not in bounds:
                 bounds[key] = _corollary_bounds(k, p_grid, r, extremal)
-            lhs_means = _integral_means_grid(f, p_grid, r, rel_tol=1e-8)
             for p, lhs, rhs in zip(p_grid, lhs_means, bounds[key]):
                 rows.append(
                     _row(
@@ -545,32 +548,30 @@ def suite_classic(corpus, p_grid=P_GRID, r_grid=R_GRID, tol=CLASSIC_TOL):
     )
     members = [f for f in corpus if {"analytic", "starlike"} <= f.class_tags]
     rows = []
-    for r in r_grid if members else ():
-        for inequality, target, koebe in sides:
-            rhs_means = _integral_means_grid(koebe, p_grid, r, rel_tol=1e-9)
-            for f in members:
-                lhs_means = _integral_means_grid(target(f), p_grid, r, rel_tol=1e-9)
-                for p, lhs, rhs in zip(p_grid, lhs_means, rhs_means):
+    for inequality, target, koebe in sides if members else ():
+        rhs_means = _integral_means_grid(koebe, p_grid, r_grid, 1e-9)
+        for f in members:
+            lhs_means = _integral_means_grid(target(f), p_grid, r_grid, 1e-9)
+            for r, lhs_r, rhs_r in zip(r_grid, lhs_means, rhs_means):
+                for p, lhs, rhs in zip(p_grid, lhs_r, rhs_r):
                     rows.append(_row(f.uid, inequality, 0.0, p, r, lhs, rhs, tol))
     return rows
 
 
 def suite_membership(corpus, depth=DEFAULT_DEPTH):
     """Expected verdict pattern: QC close-to-convex members below 1/2, QC
-    convex-certified members below 1, the non-QC contrast case divergent."""
+    convex-certified members below 1, the non-QC contrast case divergent.
+    One batch of graded means serves each map's curves at all its p."""
     rows = []
     for f in corpus:
+        expected = []
         if f.uid == "harmonic-koebe":
-            rows.append(membership_row(f, 0.4, "divergent", depth))
-            continue
-        qc = f.qc_k is not None and f.qc_k < 1.0
-        if not qc:
-            continue
-        if _CTC_TAGS & f.class_tags:
-            for p in (0.25, 0.45):
-                rows.append(membership_row(f, p, "member", depth))
-        if "convex" in f.class_tags:
-            rows.append(membership_row(f, 0.9, "member", depth))
+            expected = [(0.4, "divergent")]
+        elif f.qc_k is not None and f.qc_k < 1.0:
+            expected = [(p, "member") for p in (0.25, 0.45) if _CTC_TAGS & f.class_tags]
+            expected += [(0.9, "member")] if "convex" in f.class_tags else []
+        curves = _dyadic_means_curves(f, [p for p, _ in expected], depth) if expected else []
+        rows += [membership_row(f, p, v, depth, c) for (p, v), c in zip(expected, curves)]
     return rows
 
 

@@ -18,6 +18,7 @@ from hqmaps.analytic import (
     graded_integral,
     radial_path_integral,
     taylor_coefficients,
+    unit_circle,
 )
 from hqmaps.harmonic import corpus_shear
 
@@ -159,6 +160,29 @@ def test_circle_values_evaluate_a_pointwise_target_once_per_point():
         points = circle_values(F, r, 2**12)
         assert sum(evaluated) == 2**12, r
         assert np.array_equal(points, koebe(r * np.exp(1j * theta)))
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.int64)
+
+
+def test_unit_circle_is_bitwise_the_grid_computed_in_place():
+    # tabled up to 2^16 points, computed beyond; the odd points are the
+    # midpoints a doubling level adds
+    for n in [2**k for k in range(21)] + [3, 96, 1000]:
+        grid = np.exp(1j * ((2.0 * np.pi / n) * np.arange(n)))
+        midpoints = np.exp(1j * (2.0 * np.pi / n) * np.arange(1, n, 2))
+        assert np.array_equal(_bits(unit_circle(n)), _bits(grid)), n
+        assert np.array_equal(_bits(unit_circle(n, 1, 2)), _bits(midpoints)), n
+
+
+def test_circle_values_take_one_row_per_radius():
+    rs = np.array([0.3, 0.9, 0.999])
+    for F in (catalog("H", 0.5), corpus_shear("strip", 0.8, 2)):
+        rows = circle_values(F, rs, 2**9)
+        assert rows.shape == (3, 2**9)
+        want = np.stack([circle_values(F, float(r), 2**9) for r in rs])
+        assert np.array_equal(_bits(rows), _bits(want)), F.uid
 
 
 def test_graded_integral_resolves_a_near_endpoint_singularity():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqmaps import means
+from hqmaps import analytic, means
 from hqmaps.analytic import (
     ClosedForm,
     DomainError,
@@ -113,6 +113,20 @@ def test_functions_sharing_a_uid_share_no_samples():
     assert abs(integral_means(ClosedForm("same", lambda z: 2 * z), 2.0, 0.5) - 1.0) < 1e-14
 
 
+def _own_chain(F, p, r, rel_tol, n_max):
+    """The doubling chain of one p at one radius, level by level."""
+    n = means.N_START
+    level = means.circle_modulus(F, r, n)
+    prev = cur = float(np.mean(level**p))
+    while n < n_max:
+        n *= 2
+        level = means.circle_modulus(F, r, n, level)
+        prev, cur = cur, float(np.mean(level**p))
+        if abs(cur - prev) <= rel_tol * abs(cur):
+            return cur, n, True, (prev, cur)
+    return cur, n, False, (prev, cur)
+
+
 @pytest.mark.parametrize(
     "F, r, ps, n_max",
     [
@@ -124,23 +138,77 @@ def test_functions_sharing_a_uid_share_no_samples():
     ],
 )
 def test_one_chain_serves_the_whole_p_grid(F, r, ps, n_max):
-    def own_chain(p):
-        n = means.N_START
-        level = means.circle_modulus(F, r, n)
-        prev = cur = float(np.mean(level**p))
-        while n < n_max:
-            n *= 2
-            level = means.circle_modulus(F, r, n, level)
-            prev, cur = cur, float(np.mean(level**p))
-            if abs(cur - prev) <= 1e-8 * abs(cur):
-                return cur, n, True, (prev, cur)
-        return cur, n, False, (prev, cur)
-
-    got = means._mean_pow_grid(F, ps, r, 1e-8, n_max)
-    assert got == [own_chain(p) for p in ps]
+    [got] = means._mean_pow_grid(F, ps, (r,), 1e-8, n_max)
+    assert got == [_own_chain(F, p, r, 1e-8, n_max) for p in ps]
     assert got == [_mean_pow(F, p, r, 1e-8, n_max) for p in ps]
     if n_max == 2**14:
         assert [res[1:3] for res in got] == [(2**10, True), (2**14, False)]
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        catalog("H", 0.5),
+        # a harmonic map's first level comes from its whole-circle sampler
+        corpus_shear("strip", 0.8, 2),
+        catalog("koebe"),
+    ],
+    ids=lambda F: F.uid,
+)
+def test_chains_batched_across_radii_equal_one_radius_at_a_time(F):
+    # radii whose chains stop at different levels; at 0.999999 koebe's
+    # p = 4 chain runs into n_max while the others have stopped
+    rs, ps, n_max = (0.3, 0.99, 0.5, 0.999999, 0.9), (-1.0, 0.45, 2.0, 4.0), 2**14
+    got = means._mean_pow_grid(F, ps, rs, 1e-8, n_max)
+    assert got == [[_own_chain(F, p, r, 1e-8, n_max) for p in ps] for r in rs]
+    assert {res[1] for row in got for res in row} != {got[0][0][1]}
+    if F.uid == "koebe":
+        value, n, converged, last_two = got[3][3]
+        assert (n, converged) == (n_max, False)
+        assert last_two == _mean_pow(F, 4.0, 0.999999, 1e-8, n_max)[3]
+        assert last_two[1] == value and last_two[0] != value
+
+
+def test_batched_chains_evaluate_a_pointwise_target_once_per_level():
+    H, sizes = catalog("H", 0.5), []
+    F = ClosedForm(H.uid, lambda z: sizes.append(z.shape) or H(z))
+    rs = (0.5, 0.9, 0.99)
+    got = means._mean_pow_grid(F, (1.0, 2.0), rs, 1e-8)
+    levels = max(res[1] for row in got for res in row) // means.N_START
+    # one first level on every circle, then the midpoints of the radii left
+    assert sizes[0] == (3, means.N_START)
+    assert len(sizes) == 1 + round(math.log2(levels))
+    assert [n for _, n in sizes[1:]] == [means.N_START * 2**i for i in range(len(sizes) - 1)]
+    assert [rows for rows, _ in sizes] == sorted((rows for rows, _ in sizes), reverse=True)
+
+
+def test_cumulative_bound_takes_each_depths_new_nodes_in_one_batch(monkeypatch):
+    ps, k, r = (1.0, 2.0, 4.0), 0.5, 0.99
+    # the radius-line integrand with one doubling chain per node
+    E = catalog("H", k)
+    one_by_one = (1.0 + k) * analytic.graded_integral(
+        lambda s: np.array([means._integral_means_grid(E, ps, (x,), 1e-8)[0] for x in s]),
+        0.0, r, 8, 1e-7,
+    )
+    calls, batches = [], []
+
+    def counted(name, k):
+        E = catalog(name, k)
+        return ClosedForm(E.uid, lambda z: calls.append(z.size) or E(z))
+
+    def recorded(F, ps, rs, *args):
+        out = grid(F, ps, rs, *args)
+        batches.append(max(res[1] for row in out for res in row))
+        return out
+
+    grid = means._mean_pow_grid
+    monkeypatch.setattr(means, "catalog", counted)
+    monkeypatch.setattr(means, "_mean_pow_grid", recorded)
+    got = means._corollary_bounds(k, ps, r, "H")
+    assert np.array_equal(got, one_by_one)
+    # one batch per grading depth, E run once per level of each
+    assert 2 <= len(batches) <= 5
+    assert len(calls) == sum(1 + round(math.log2(n / means.N_START)) for n in batches)
 
 
 def test_one_radius_line_integral_serves_every_p():
@@ -316,6 +384,28 @@ def test_undeclared_target_keeps_the_trapezoid():
         assert _graded_mean_pow(f.h_prime, 0.3, r, 1e-7) == _mean_pow(f.h_prime, 0.3, r, 1e-7)
 
 
+def _breaks_one_direction_at_a_time(angles, depth):
+    """The panel ends of ``_angular_breaks`` built per direction and side."""
+    j = np.arange(1, depth + 1)
+    ends = np.concatenate(
+        [[lo, *(a - (a - lo) * 2.0**-j), a] for a in angles for lo in (a - np.pi, a + np.pi)]
+    )
+    ends = np.sort(np.mod(ends, 2.0 * np.pi))
+    ends = ends[np.diff(ends, append=ends[0] + 2.0 * np.pi) > 1e-12]
+    return np.append(ends, ends[0] + 2.0 * np.pi)
+
+
+@pytest.mark.parametrize("depth", [3, 15, 17, 30])
+def test_angular_breaks_equal_the_per_direction_construction(depth):
+    strip = catalog("strip-like").singular_angles
+    f = harmonic_koebe()
+    koebe = f.singular_angles + tuple(f.dip_angles([1.0 - 2.0**-13])[0])
+    for angles in (strip, koebe, (0.0,)):
+        got = means._angular_breaks(angles, depth)
+        want = _breaks_one_direction_at_a_time(angles, depth)
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 _BATCH_RADII = tuple(1.0 - 2.0 ** -np.arange(1, 14)) + (0.05, 0.3, 0.62, 0.9, 0.97, 0.985)
 
 
@@ -333,8 +423,32 @@ _BATCH_RADII = tuple(1.0 - 2.0 ** -np.arange(1, 14)) + (0.05, 0.3, 0.62, 0.9, 0.
     ids=lambda v: getattr(v, "uid", None),
 )
 def test_batched_graded_means_equal_one_radius_at_a_time(F, p):
-    batched = _graded_mean_pows(F, p, _BATCH_RADII, 1e-7)
+    batched = [res[0] for res in _graded_mean_pows(F, (p,), _BATCH_RADII, 1e-7)]
     assert batched == [_graded_mean_pow(F, p, r, 1e-7) for r in _BATCH_RADII]
+
+
+@pytest.mark.parametrize(
+    "F, ps",
+    [
+        # at depth J the four p fail on different sets of radii, and p = 2 on
+        # none: each p is run again at 2J only where it failed
+        (harmonic_koebe(), (0.25, 0.4, 1.0, 2.0)),
+        # no declared direction: the trapezoid chains
+        (analytic_map("identity"), (0.25, 0.45, 0.9)),
+    ],
+    ids=lambda v: getattr(v, "uid", None),
+)
+def test_graded_means_for_a_p_grid_equal_one_p_at_a_time(F, ps):
+    radii = 1.0 - 2.0 ** -np.arange(1, 14)
+    batched = _graded_mean_pows(F, ps, radii, 1e-7)
+    one_p = [_graded_mean_pows(F, (p,), radii, 1e-7) for p in ps]
+    assert batched == [[res[0] for res in by_r] for by_r in zip(*one_p)]
+    curves = means._dyadic_means_curves(F, ps, 13)
+    for p, curve in zip(ps, curves):
+        alone = dyadic_means_curve(F, p, 13)
+        assert curve.p == p
+        assert np.array_equal(curve.values, alone.values)
+        assert np.array_equal(curve.converged, alone.converged)
 
 
 # hardy_norm_bound's (value, tail_exponent, all_converged) with the angular
@@ -445,7 +559,9 @@ class _Counted:
 
 
 # points of the one batch of a depth-13 curve on graded panels, by the
-# directions the map declares; identity declares none and keeps 13 chains
+# directions the map declares; identity declares none and keeps 13 chains,
+# which take their first level from the whole-circle sampler and converge at
+# the first doubling: h runs once, on the 512 midpoints of each
 _CURVE_POINTS = {
     (0.0,): 11648,
     (0.0, math.pi): 21216,
@@ -472,9 +588,26 @@ def test_curves_that_converge_at_depth_J_are_not_run_again(corpus):
         if f.singular_angles:
             assert F.calls == [_CURVE_POINTS[f.singular_angles]], f.uid
         else:
-            assert (len(F.calls), sum(F.calls)) == (13, 6656), f.uid
+            assert F.calls == [13 * 512], f.uid
         if f.uid in _CURVE_PINS:
             assert c.values[-1] == _CURVE_PINS[f.uid], f.uid
+
+
+def test_membership_suite_evaluates_each_map_once_for_all_its_p(corpus):
+    from hqmaps.verify import suite_membership
+
+    checked = 0
+    for f in corpus:
+        if f.uid == "harmonic-koebe" or not f.singular_angles:
+            continue
+        F = _Counted(f)
+        rows = suite_membership([F])
+        if len(rows) < 2:
+            continue
+        # the normalization probe of a certificate evaluates f at 0 alone
+        assert [n for n in F.calls if n > 1] == [_CURVE_POINTS[f.singular_angles]], f.uid
+        checked += 1
+    assert checked >= 10
 
 
 def test_curve_radii_must_increase():
