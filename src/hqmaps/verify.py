@@ -361,7 +361,7 @@ def hardy_membership_verdict(
     Koebe take M_p from graded angular panels, which converge at all 13
     default radii for every corpus map, and a target left on the trapezoid
     chain (identity) drops the deep radii where it hits the sample cap, so
-    verdicts rest on trustworthy data. A caller holding that curve passes it.
+    verdicts rest on trustworthy data. ``curve``, if given, is f's curve at p, depth.
     """
     if not (0.0 < p < math.inf):
         raise DomainError(f"p must lie in (0, inf), got {p}")

@@ -32,6 +32,7 @@ from hqmaps.means import (
     lemmaF_ratio,
     sup_mean,
 )
+from hqmaps.verify import suite_membership
 
 
 def coefficient_M2(F, r, n=2048):
@@ -594,8 +595,6 @@ def test_curves_that_converge_at_depth_J_are_not_run_again(corpus):
 
 
 def test_membership_suite_evaluates_each_map_once_for_all_its_p(corpus):
-    from hqmaps.verify import suite_membership
-
     checked = 0
     for f in corpus:
         if f.uid == "harmonic-koebe" or not f.singular_angles:
@@ -607,7 +606,7 @@ def test_membership_suite_evaluates_each_map_once_for_all_its_p(corpus):
         # the normalization probe of a certificate evaluates f at 0 alone
         assert [n for n in F.calls if n > 1] == [_CURVE_POINTS[f.singular_angles]], f.uid
         checked += 1
-    assert checked >= 10
+    assert checked == 21
 
 
 def test_curve_radii_must_increase():
