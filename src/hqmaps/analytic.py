@@ -5,8 +5,7 @@ representations cover the whole library:
 
 ``ClosedForm``
     explicit formula with an exact derivative formula and (optionally) an
-    exact Taylor coefficient generator and the directions of its
-    singularities near the unit circle.
+    exact Taylor coefficient generator.
 ``PowerSeries``
     truncated Taylor series; calculus is term-wise.
 ``RadialIntegral``
@@ -17,8 +16,8 @@ representations cover the whole library:
     coefficients by integrating the integrand's term by term.
 
 ``graded_breaks``, ``gauss_panels`` and ``graded_integral`` are the one graded
-Gauss-Legendre quadrature: radial integrals here, radius-line and angular rules
-in ``means``.
+Gauss-Legendre quadrature: radial integrals here, radius-line integrals and
+the adaptive angular rule in ``means``.
 
 ``circle_values`` is the one circle sampler: it takes a target's
 whole-circle method when it has one and evaluates pointwise otherwise. Every
@@ -37,8 +36,8 @@ import numpy as np
 
 RADIUS_CAP = 1.0 - 2.0**-20
 SERIES_CAP = 4096
-# building the 24-node rule costs about half a millisecond, so rules are tabled
-_GAUSS = {m: np.polynomial.legendre.leggauss(m) for m in (8, 16, 24)}
+# building a rule costs a fraction of a millisecond, so rules are tabled
+_GAUSS = {m: np.polynomial.legendre.leggauss(m) for m in (8, 16)}
 # exp(2 pi i j / 2^16), 1 MiB: every grid of n | 2^16 points is a stride of it
 _UNIT_CIRCLE = np.exp(1j * ((2.0 * np.pi / 2**16) * np.arange(2**16)))
 _UNIT_CIRCLE.flags.writeable = False
@@ -157,17 +156,11 @@ class ClosedForm(AnalyticFunction):
         fn: Callable,
         dfn: Optional[Callable] = None,
         taylor_fn: Optional[Callable[[int], np.ndarray]] = None,
-        singular_angles: Optional[Sequence[float]] = None,
     ):
         super().__init__(uid)
         self._fn = fn
         self._dfn = dfn
         self._taylor_fn = taylor_fn
-        # directions theta where F or F' has a pole or a zero on or near the
-        # unit circle (a zero puts a cusp into |F|**p); None means undeclared
-        self.singular_angles = (
-            None if singular_angles is None else tuple(float(a) for a in singular_angles)
-        )
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -188,10 +181,7 @@ class ClosedForm(AnalyticFunction):
         if self._taylor_fn is not None:
             base = self._taylor_fn
             dtaylor = lambda n: series_differentiate(base(n + 1))[:n]
-        return ClosedForm(
-            self.uid + "'", self._dfn, taylor_fn=dtaylor,
-            singular_angles=self.singular_angles,
-        )
+        return ClosedForm(self.uid + "'", self._dfn, taylor_fn=dtaylor)
 
     def taylor(self, n: int) -> np.ndarray:
         if n < 1:
@@ -247,10 +237,12 @@ def graded_breaks(lo, hi, depth: int) -> np.ndarray:
 
 
 def gauss_panels(breaks: np.ndarray, order: int) -> tuple:
-    """Nodes and weights of the order-node rule (8, 16 or 24) on every panel."""
+    """Nodes and weights of the order-node rule (8 or 16) on every panel; each
+    row of a 2-d ``breaks`` is a run of panels, taken row after row."""
     nodes, weights = _GAUSS[order]
-    mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
-    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
+    lo, hi = breaks[..., :-1], breaks[..., 1:]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return (mid[..., None] + half[..., None] * nodes).ravel(), (half[..., None] * weights).ravel()
 
 
 def graded_integral(fn: Callable, lo, hi, order: int, rel_tol: float, floor: float = 0.0):
@@ -285,7 +277,6 @@ class RadialIntegral(AnalyticFunction):
     at 0), else from graded Gauss-Legendre quadrature; whole circles come
     from an oversampled spectral pass, whose samples are point values too,
     and Taylor coefficients from the integrand's, integrated term by term.
-    F declares the integrand's singular directions.
     """
 
     kind = "radial-path-integral"
@@ -296,7 +287,6 @@ class RadialIntegral(AnalyticFunction):
         super().__init__(uid)
         self.integrand = integrand
         self._antiderivative = antiderivative
-        self.singular_angles = getattr(integrand, "singular_angles", None)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -410,7 +400,6 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             lambda z: z,
             dfn=lambda z: np.ones_like(z),
             taylor_fn=lambda n: np.array([0.0, 1.0][:n], dtype=complex),
-            singular_angles=(),
         )
     if name == "koebe":
         return ClosedForm(
@@ -418,7 +407,6 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             lambda z: z / (1 - z) ** 2,
             dfn=lambda z: (1 + z) / (1 - z) ** 3,
             taylor_fn=lambda n: np.arange(n, dtype=complex),
-            singular_angles=(0.0, np.pi),  # pole at 1; koebe' vanishes at -1
         )
     if name == "half-plane":
         return ClosedForm(
@@ -426,7 +414,6 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             lambda z: z / (1 - z),
             dfn=lambda z: 1 / (1 - z) ** 2,
             taylor_fn=lambda n: np.concatenate([[0.0], np.ones(n - 1)]).astype(complex),
-            singular_angles=(0.0,),
         )
     if name == "strip-like":
         def strip_taylor(n: int) -> np.ndarray:
@@ -439,8 +426,6 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             lambda z: z / (1 - z**2),
             dfn=lambda z: (1 + z**2) / (1 - z**2) ** 2,
             taylor_fn=strip_taylor,
-            # poles at +-1; the derivative vanishes at +-i
-            singular_angles=(0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi),
         )
     if name == "H":
         uid = f"H[k={kk!r}]"

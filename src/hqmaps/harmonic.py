@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class HarmonicMap:
     meta: dict = field(default_factory=dict)
     # phi when g = h - phi exactly (make_shear's exact path): f(z) takes h once
     slice_phi: Optional[AnalyticFunction] = field(default=None, init=False, repr=False)
-    # radii -> one row of directions per radius where |f| dips between the
-    # declared singular directions (harmonic_koebe's +-theta*(r))
-    dip_angles: Optional[Callable] = field(default=None, init=False, repr=False)
 
     def __call__(self, z):
         hz = self.h(z)
@@ -58,15 +55,6 @@ class HarmonicMap:
     @property
     def g_prime(self) -> AnalyticFunction:
         return self.g.derivative_function()
-
-    @property
-    def singular_angles(self):
-        """The union of the directions h and g declare; None unless both do."""
-        h_angles = getattr(self.h, "singular_angles", None)
-        g_angles = getattr(self.g, "singular_angles", None)
-        if h_angles is None or g_angles is None:
-            return None
-        return tuple(sorted(set(h_angles) | set(g_angles)))
 
     def is_analytic(self) -> bool:
         return "analytic" in self.class_tags
@@ -160,10 +148,7 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     |omega| < 1 on the closed probe disk. The result is tagged
     convex-in-one-direction and close-to-convex. When omega declares itself
     ``monomial`` = (kappa, m), that is kappa z^m, qc_k is kappa, the exact sup
-    of |omega| over the disk, and 1 - omega vanishes in the directions
-    2 pi j/m; any other omega gets the sampled grid sup and no directions.
-    h' and g' declare as singular directions those of phi together with
-    those of omega, and none when either is undeclared.
+    of |omega| over the disk; any other omega gets the sampled grid sup.
 
     h and g are radial integrals of h' and g'. When phi is a named slice of
     the catalog and omega is a monomial with kappa > 0, h is also known
@@ -189,11 +174,6 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     if uid is None:
         uid = f"shear[phi={phi.uid},omega={omega.uid}]"
     phi_prime = phi.derivative_function()
-    angles = None
-    phi_angles = getattr(phi_prime, "singular_angles", None)
-    if phi_angles is not None and monomial is not None:
-        m = monomial[1]
-        angles = sorted(set(phi_angles) | {2.0 * np.pi * j / m for j in range(m)})
 
     def hp_fn(z):
         return phi.derivative(z) / (1.0 - omega(z))
@@ -203,12 +183,11 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
         one_minus[0] += 1.0
         return series_mul(phi_prime.taylor(m), series_reciprocal(one_minus, m), m)
 
-    hp = ClosedForm(uid + ":h'", hp_fn, taylor_fn=hp_taylor, singular_angles=angles)
+    hp = ClosedForm(uid + ":h'", hp_fn, taylor_fn=hp_taylor)
     gp = ClosedForm(
         uid + ":g'",
         lambda z: omega(z) * hp_fn(z),
         taylor_fn=lambda m: series_mul(omega.taylor(m), hp_taylor(m), m),
-        singular_angles=angles,
     )
     h_exact = g_exact = None
     terms = _SLICE_PARTIAL_FRACTIONS.get(phi.uid)
@@ -268,35 +247,14 @@ def normalize_to_S0(f: HarmonicMap) -> HarmonicMap:
 # named harmonic maps
 
 
-def _harmonic_koebe_dips(rs) -> np.ndarray:
-    """theta*(r) and 2 pi - theta*(r) at every r in rs: the one sign change on
-    (0, pi) of Re f = Re((z + z^3/3)/(1 - z)^3), z = r e^{i theta}.
-
-    Re f is positive at theta = 0 and negative at pi, so [0, pi] brackets
-    the sign change; 64 bisection steps, vectorised over the radii, pin it
-    to pi 2^-64, far inside the dip's width of about (1 - r)^2.
-    """
-    rs = np.asarray(rs, dtype=float)
-    lo, hi = np.zeros_like(rs), np.full_like(rs, np.pi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        z = rs * np.exp(1j * mid)
-        positive = ((z + z**3 / 3) / (1 - z) ** 3).real > 0
-        lo, hi = np.where(positive, mid, lo), np.where(positive, hi, mid)
-    theta = 0.5 * (lo + hi)
-    return np.stack((theta, 2.0 * np.pi - theta), axis=1)
-
-
 def harmonic_koebe() -> HarmonicMap:
     """The harmonic Koebe map: dilatation z, image the slit plane.
 
     Not quasiconformal (|omega| -> 1 at the boundary); the canonical contrast
-    case for membership thresholds, in h^p exactly for p < 1/3. h and g
-    declare the directions 0 (their pole) and pi (where h' and g' vanish).
-    The leading terms of h and g cancel in Im f = Im(z/(1 - z)^2), so |f|
-    also dips, about (1 - r)^2 wide, where Re f changes sign: at
-    +-theta*(r), with theta*(r)/(1 - r) -> 1/sqrt(3). The map declares them
-    as ``dip_angles``, which ``dataclasses.replace`` does not carry over.
+    case for membership thresholds, in h^p exactly for p < 1/3. The leading
+    terms of h and g cancel in Im f = Im(z/(1 - z)^2), so |f| dips, about
+    (1 - r)^2 wide, where Re f changes sign: at +-theta*(r), with
+    theta*(r)/(1 - r) -> 1/sqrt(3).
     """
     h = ClosedForm(
         "harmonic-koebe:h",
@@ -305,7 +263,6 @@ def harmonic_koebe() -> HarmonicMap:
         taylor_fn=lambda n: series_mul(
             np.array([0, 1.0, -0.5, 1.0 / 6]), geometric_coefficients(1.0, 3, n), n
         ),
-        singular_angles=(0.0, np.pi),
     )
     g = ClosedForm(
         "harmonic-koebe:g",
@@ -314,17 +271,14 @@ def harmonic_koebe() -> HarmonicMap:
         taylor_fn=lambda n: series_mul(
             np.array([0, 0, 0.5, 1.0 / 6]), geometric_coefficients(1.0, 3, n), n
         ),
-        singular_angles=(0.0, np.pi),  # pole at 1; g' vanishes at -1
     )
-    f = HarmonicMap(
+    return HarmonicMap(
         h=h,
         g=g,
         uid="harmonic-koebe",
         class_tags=frozenset({"close-to-convex", "starlike"}),
         qc_k=None,
     )
-    f.dip_angles = _harmonic_koebe_dips
-    return f
 
 
 def analytic_map(name: str) -> HarmonicMap:
@@ -340,7 +294,6 @@ def analytic_map(name: str) -> HarmonicMap:
         lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
         dfn=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
         taylor_fn=lambda n: np.zeros(n, dtype=complex),
-        singular_angles=(),
     )
     return HarmonicMap(h=F, g=zero, uid=name, class_tags=frozenset(tags), qc_k=0.0)
 

@@ -12,20 +12,16 @@ each serving every p, the target evaluated once per level.
 
 That distance is about 1 - r, so near the boundary the trapezoid needs about
 1/(1 - r) samples. The Hardy-norm certificate, the boundary-kernel integral
-and the dyadic means curves behind the membership verdicts therefore use
-Gauss-Legendre panels in theta, graded geometrically toward the singular
-directions that a target declares (a ``ClosedForm`` directly, a radial
-integral through its integrand, a harmonic map when both components do,
-plus the radius-dependent ``dip_angles`` of harmonic Koebe); two grading
-depths are compared to judge convergence, a radius where they disagree is
-run once more at twice the depth, and the target is evaluated once on the
-nodes of many radii for a whole p grid. A target that declares no direction
-stays on the trapezoid.
+and the dyadic means curves behind the membership verdicts therefore use one
+globally adaptive Gauss-Legendre rule in theta, which finds the directions
+where |F|^p is hard by itself: panels split where halving them changes
+their value, until the summed change is within the tolerance. The radii of
+one call and a whole p grid share each of its steps, one evaluation of the
+target.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -41,7 +37,6 @@ from .analytic import (
     catalog,
     circle_values,
     gauss_panels,
-    graded_breaks,
     graded_integral,
     unit_circle,
 )
@@ -183,82 +178,67 @@ def sup_mean(F: Evaluable, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# graded quadrature in the angle
-
-
-def _angular_breaks(angles, depth: int) -> np.ndarray:
-    """Panel ends a +- pi 2^-j, j = 0..depth, of every angle a, over one period.
-
-    The breakpoints of all angles are merged; coincident ones (closer than
-    1e-12, far below the smallest panel) are kept once. The last entry is
-    the first plus 2 pi.
-    """
-    a = np.asarray(angles, dtype=float)[:, None]
-    ends = graded_breaks(a + np.array([-np.pi, np.pi]), a, depth)  # by angle, then side
-    ends = np.sort(np.mod(ends, 2.0 * np.pi), axis=None)
-    ends = ends[np.diff(ends, append=ends[0] + 2.0 * np.pi) > 1e-12]
-    return np.append(ends, ends[0] + 2.0 * np.pi)
+# adaptive quadrature in the angle
 
 
 def _graded_mean_pows(F: Evaluable, ps, rs, rel_tol: float) -> list:
     """Raw power means (1/2pi) int |F(r e^{i theta})|^p dtheta for every p in
-    ps at every r in rs on panels graded toward the directions F declares:
-    ``singular_angles``, and at each radius those its ``dip_angles`` give.
+    ps at every r in rs, by one globally adaptive Gauss-Legendre rule.
 
-    At r, panels halve toward each direction down to width pi 2^-J <= 1 - r,
-    J = ceil(log2(pi/(1 - r))), under 16 nodes each; a second rule two levels
-    deeper takes 24. The finer value is kept, and r counts as converged when
-    the two agree to rel_tol. A radius where they disagree is run once more
-    at depth 2J, panels about (1 - r)^2 wide, and that run's check is its
-    flag, for each p apart. |F| is taken once on the nodes of all radii and
-    both rules, per 2^20 points, and once more for the radii run again; each
-    p only raises it to its power. Undeclared targets take the trapezoid
-    chains of ``_mean_pow_grid``. Returns, per radius, (value, nodes,
-    converged, last_two) by p, like ``_mean_pow``; p may be < 0.
+    Each radius starts from 16 uniform panels. A step takes the 16-node rule
+    on both halves of every active panel, and a panel's error is
+    |Q(left) + Q(right) - Q(panel)|, for each p. A radius converges when its
+    retired and active errors sum to at most rel_tol |total| for every p;
+    otherwise the panels whose error is at most 0.1 rel_tol |total| over the
+    number of active panels, for every p, retire, and the rest split in
+    halves. A radius with no panel left to split, or that the next step
+    would take past N_MAX nodes, stops unconverged. |F| is taken once per
+    step on the active panels of all radii, in pieces of 2^20 points, and
+    each p only raises it to its power; no radius depends on the others.
+    Returns, per radius, (value, nodes, converged, last_two) by p, like
+    ``_mean_pow``: nodes counts the points F was taken at, last_two are the
+    totals of the last two steps. p may be < 0.
     """
-    angles = getattr(F, "singular_angles", None)
-    if not angles:
-        return _mean_pow_grid(F, ps, rs, rel_tol)
-    dips = getattr(F, "dip_angles", None)
-    depths = [math.ceil(math.log2(math.pi / (1.0 - r))) for r in rs]
-    keys = [(J, angles + tuple(d)) for J, d in zip(depths, dips(rs) if dips else [()] * len(rs))]
-    out = _graded_batch(F, ps, rs, keys, rel_tol)
-    again = [i for i, res in enumerate(out) if not all(converged for _, _, converged, _ in res)]
-    deeper = [(2 * keys[i][0], keys[i][1]) for i in again]
-    for i, res in zip(again, _graded_batch(F, ps, [rs[i] for i in again], deeper, rel_tol)):
-        out[i] = [old if old[2] else new for old, new in zip(out[i], res)]
+    rs = np.asarray(rs, dtype=float)
+    out = [None] * rs.size
+    # eight panels of no value, so of infinite error: the first step splits
+    # them and takes the rule on the 16 start panels
+    owner = np.repeat(np.arange(rs.size), 8)
+    start = np.linspace(0.0, 2.0 * np.pi, 9)
+    ends = np.tile(np.stack((start[:-1], start[1:]), axis=1), (rs.size, 1))
+    coarse = np.full((len(ps), owner.size), np.inf)
+    retired = np.zeros((2, len(ps), rs.size))  # value and error, by p and radius
+    prev, nodes = np.zeros((len(ps), rs.size)), np.zeros(rs.size, dtype=int)
+    while owner.size:
+        breaks = np.stack((ends[:, 0], 0.5 * (ends[:, 0] + ends[:, 1]), ends[:, 1]), axis=1)
+        t, w = gauss_panels(breaks, 16)
+        z = np.repeat(rs[owner], 32) * np.exp(1j * t)
+        mods = np.concatenate([np.abs(F(z[i : i + 2**20])) for i in range(0, z.size, 2**20)])
+        halves = np.stack([np.sum((mods**p * w).reshape(-1, 2, 16), axis=2) for p in ps])
+        halves /= 2.0 * np.pi
+        fine = halves[..., 0] + halves[..., 1]
+        err = np.abs(fine - coarse)
+        first = np.flatnonzero(np.diff(owner, prepend=-1))  # each radius's first panel
+        live, count = owner[first], np.diff(first, append=owner.size)
+        nodes[live] += 32 * count
+        total = retired[0][:, live] + np.add.reduceat(fine, first, axis=1)
+        bound = rel_tol * np.abs(total)
+        done = np.all(retired[1][:, live] + np.add.reduceat(err, first, axis=1) <= bound, axis=0)
+        radius_of = np.repeat(np.arange(live.size), count)
+        retire = np.all(err <= (0.1 * bound / count)[:, radius_of], axis=0)
+        splits = np.add.reduceat(~retire, first, dtype=int)
+        stop = done | (splits == 0) | (nodes[live] + 64 * splits > N_MAX)
+        for j in np.flatnonzero(stop):
+            i = live[j]
+            out[i] = [(v, int(nodes[i]), bool(done[j]), (u, v))
+                      for u, v in zip(prev[:, i].tolist(), total[:, j].tolist())]
+        prev[:, live] = total
+        retired[:, :, live] += np.add.reduceat(np.where(retire, (fine, err), 0.0), first, axis=2)
+        split = ~retire & ~stop[radius_of]
+        owner = np.repeat(owner[split], 2)
+        ends = np.stack((breaks[split, :2], breaks[split, 1:]), axis=1).reshape(-1, 2)
+        coarse = halves[:, split].reshape(len(ps), -1)
     return out
-
-
-def _graded_batch(F: Evaluable, ps, rs, keys, rel_tol: float) -> list:
-    """The two graded rules for every p in ps at every r in rs, keys[i] =
-    (depth, directions) of rs[i]; radii of one key share their panels, and
-    F is evaluated once per 2^20 points."""
-    rules = {}  # key: the unit points of both rules, then each rule's weights
-    for J, directions in set(keys):
-        (t16, w16), (t24, w24) = (
-            gauss_panels(_angular_breaks(directions, J + d), 16 + 4 * d) for d in (0, 2)
-        )
-        rules[J, directions] = (np.exp(1j * np.concatenate((t16, t24))), w16, w24)
-    ends = np.cumsum([rules[key][0].size for key in keys])
-    out = []
-    for _, piece in itertools.groupby(range(len(rs)), key=lambda i: (ends[i] - 1) // 2**20):
-        piece = list(piece)
-        mods = np.abs(F(np.concatenate([rs[i] * rules[keys[i]][0] for i in piece])))
-        pows = [mods**p for p in ps]
-        for i in piece:
-            unit, w16, w24 = rules[keys[i]]
-            coarse = [float(w16 @ vals[: w16.size]) / (2.0 * np.pi) for vals in pows]
-            fine = [float(w24 @ vals[w16.size : unit.size]) / (2.0 * np.pi) for vals in pows]
-            out.append([(f, w24.size, abs(f - c) <= rel_tol * abs(f), (c, f))
-                        for c, f in zip(coarse, fine)])
-            pows = [vals[unit.size :] for vals in pows]
-    return out
-
-
-def _graded_mean_pow(F: Evaluable, p: float, r: float, rel_tol: float):
-    """``_graded_mean_pows`` at the one p and radius r."""
-    return _graded_mean_pows(F, (p,), (r,), rel_tol)[0][0]
 
 
 def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
@@ -295,8 +275,8 @@ def _corollary_bounds(k: float, ps, r: float, extremal: str = "H") -> np.ndarray
 def lemmaF_integral(p: float, r: float) -> float:
     """int_0^{2pi} dtheta / |1 - r e^{i theta}|^p, no normalization.
 
-    The graded angular rule resolves the kernel's one singular direction,
-    theta = 0, at every admitted radius; its two rules must agree to 1e-10.
+    The adaptive angular rule resolves the kernel's peak at theta = 0 at
+    every admitted radius, to 1e-10.
     """
     if p <= 1:
         raise DomainError(f"the boundary-kernel integral needs p > 1, got {p}")
@@ -304,8 +284,8 @@ def lemmaF_integral(p: float, r: float) -> float:
         raise DomainError(f"r must lie in [0, 1 - 2^-20), got {r}")
     if r == 0:
         return 2.0 * math.pi
-    one_minus = ClosedForm("one-minus-z", lambda z: 1.0 - z, singular_angles=(0.0,))
-    value, _, converged, last_two = _graded_mean_pow(one_minus, -p, r, rel_tol=1e-10)
+    one_minus = ClosedForm("one-minus-z", lambda z: 1.0 - z)
+    value, _, converged, last_two = _graded_mean_pows(one_minus, (-p,), (r,), 1e-10)[0][0]
     if not converged:
         raise NonConvergenceError(
             f"boundary-kernel integral stalled at p={p}, r={r}", last_two=last_two
@@ -360,10 +340,9 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
 
     The full integral to r = 1 is classified by a log-log fit of the
     integrand over the last six dyadic radii: fitted exponent alpha <= -1
-    means the improper integral diverges. M_p^p comes from the graded
-    angular rule when h' declares its singular directions, from the
-    trapezoid chain otherwise; all_converged is False when either one fails
-    its convergence check at some radius, and the value then is best-effort.
+    means the improper integral diverges. M_p^p comes from the adaptive
+    angular rule; all_converged is False when it fails its convergence check
+    at some radius, and the value then is best-effort.
     Each radius node is computed once; the new nodes of each depth of the
     r-integral, the dyadic tail and the fit's radii take one batch each.
     """
@@ -373,11 +352,11 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
     if abs(f(z0)) > 1e-12:
         raise DomainError("normalization f(0) = 0 required")
     hp = f.h_prime
-    means = {}  # radius node: _graded_mean_pow there, each node computed once
+    means = {}  # radius node: _graded_mean_pows there, each node computed once
 
     def integrand(rs: np.ndarray) -> np.ndarray:
         new = [r for r in dict.fromkeys(map(float, rs)) if r not in means]
-        means.update((r, res[0]) for r, res in zip(new, _graded_mean_pows(hp, (p,), new, 1e-7)))
+        means.update((r, res[0]) for r, res in zip(new, _graded_mean_pows(hp, (p,), new, 1e-9)))
         return np.array([(1.0 - r) ** (p - 1.0) * means[r][0] for r in map(float, rs)])
 
     total = float(graded_integral(integrand, 0.0, 1.0 - 2.0**-6, 8, 1e-6))
@@ -425,23 +404,19 @@ class MeansCurve:
 
 
 def dyadic_means_curve(
-    F: Evaluable, p: float, depth: int, rel_tol: float = 1e-7
+    F: Evaluable, p: float, depth: int, rel_tol: float = 1e-9
 ) -> MeansCurve:
     """M_p at radii 1 - 2^-j, j = 1..depth, from one batch of
     ``_graded_mean_pows``: ``_dyadic_means_curves`` at the one p.
 
-    Targets that declare their singular directions take the graded angular
-    rule: among harmonic maps, the shears, whose components evaluate exactly
-    at any point, the analytic maps, whose g = 0 has no such direction, and
-    harmonic Koebe, graded also toward the two dips of |f| at each radius.
-    Identity declares none and stays on the trapezoid chain, best-effort
-    past its sample cap. The per-radius convergence mask lets downstream
-    fits discard radii where either rule failed its check.
+    Every target takes the adaptive angular rule, which converges at all 13
+    default radii for every corpus map. The per-radius convergence mask lets
+    downstream fits discard radii where the rule failed its check.
     """
     return _dyadic_means_curves(F, (p,), depth, rel_tol)[0]
 
 
-def _dyadic_means_curves(F: Evaluable, ps, depth: int, rel_tol: float = 1e-7) -> list:
+def _dyadic_means_curves(F: Evaluable, ps, depth: int, rel_tol: float = 1e-9) -> list:
     """``dyadic_means_curve`` for every p in ps, from one batch for them all."""
     if depth < 1:
         raise DomainError("depth must be >= 1")

@@ -357,11 +357,10 @@ def hardy_membership_verdict(
     increment tail certifies membership outright; otherwise, for p < 1, the
     weighted h'-integral certificate decides (its integrand tail must beat
     exponent -1 with margin); only then does a steep exponent mean divergent.
-    The fit uses converged radii only: shears, analytic maps and harmonic
-    Koebe take M_p from graded angular panels, which converge at all 13
-    default radii for every corpus map, and a target left on the trapezoid
-    chain (identity) drops the deep radii where it hits the sample cap, so
-    verdicts rest on trustworthy data. ``curve``, if given, is f's curve at p, depth.
+    The fit uses converged radii only: M_p comes from the adaptive angular
+    rule, which converges at all 13 default radii for every corpus map, and
+    a radius where it fails its check is dropped, so verdicts rest on
+    trustworthy data. ``curve``, if given, is f's curve at p, depth.
     """
     if not (0.0 < p < math.inf):
         raise DomainError(f"p must lie in (0, inf), got {p}")
@@ -561,7 +560,7 @@ def suite_classic(corpus, p_grid=P_GRID, r_grid=R_GRID, tol=CLASSIC_TOL):
 def suite_membership(corpus, depth=DEFAULT_DEPTH):
     """Expected verdict pattern: QC close-to-convex members below 1/2, QC
     convex-certified members below 1, the non-QC contrast case divergent.
-    One batch of graded means serves each map's curves at all its p."""
+    One batch of adaptive means serves each map's curves at all its p."""
     rows = []
     for f in corpus:
         expected = []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqmaps import harmonic
-from hqmaps.analytic import RADIUS_CAP, ClosedForm, DomainError, catalog, series_integrate
+from hqmaps.analytic import ClosedForm, DomainError, catalog, series_integrate
 from hqmaps.harmonic import (
     K_of_k,
     analytic_dilatation,
@@ -26,6 +26,7 @@ from hqmaps.harmonic import (
     normalize_to_S0,
     shear_omega,
 )
+from hqmaps.means import dyadic_means_curve
 
 GRID = 0.6 * np.exp(1j * np.linspace(-3, 3, 17))
 
@@ -99,38 +100,16 @@ def test_shear_normalization_rejected():
         make_shear(catalog("half-plane"), shifted)
 
 
-def test_shear_declares_singular_directions():
-    # the union of phi's directions and those of the roots of 1 - kappa z^m
-    assert corpus_shear("halfplane", 0.5, 2).h_prime.singular_angles == (0.0, math.pi)
-    assert corpus_shear("identity", 0.5, 1).h_prime.singular_angles == (0.0,)
-    assert corpus_shear("strip", 0.8, 1).h_prime.singular_angles == (
-        0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi,
-    )
-    assert catalog("koebe").derivative_function().singular_angles == (0.0, math.pi)
-    assert harmonic_koebe().h_prime.singular_angles == (0.0, math.pi)
-
-
-def test_harmonic_map_declares_the_union_of_its_components():
-    f = corpus_shear("strip", 0.8, 2)
-    assert f.g_prime.singular_angles == f.h_prime.singular_angles
-    assert f.singular_angles == (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
-    assert corpus_shear("identity", 0.5, 1).singular_angles == (0.0,)
-    assert corpus_shear("halfplane", 0.25, 2).singular_angles == (0.0, math.pi)
-    # g = 0 has no singular direction, so an analytic map declares h's, and
-    # so does a shear of dilatation 0, which is one
-    for name in ("identity", "koebe", "half-plane", "strip-like"):
-        assert analytic_map(name).singular_angles == catalog(name).singular_angles
-    assert corpus_shear("halfplane", 0.0, 1).singular_angles == (0.0,)
-    # harmonic Koebe's h and g both have their pole at 1, and h' and g'
-    # vanish at -1
-    assert harmonic_koebe().singular_angles == (0.0, math.pi)
-
-
 def test_shear_with_undeclared_omega_declares_nothing():
+    # an omega not declared a monomial: no exact sup, no exact components,
+    # and h' the same function, so the same means
     omega = ClosedForm("0.5z", lambda z: 0.5 * z, dfn=lambda z: 0.5 + 0.0 * z)
     f = make_shear(catalog("half-plane"), omega)
-    assert f.h_prime.singular_angles is None
-    assert f.singular_angles is None
+    assert abs(f.qc_k - 0.495) < 1e-12 and f.slice_phi is None
+    c = dyadic_means_curve(f.h_prime, 0.45, 13)
+    want = dyadic_means_curve(corpus_shear("halfplane", 0.5, 1).h_prime, 0.45, 13)
+    assert np.all(c.converged)
+    assert np.allclose(c.values, want.values, rtol=1e-12, atol=0.0)
 
 
 def test_shear_omega_sup_too_large():
@@ -166,34 +145,6 @@ def test_harmonic_koebe_structure():
     assert f.qc_k is None
     assert "close-to-convex" in f.class_tags
     assert "convex" not in f.class_tags
-
-
-def test_harmonic_koebe_declares_the_one_sign_change_of_re_f():
-    f = harmonic_koebe()
-    rs = np.concatenate((np.linspace(0.01, 0.99, 99), 1.0 - 2.0 ** -np.arange(7, 21)))
-    assert rs[-1] == RADIUS_CAP
-    dips = f.dip_angles(rs)
-    assert dips.shape == (rs.size, 2)
-    assert np.array_equal(dips[:, 1], 2.0 * np.pi - dips[:, 0])
-    for r, theta in zip(rs, dips[:, 0]):
-        # uniform in (0, pi), and geometric on both sides of theta at distances
-        # from 1e-6 theta (about the dip's width at RADIUS_CAP) to theta
-        t = np.concatenate(
-            (np.linspace(0.0, np.pi, 4097)[1:-1], theta * (1.0 + np.geomspace(1e-6, 1.0, 200)))
-        )
-        t = np.concatenate((t, 2.0 * theta - t[t < theta]))
-        t = t[(t > 0.0) & (t < np.pi)]
-        re = f(r * np.exp(1j * t)).real
-        assert np.all((re > 0) == (t < theta)), r
-    # theta*(r)/(1 - r) falls from 0.850 at r = 1/2 toward 1/sqrt(3)
-    assert abs(f.dip_angles(np.array([0.5]))[0, 0] / 0.5 - 0.850) < 5e-4
-    assert abs(dips[-1, 0] / (1.0 - RADIUS_CAP) - 1.0 / math.sqrt(3.0)) < 1e-5
-
-
-def test_a_replaced_harmonic_map_carries_no_dips():
-    f = dataclasses.replace(harmonic_koebe())
-    assert f.dip_angles is None
-    assert f.singular_angles == (0.0, math.pi)
 
 
 def test_analytic_map_identity():

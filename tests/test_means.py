@@ -20,7 +20,6 @@ from hqmaps.analytic import (
 from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
 from hqmaps.means import (
     MeansCurve,
-    _graded_mean_pow,
     _graded_mean_pows,
     _mean_pow,
     corollary_bound,
@@ -350,61 +349,15 @@ def test_hardy_norm_bound_flags_divergence():
     assert math.isinf(float(b))
 
 
-def _with_h_prime(f, singular_angles):
-    """f with h' re-declared: same values, the given singular directions."""
-    hp = f.h_prime
-    redeclared = ClosedForm(hp.uid + "[redeclared]", hp, singular_angles=singular_angles)
-    return dataclasses.replace(f, h=RadialIntegral(redeclared, f.uid + ":h[redeclared]"))
-
-
 # the bound by the trapezoid chain, which converges at every radius for this
 # shear and p
 STRIP_SHEAR_BOUND = 6.8316192320618825
 
 
 def test_graded_bound_matches_converged_trapezoid():
-    f = corpus_shear("strip", 0.8585, 1)
-    assert f.h_prime.singular_angles == (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
-    b = hardy_norm_bound(f, 0.1024)
+    b = hardy_norm_bound(corpus_shear("strip", 0.8585, 1), 0.1024)
     assert b.all_converged
     assert abs(b.value - STRIP_SHEAR_BOUND) < 1e-9
-
-
-def test_missing_direction_fails_the_two_rule_check():
-    # h' vanishes at +-i, so |h'|^p has cusps there that 0 and pi do not grade
-    f = _with_h_prime(corpus_shear("strip", 0.8585, 1), (0.0, math.pi))
-    b = hardy_norm_bound(f, 0.1024)
-    assert not b.all_converged
-
-
-def test_undeclared_target_keeps_the_trapezoid():
-    f = _with_h_prime(corpus_shear("strip", 0.8585, 1), None)
-    # far inside the 2.6e-11 by which the graded value differs
-    assert abs(hardy_norm_bound(f, 0.1024).value - STRIP_SHEAR_BOUND) < 1e-12
-    for r in (0.5, 1.0 - 2.0**-10):
-        assert _graded_mean_pow(f.h_prime, 0.3, r, 1e-7) == _mean_pow(f.h_prime, 0.3, r, 1e-7)
-
-
-def _breaks_one_direction_at_a_time(angles, depth):
-    """The panel ends of ``_angular_breaks`` built per direction and side."""
-    j = np.arange(1, depth + 1)
-    ends = np.concatenate(
-        [[lo, *(a - (a - lo) * 2.0**-j), a] for a in angles for lo in (a - np.pi, a + np.pi)]
-    )
-    ends = np.sort(np.mod(ends, 2.0 * np.pi))
-    ends = ends[np.diff(ends, append=ends[0] + 2.0 * np.pi) > 1e-12]
-    return np.append(ends, ends[0] + 2.0 * np.pi)
-
-
-@pytest.mark.parametrize("depth", [3, 15, 17, 30])
-def test_angular_breaks_equal_the_per_direction_construction(depth):
-    strip = catalog("strip-like").singular_angles
-    f = harmonic_koebe()
-    koebe = f.singular_angles + tuple(f.dip_angles([1.0 - 2.0**-13])[0])
-    for angles in (strip, koebe, (0.0,)):
-        got = means._angular_breaks(angles, depth)
-        want = _breaks_one_direction_at_a_time(angles, depth)
-        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 _BATCH_RADII = tuple(1.0 - 2.0 ** -np.arange(1, 14)) + (0.05, 0.3, 0.62, 0.9, 0.97, 0.985)
@@ -419,45 +372,43 @@ _BATCH_RADII = tuple(1.0 - 2.0 ** -np.arange(1, 14)) + (0.05, 0.3, 0.62, 0.9, 0.
         (corpus_shear("strip", 0.25, 2).h_prime, 0.45),
         (analytic_map("half-plane"), 0.9),
         (catalog("koebe"), 0.45),
-        (ClosedForm("one-minus-z", lambda z: 1.0 - z, singular_angles=(0.0,)), -1.5),
+        (ClosedForm("one-minus-z", lambda z: 1.0 - z), -1.5),
     ],
     ids=lambda v: getattr(v, "uid", None),
 )
 def test_batched_graded_means_equal_one_radius_at_a_time(F, p):
-    batched = [res[0] for res in _graded_mean_pows(F, (p,), _BATCH_RADII, 1e-7)]
-    assert batched == [_graded_mean_pow(F, p, r, 1e-7) for r in _BATCH_RADII]
+    batched = [res[0] for res in _graded_mean_pows(F, (p,), _BATCH_RADII, 1e-9)]
+    assert batched == [_graded_mean_pows(F, (p,), (r,), 1e-9)[0][0] for r in _BATCH_RADII]
 
 
 @pytest.mark.parametrize(
     "F, ps",
-    [
-        # at depth J the four p fail on different sets of radii, and p = 2 on
-        # none: each p is run again at 2J only where it failed
-        (harmonic_koebe(), (0.25, 0.4, 1.0, 2.0)),
-        # no declared direction: the trapezoid chains
-        (analytic_map("identity"), (0.25, 0.45, 0.9)),
-    ],
+    [(harmonic_koebe(), (0.25, 0.4, 1.0, 2.0)), (analytic_map("identity"), (0.25, 0.45, 0.9))],
     ids=lambda v: getattr(v, "uid", None),
 )
 def test_graded_means_for_a_p_grid_equal_one_p_at_a_time(F, ps):
+    # one panel tree serves the whole grid and refines until every p passes,
+    # so each p agrees with its own tree to the tolerance, not bitwise
     radii = 1.0 - 2.0 ** -np.arange(1, 14)
-    batched = _graded_mean_pows(F, ps, radii, 1e-7)
-    one_p = [_graded_mean_pows(F, (p,), radii, 1e-7) for p in ps]
-    assert batched == [[res[0] for res in by_r] for by_r in zip(*one_p)]
+    batched = _graded_mean_pows(F, ps, radii, 1e-9)
+    for j, p in enumerate(ps):
+        for by_p, (alone,) in zip(batched, _graded_mean_pows(F, (p,), radii, 1e-9)):
+            assert by_p[j][2] and alone[2]
+            assert abs(by_p[j][0] / alone[0] - 1.0) <= 1e-9, p
     curves = means._dyadic_means_curves(F, ps, 13)
     for p, curve in zip(ps, curves):
         alone = dyadic_means_curve(F, p, 13)
         assert curve.p == p
-        assert np.array_equal(curve.values, alone.values)
-        assert np.array_equal(curve.converged, alone.converged)
+        assert np.all(curve.converged) and np.all(alone.converged)
+        assert np.allclose(curve.values, alone.values, rtol=1e-9, atol=0.0)
 
 
-# hardy_norm_bound's (value, tail_exponent, all_converged) with the angular
-# rule run one radius node at a time; batching must not move a bit
+# hardy_norm_bound's (value, tail_exponent, all_converged) and the number of
+# evaluations of h': one per refinement step of each radius-line level
 HARDY_PINS = {
-    ("koebe", 0.45): (8.53569658305601, -0.9080674925170812, True),
-    ("half-plane", 0.9): (4.1862462314400775, -0.8999991310276758, True),
-    ("shear[phi=strip,omega=0.5z^2]", 0.45): (3.4883867207983306, -0.6095706327858698, True),
+    ("koebe", 0.45): (8.5356965830401, -0.9080674925128337, True, 39),
+    ("half-plane", 0.9): (4.186246231440147, -0.8999991310284707, True, 40),
+    ("shear[phi=strip,omega=0.5z^2]", 0.45): (3.488386720797492, -0.6095706327857777, True, 36),
 }
 
 
@@ -470,19 +421,25 @@ HARDY_PINS = {
     ],
     ids=lambda v: getattr(v, "uid", None),
 )
-def test_hardy_norm_bound_evaluates_h_prime_once_per_radius_line_level(f, p):
-    hp, calls = f.h_prime, []
+def test_hardy_norm_bound_evaluates_h_prime_once_per_radius_line_level(f, p, monkeypatch):
+    hp, calls, batches = f.h_prime, [], []
+    graded_mean_pows = means._graded_mean_pows
 
     def counted(z):
         calls.append(z.size)
         return hp(z)
 
-    redeclared = ClosedForm(hp.uid, counted, singular_angles=hp.singular_angles)
-    f = dataclasses.replace(f, h=RadialIntegral(redeclared, f.h.uid, antiderivative=f.h))
+    def batch(F, ps, rs, rel_tol):
+        batches.append(len(rs))
+        return graded_mean_pows(F, ps, rs, rel_tol)
+
+    monkeypatch.setattr(means, "_graded_mean_pows", batch)
+    counted_h = RadialIntegral(ClosedForm(hp.uid, counted), f.h.uid, antiderivative=f.h)
+    f = dataclasses.replace(f, h=counted_h)
     b = hardy_norm_bound(f, p)
-    assert (b.value, b.tail_exponent, b.all_converged) == HARDY_PINS[f.uid, p]
+    assert (b.value, b.tail_exponent, b.all_converged, len(calls)) == HARDY_PINS[f.uid, p]
     # two depths of the [0, 1 - 2^-6] integral, the dyadic tail, the gap radii
-    assert len(calls) <= 4, calls
+    assert len(batches) <= 4, batches
 
 
 def test_hardy_norm_bound_validation():
@@ -529,20 +486,20 @@ HARMONIC_KOEBE_CURVE = (
 
 
 def test_harmonic_koebe_curve_converges_on_graded_panels():
-    # graded toward 0, pi and the two dips +-theta*(r) of |f|
+    # the rule finds the pole at 1, the zeros of h' and g' at -1 and the two
+    # dips of |f| at +-theta*(r), about (1 - r)^2 wide, by itself
     c = dyadic_means_curve(harmonic_koebe(), 0.4, 13)
     assert int(np.sum(c.converged)) == 13
     for got, want in zip(c.values, HARMONIC_KOEBE_CURVE):
         assert abs(got / want - 1.0) <= 1e-9
 
 
-def test_an_undeclared_dip_is_never_reported_converged():
-    # dataclasses.replace carries no dip_angles: the panels grade toward 0 and
-    # pi only, and from r = 7/8 on neither depth J nor 2J passes the check
-    f = dataclasses.replace(harmonic_koebe())
-    assert f.dip_angles is None
-    c = dyadic_means_curve(f, 0.4, 13)
-    assert c.converged.tolist() == [True] * 2 + [False] * 11
+def test_a_copied_harmonic_koebe_converges_like_the_original():
+    # nothing is declared on the map, so a copy loses nothing
+    f = harmonic_koebe()
+    c = dyadic_means_curve(dataclasses.replace(f), 0.4, 13)
+    assert c.converged.tolist() == [True] * 13
+    assert np.array_equal(c.values, dyadic_means_curve(f, 0.4, 13).values)
 
 
 class _Counted:
@@ -559,54 +516,51 @@ class _Counted:
         return self.f(z)
 
 
-# points of the one batch of a depth-13 curve on graded panels, by the
-# directions the map declares; identity declares none and keeps 13 chains,
-# which take their first level from the whole-circle sampler and converge at
-# the first doubling: h runs once, on the 512 midpoints of each
-_CURVE_POINTS = {
-    (0.0,): 11648,
-    (0.0, math.pi): 21216,
-    (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi): 38272,
-}
-# M_0.45 at r = 1 - 2^-13 from the one pass at depth J, which these maps pass
+# M_0.45 at r = 1 - 2^-13 and the points of each evaluation of the map by a
+# depth-13 curve: the 16 start panels at 13 radii, then 32 nodes per active
+# panel
 _CURVE_PINS = {
-    "koebe": 7.2693747357576814,
-    "half-plane": 1.3178226144251275,
-    "strip-like": 1.3152087770624603,
-    "shear[phi=identity,omega=0.8z^2]": 1.0007659199739176,
-    "shear[phi=halfplane,omega=0.8z]": 2.026579372104775,
-    "shear[phi=strip,omega=0.8z^2]": 2.0615035527078653,
+    "koebe": (7.26937473575774, [3328, 6656, 1152, 1024, 896, 768, 640, 512, 384, 256, 128]),
+    "half-plane": (
+        1.3178226144251257, [3328, 6656, 1152, 1024, 896, 768, 640, 512, 384, 256, 128]
+    ),
+    "strip-like": (
+        1.3152087770624552, [3328, 6656, 2304, 2048, 1792, 1536, 1280, 1024, 768, 512, 256]
+    ),
+    "shear[phi=identity,omega=0.8z^2]": (1.0007659199739172, [3328, 6656]),
+    "shear[phi=halfplane,omega=0.8z]": (
+        2.0265793721047807, [3328, 6656, 1408, 1280, 1152, 896, 640, 512, 384, 256, 128]
+    ),
+    "shear[phi=strip,omega=0.8z^2]": (
+        2.061503552707861, [3328, 6656, 2816, 2560, 2304, 2048, 1536, 1024, 768, 512, 256]
+    ),
 }
 
 
-def test_curves_that_converge_at_depth_J_are_not_run_again(corpus):
+def test_corpus_curves_converge_with_one_evaluation_per_refinement_step(corpus):
     for f in corpus:
-        if f.uid == "harmonic-koebe":
-            continue
         F = _Counted(f)
         c = dyadic_means_curve(F, 0.45, 13)
         assert np.all(c.converged), f.uid
-        if f.singular_angles:
-            assert F.calls == [_CURVE_POINTS[f.singular_angles]], f.uid
-        else:
-            assert F.calls == [13 * 512], f.uid
+        nodes = [res[0][1] for res in _graded_mean_pows(f, (0.45,), c.radii, 1e-9)]
+        assert F.calls[0] == 13 * 256 and sum(F.calls) == sum(nodes), f.uid
         if f.uid in _CURVE_PINS:
-            assert c.values[-1] == _CURVE_PINS[f.uid], f.uid
+            assert (c.values[-1], F.calls) == _CURVE_PINS[f.uid], f.uid
 
 
 def test_membership_suite_evaluates_each_map_once_for_all_its_p(corpus):
     checked = 0
     for f in corpus:
-        if f.uid == "harmonic-koebe" or not f.singular_angles:
-            continue
         F = _Counted(f)
         rows = suite_membership([F])
         if len(rows) < 2:
             continue
+        one_batch = _Counted(f)
+        means._dyadic_means_curves(one_batch, [row.p for row in rows], 13)
         # the normalization probe of a certificate evaluates f at 0 alone
-        assert [n for n in F.calls if n > 1] == [_CURVE_POINTS[f.singular_angles]], f.uid
+        assert [n for n in F.calls if n > 1] == one_batch.calls, f.uid
         checked += 1
-    assert checked == 21
+    assert checked == 22
 
 
 def test_curve_radii_must_increase():

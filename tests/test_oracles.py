@@ -7,12 +7,13 @@ Hypergeometric closed forms: with a = p (or p/2),
 (1/2pi) int |1 - r e^{i theta}|^{-2a} dtheta equals 2F1(a, a; 1; r^2), the
 classical identity behind the growth of integral means. It gives M_p^p of
 koebe, half-plane and strip-like exactly, for the trapezoid chain and for
-the graded angular rule at deep radii. mpmath evaluates the hypergeometric
-function; it is a test-only dependency.
+the adaptive angular rule at deep radii, also with the pole moved just
+outside the circle in random directions. mpmath evaluates the
+hypergeometric function; it is a test-only dependency.
 
 Harmonic Koebe: mpmath's quadrature of |f|^p over the circle, split at 0,
-pi and the two directions +-theta*(r) where |f| dips, checks the graded
-rule at deep radii.
+pi and the two directions +-theta*(r) where |f| dips, found by mpmath's
+root finder, checks the adaptive rule at deep radii.
 
 Shear components: the partial-fraction antiderivatives of h' and g' must
 match the graded radial quadrature of the same integrands on the whole
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 from hqmaps.analytic import RADIUS_CAP, ClosedForm, catalog, radial_path_integral
 from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
 from hqmaps.means import (
-    _graded_mean_pow,
+    _graded_mean_pows,
     corollary_bound,
     dyadic_means_curve,
     hardy_norm_bound,
@@ -102,15 +103,55 @@ def test_integral_means_match_hypergeometric_closed_forms(name):
 
 @pytest.mark.parametrize("p", [0.25, 0.45, 0.9, 2.0, 4.0])
 def test_graded_rule_matches_hypergeometric_means(p):
-    pole = ClosedForm("double-pole", lambda z: 1.0 / (1.0 - z) ** 2, singular_angles=(0.0,))
-    value, nodes, converged, _ = _graded_mean_pow(pole, p, DEEP, rel_tol=1e-7)
+    pole = ClosedForm("double-pole", lambda z: 1.0 / (1.0 - z) ** 2)
+    value, nodes, converged, _ = _graded_mean_pows(pole, (p,), (DEEP,), 1e-9)[0][0]
     assert converged
-    assert nodes <= 1100
+    assert nodes <= 2560
     assert abs(value / hyp(p, DEEP) - 1.0) <= 1e-10
 
-    value, _, converged, _ = _graded_mean_pow(catalog("koebe"), p, DEEP, rel_tol=1e-7)
+    value, _, converged, _ = _graded_mean_pows(catalog("koebe"), (p,), (DEEP,), 1e-9)[0][0]
     assert converged
     assert abs(value / (DEEP**p * hyp(p, DEEP)) - 1.0) <= 1e-10
+
+
+def test_graded_rule_matches_hypergeometric_means_on_a_whole_p_grid():
+    # one panel tree serves the grid, so it must refine until every p passes
+    ps = (0.25, 0.45, 0.9, 2.0, 4.0)
+    pole = ClosedForm("double-pole", lambda z: 1.0 / (1.0 - z) ** 2)
+    for p, (value, _, converged, _) in zip(ps, _graded_mean_pows(pole, ps, (DEEP,), 1e-9)[0]):
+        assert converged
+        assert abs(value / hyp(p, DEEP) - 1.0) <= 1e-10, p
+
+
+@pytest.mark.parametrize("p", [0.45, 2.0])
+def test_adaptive_rule_is_never_wrong_about_a_pole_just_outside_the_circle(p):
+    # a double pole at rho e^{i alpha}, 2^-20 outside the circle: M_p^p is
+    # 2F1(p, p; 1; (r/rho)^2) in every direction alpha, and a feature about
+    # 2^-16 wide must be found from 16 panels 2 pi/16 wide
+    rho = 1.0 + 2.0**-20
+    want = float(mpmath.hyp2f1(p, p, 1, (mpmath.mpf(DEEP) / (1 + mpmath.mpf(2) ** -20)) ** 2))
+    converged_in = 0
+    for alpha in np.random.default_rng(20).uniform(0.0, 2.0 * np.pi, 8):
+        u = np.exp(-1j * alpha) / rho
+        pole = ClosedForm("pole", lambda z: 1.0 / (1.0 - u * z) ** 2)
+        value, _, converged, _ = _graded_mean_pows(pole, (p,), (DEEP,), 1e-9)[0][0]
+        if converged:
+            assert abs(value / want - 1.0) <= 1e-10, alpha
+            converged_in += 1
+    assert converged_in > 0
+
+
+def test_adaptive_rule_matches_parseval_for_an_extremal():
+    # H_k = A/(1 - z)^2 + B/(1 - z) + C/(1 - kz), so a_n = A(n + 1) + B + C k^n
+    k, r = 0.5, 1.0 - 2.0**-13
+    A, C = 2.0 / (1.0 - k), k * (1.0 + k) / (1.0 - k) ** 2
+    n = np.arange(400_000)  # r^(2n) < 1e-42 past the last term
+    a = A * (n + 1) + (1.0 - A - C) + C * k**n
+    H = catalog("H", k)
+    assert np.allclose(H.taylor(64), a[:64], rtol=1e-14, atol=0.0)
+    value, _, converged, _ = _graded_mean_pows(H, (2.0,), (r,), 1e-9)[0][0]
+    assert converged
+    assert abs(value / float(np.sum(a**2 * r ** (2.0 * n))) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -142,15 +183,21 @@ def test_harmonic_koebe_curve_matches_mpmath_at_deep_radii():
     assert int(np.sum(c.converged)) == 13
     for j in (8, 13):
         r = 1 - mpmath.mpf(2) ** -j
-        theta = f.dip_angles(np.array([float(r)]))[0, 0]
 
-        def power(t):
+        def f_at(t):
             z = r * mpmath.expj(t)
             h = (z - z**2 / 2 + z**3 / 6) / (1 - z) ** 3
             g = (z**2 / 2 + z**3 / 6) / (1 - z) ** 3
-            return abs(h + mpmath.conj(g)) ** 0.4
+            return h + mpmath.conj(g)
+
+        def power(t):
+            return abs(f_at(t)) ** 0.4
 
         with mpmath.workdps(20):
+            # Re f changes sign once on (0, pi), at theta*(r), between
+            # (1 - r)/4 and 2(1 - r); Re f/|f| has its sign and is of order 1
+            theta = mpmath.findroot(lambda t: mpmath.cos(mpmath.arg(f_at(t))),
+                                    ((1 - r) / 4, 2 * (1 - r)), solver="anderson")
             mean = mpmath.quad(power, [-mpmath.pi, -theta, 0, theta, mpmath.pi]) / (2 * mpmath.pi)
         want = float(mean) ** (1 / 0.4)
         assert abs(c.values[j - 1] / want - 1.0) <= 1e-9, j
@@ -184,14 +231,21 @@ _SLICE_DERIVATIVES = {
 }
 
 
+# the directions of the poles of phi' and of the roots of 1 - kappa z^m,
+# where h' and g' blow up or vanish
 @pytest.mark.parametrize(
-    "phi, kappa, power",
-    [("identity", 0.5, 2), ("halfplane", 0.8, 1), ("strip", 0.8, 2)],
+    "phi, kappa, power, angles",
+    [
+        ("identity", 0.5, 2, (0.0, math.pi)),
+        ("halfplane", 0.8, 1, (0.0,)),
+        ("strip", 0.8, 2, (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)),
+    ],
+    ids=["identity-0.5-2", "halfplane-0.8-1", "strip-0.8-2"],
 )
-def test_exact_shear_components_match_mpmath_at_singular_directions(phi, kappa, power):
+def test_exact_shear_components_match_mpmath_at_singular_directions(phi, kappa, power, angles):
     f = corpus_shear(phi, kappa, power)
     dphi = _SLICE_DERIVATIVES[phi]
-    for angle in f.singular_angles:
+    for angle in angles:
         r = 1.0 - 2.0**-13
         z = mpmath.mpc(r * math.cos(angle), r * math.sin(angle))
         # breakpoints 1 - 8^-j of the way to z, next to the nearest singularity

@@ -184,8 +184,8 @@ def test_membership_ctc_shear():
 
 
 def test_shear_verdict_needs_no_whole_circle_pass_or_radial_quadrature(monkeypatch):
-    # the curve runs on graded panels over the exact components, and the
-    # certificate integrates the closed-form h'
+    # the curve runs on adaptive angular panels over the exact components,
+    # and the certificate integrates the closed-form h'
     calls = {"circle_values": 0, "radial_path_integral": 0}
     circle, radial = analytic.RadialIntegral.circle_values, analytic.radial_path_integral
 
