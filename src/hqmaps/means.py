@@ -69,16 +69,24 @@ def _next_level(F: Evaluable, r, half: np.ndarray) -> np.ndarray:
     return np.stack((half, midpoints), axis=-1).reshape(half.shape[:-1] + (n,))
 
 
-def _mean_pow_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9, n_max: int = N_MAX) -> list:
+def _mean_pow_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9, n_max: int = N_MAX, scales=None) -> list:
     """``_mean_pow`` for every p in ps at every r in rs: per radius, a list of
     results by p. The doubling chains of all radii advance together, F
     running once per level on the radii not yet converged for every p, until
     none is left or n reaches n_max. Each p keeps the first level that agrees
     with the level below: bitwise what its own chain at its own radius gives.
+    Where a radius's largest first-level |F|^p is out of 2^-960 .. 2^960, that
+    p averages |F/s|^p, s a power of two near that |F|; handed a list
+    ``scales``, the call appends a row of s by p per radius, else it returns raw means.
     """
     rs = np.asarray(rs, dtype=float)
     n, level = N_START, np.abs(circle_values(F, rs, N_START))
-    first = zip(*(np.mean(level**p, axis=1).tolist() for p in ps))
+    e = np.round(np.log2(np.maximum(level.max(axis=1), 5e-324)))  # a zero row as the least double
+    s = np.where(np.abs(np.multiply.outer(ps, e)) > 960, 2.0**e, 1.0)  # by p and radius
+    plain = bool(np.all(s == 1.0))
+    def pow_means(j, rows):  # the mean of |F|^p, or of |F/s|^p, at level on rows, for the j-th p
+        return np.mean((level if plain else level / s[j, rows, None]) ** ps[j], axis=1).tolist()
+    first = zip(*(pow_means(j, slice(None)) for j in range(len(ps))))
     out = [[(v, n, False, (v, v)) for v in row] for row in first]
     live = list(range(rs.size))
     while n < n_max:
@@ -87,11 +95,16 @@ def _mean_pow_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9, n_max: int = N_M
             break
         live, n = [live[j] for j in keep], 2 * n
         level = _next_level(F, rs[live], level[keep])
-        for j, p in enumerate(ps):
-            for i, cur in zip(live, np.mean(level**p, axis=1).tolist()):
+        for j in range(len(ps)):
+            for i, cur in zip(live, pow_means(j, live)):
                 if not out[i][j][2]:
                     prev = out[i][j][0]
                     out[i][j] = (cur, n, abs(cur - prev) <= rel_tol * abs(cur), (prev, cur))
+    if scales is not None:
+        scales.extend(s.T.tolist())
+    elif not plain:  # the raw means, s^p times the scaled ones
+        out = [[(v * u, n, c, (a * u, b * u)) for u, (v, n, c, (a, b)) in zip(us, row)]
+               for us, row in zip((s ** np.reshape(ps, (-1, 1))).T.tolist(), out)]
     return out
 
 
@@ -134,15 +147,15 @@ def _integral_means_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9, n_max=N_MA
     for r in rs:
         if not (0 < r <= RADIUS_CAP):
             raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
-    out = []
-    for r, results in zip(rs, _mean_pow_grid(F, ps, rs, rel_tol, n_max)):
-        for p, (value, n, converged, last_two) in zip(ps, results):
+    out, scales = [], []  # the chains fill scales, s by p, a row per radius
+    for r, results, st in zip(rs, _mean_pow_grid(F, ps, rs, rel_tol, n_max, scales), scales):
+        for p, t, (value, n, converged, last_two) in zip(ps, st, results):
             if not converged:
                 raise NonConvergenceError(
                     f"trapezoid means for {F.uid} at p={p}, r={r} hit n={n}",
-                    last_two=tuple(v ** (1.0 / p) for v in last_two),
+                    last_two=tuple(v ** (1.0 / p) * t for v in last_two),
                 )
-        out.append([value ** (1.0 / p) for p, (value, *_) in zip(ps, results)])
+        out.append([value ** (1.0 / p) * t for p, t, (value, *_) in zip(ps, st, results)])
     return out
 
 
@@ -151,11 +164,10 @@ def sup_mean(F: Evaluable, r: float) -> float:
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
     n = 2**12
-    theta = (2.0 * np.pi / n) * np.arange(n)
-    vals = np.abs(F(r * np.exp(1j * theta)))
+    vals = np.abs(circle_values(F, r, n))
     i = int(np.argmax(vals))
-    a = theta[i] - 2.0 * np.pi / n
-    b = theta[i] + 2.0 * np.pi / n
+    a = (2.0 * np.pi / n) * i - 2.0 * np.pi / n
+    b = (2.0 * np.pi / n) * i + 2.0 * np.pi / n
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -314,13 +326,19 @@ def envelope_ratio(k: float, p: float, r: float, extremal: str = "H") -> float:
 
 
 @dataclass
-class HardyBound:
-    """Result of the weighted h'-integral: value, tail behavior, flags."""
+class HardyTail:
+    """The weighted h'-integral's fitted tail exponent and flags."""
 
-    value: float
     tail_exponent: float
     divergent: bool
     all_converged: bool
+
+
+@dataclass
+class HardyBound(HardyTail):
+    """A ``HardyTail`` with the value of the integral up to 1 - 2^-16."""
+
+    value: float
 
     def __float__(self) -> float:
         return math.inf if self.divergent else float(self.value)
@@ -335,22 +353,30 @@ def loglog_slope(one_minus_r, values) -> float:
     return float(np.linalg.lstsq(A, y, rcond=None)[0][0])
 
 
-def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
-    """int_0^{1 - 2^-16} (1-r)^{p-1} M_p^p(r, h') dr with the constant set to 1.
-
-    The full integral to r = 1 is classified by a log-log fit of the
-    integrand over the last six dyadic radii: fitted exponent alpha <= -1
-    means the improper integral diverges. M_p^p comes from the adaptive
-    angular rule; all_converged is False when it fails its convergence check
-    at some radius, and the value then is best-effort.
-    Each radius node is computed once; the new nodes of each depth of the
-    r-integral, the dyadic tail and the fit's radii take one batch each.
-    """
+def hardy_tail(f: HarmonicMap, p: float) -> HardyTail:
+    """The membership verdicts' certificate: the tail_exponent of (1-r)^{p-1} M_p^p(r, h')
+    fitted at r = 1 - 2^-11 .. 1 - 2^-16 (<= -1: divergent, the integral to r = 1 diverges)
+    from one batch of the adaptive angular rule, all_converged if it passed at each."""
     if not (0.0 < p < 1.0):
         raise DomainError(f"the weighted h' integral needs p in (0, 1), got {p}")
-    z0 = np.asarray(0.0, dtype=complex)
-    if abs(f(z0)) > 1e-12:
+    if abs(f(np.asarray(0.0, dtype=complex))) > 1e-12:
         raise DomainError("normalization f(0) = 0 required")
+    gaps = 2.0 ** -np.arange(HARDY_CUTOFF_EXP - 5, HARDY_CUTOFF_EXP + 1)
+    means = [res[0] for res in _graded_mean_pows(f.h_prime, (p,), 1.0 - gaps, 1e-9)]
+    values = [(1.0 - r) ** (p - 1.0) * m[0] for r, m in zip((1.0 - gaps).tolist(), means)]
+    slope = -loglog_slope(gaps, values)
+    return HardyTail(slope, slope <= -1.0, all(m[2] for m in means))
+
+
+def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
+    """int_0^{1 - 2^-16} (1-r)^{p-1} M_p^p(r, h') dr with the constant set to 1,
+    plus the ``hardy_tail`` fit, which alone the membership verdicts read.
+
+    all_converged is False when the adaptive angular rule fails its check at
+    some radius of the integral or the fit; the value then is best-effort.
+    The new radius nodes of each depth and the dyadic tail take one batch each.
+    """
+    tail = hardy_tail(f, p)
     hp = f.h_prime
     means = {}  # radius node: _graded_mean_pows there, each node computed once
 
@@ -362,16 +388,8 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
     total = float(graded_integral(integrand, 0.0, 1.0 - 2.0**-6, 8, 1e-6))
     t, w = gauss_panels(1.0 - 2.0 ** -np.arange(6, HARDY_CUTOFF_EXP + 1), 8)  # dyadic tail
     total += float(w @ integrand(t))
-
-    gaps = 2.0 ** -np.arange(HARDY_CUTOFF_EXP - 5, HARDY_CUTOFF_EXP + 1)
-    slope = -loglog_slope(gaps, integrand(1.0 - gaps))
-    all_converged = all(converged for _, _, converged, _ in means.values())
-    return HardyBound(
-        value=total,
-        tail_exponent=slope,
-        divergent=slope <= -1.0,
-        all_converged=all_converged,
-    )
+    converged = tail.all_converged and all(c for _, _, c, _ in means.values())
+    return HardyBound(tail.tail_exponent, tail.divergent, converged, value=total)
 
 
 @dataclass

@@ -18,13 +18,13 @@ from .analytic import DomainError, catalog
 from .csvio import join_row
 from .harmonic import HarmonicMap, K_of_k, build_corpus, corpus_manifest, k_of_K
 from .means import (
-    HardyBound,
+    HardyTail,
     MeansCurve,
     _corollary_bounds,
     _dyadic_means_curves,
     _integral_means_grid,
     dyadic_means_curve,
-    hardy_norm_bound,
+    hardy_tail,
     loglog_slope,
 )
 from .probes import qc_certify
@@ -343,7 +343,7 @@ class MembershipVerdict:
     beta: float  # fitted exponent of M_p over converged dyadic radii
     beta_pp: float  # same fit for M_p^p, i.e. p * beta
     cauchy: bool
-    certificate: Optional[HardyBound]
+    certificate: Optional[HardyTail]
     thresholds: dict
     curve: MeansCurve
 
@@ -355,8 +355,8 @@ def hardy_membership_verdict(
 
     Order of evidence: a flat fitted exponent together with a Cauchy-like
     increment tail certifies membership outright; otherwise, for p < 1, the
-    weighted h'-integral certificate decides (its integrand tail must beat
-    exponent -1 with margin); only then does a steep exponent mean divergent.
+    ``hardy_tail`` fit of the weighted h'-integrand at six radii decides (it
+    must beat exponent -1 with margin); only then does a steep exponent mean divergent.
     The fit uses converged radii only: M_p comes from the adaptive angular
     rule, which converges at all 13 default radii for every corpus map, and
     a radius where it fails its check is dropped, so verdicts rest on
@@ -387,7 +387,7 @@ def hardy_membership_verdict(
     if abs(beta) < MEMBER_BETA and cauchy:
         verdict = "member"
     elif p < 1.0:
-        certificate = hardy_norm_bound(f, p)
+        certificate = hardy_tail(f, p)
         if not certificate.divergent and certificate.tail_exponent > CERT_TAIL:
             verdict = "member"
     if verdict is None:

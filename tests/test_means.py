@@ -26,12 +26,13 @@ from hqmaps.means import (
     dyadic_means_curve,
     envelope_ratio,
     hardy_norm_bound,
+    hardy_tail,
     integral_means,
     lemmaF_integral,
     lemmaF_ratio,
     sup_mean,
 )
-from hqmaps.verify import suite_membership
+from hqmaps.verify import hardy_membership_verdict, suite_membership
 
 
 def coefficient_M2(F, r, n=2048):
@@ -442,12 +443,47 @@ def test_hardy_norm_bound_evaluates_h_prime_once_per_radius_line_level(f, p, mon
     assert len(batches) <= 4, batches
 
 
+@pytest.mark.parametrize(
+    "f, p",
+    [
+        (analytic_map("koebe"), 0.45),
+        (analytic_map("half-plane"), 0.9),
+        # the growth fit alone makes this one a member: no certificate
+        (corpus_shear("strip", 0.5, 2), 0.45),
+        (harmonic_koebe(), 0.4),
+    ],
+    ids=lambda v: getattr(v, "uid", None),
+)
+def test_verdict_takes_only_the_tail_of_hardy_norm_bound(f, p, monkeypatch):
+    batches = []
+    graded_mean_pows = means._graded_mean_pows
+
+    def batch(F, ps, rs, rel_tol):
+        batches.append((F.uid, len(rs)))
+        return graded_mean_pows(F, ps, rs, rel_tol)
+
+    monkeypatch.setattr(means, "_graded_mean_pows", batch)
+    v = hardy_membership_verdict(f, p)
+    certified = v.certificate is not None
+    assert certified == (f.uid != "shear[phi=strip,omega=0.5z^2]")
+    # the means curve at 13 radii, then h' at the six gap radii in one batch
+    assert batches == [(f.uid, 13)] + [(f.h_prime.uid, 6)] * certified
+    tail = v.certificate if certified else hardy_tail(f, p)
+    assert not hasattr(tail, "value")
+    b = hardy_norm_bound(f, p)
+    assert dataclasses.astuple(tail) == (b.tail_exponent, b.divergent, b.all_converged)
+
+
 def test_hardy_norm_bound_validation():
     idm = analytic_map("identity")
-    with pytest.raises(DomainError):
-        hardy_norm_bound(idm, 1.0)
-    with pytest.raises(DomainError):
-        hardy_norm_bound(idm, 0.0)
+    shifted = dataclasses.replace(idm, h=ClosedForm("one-plus-z", lambda z: 1.0 + z))
+    for bound in (hardy_norm_bound, hardy_tail):
+        with pytest.raises(DomainError):
+            bound(idm, 1.0)
+        with pytest.raises(DomainError):
+            bound(idm, 0.0)
+        with pytest.raises(DomainError, match="normalization"):
+            bound(shifted, 0.5)
 
 
 def test_dyadic_curve_shape():

@@ -75,6 +75,23 @@ def test_parseval_for_the_extremals_at_random_k(name, k, r):
     assert abs(got - want) <= 1e-12 * want + np.finfo(float).tiny, (name, k, r)
 
 
+@pytest.mark.parametrize("k", [1e-160, 1e-165, 1e-300])
+def test_integral_means_keep_their_precision_where_the_squares_underflow(k):
+    # G_k = k z H_k, and H_k's coefficients are c_m = 2m + 1 + k c_{m-1}, so
+    # M_2(r, G_k) is k times a Taylor sum of order 1, while M_2^2 is subnormal
+    r, c = 0.3, [1.0]
+    for m in range(1, 200):
+        c.append(2 * m + 1 + k * c[-1])
+    want = k * math.sqrt(math.fsum(x * x * r ** (2 * m + 2) for m, x in enumerate(c)))
+    assert abs(integral_means(catalog("G", k), 2.0, r) / want - 1.0) <= 1e-12
+
+
+def test_integral_means_keep_their_precision_where_the_squares_overflow():
+    huge = ClosedForm("huge", lambda z: 1e200 * (1.0 + z))
+    want = 1e200 * math.sqrt(1.0 + 0.5**2)
+    assert abs(integral_means(huge, 2.0, 0.5) / want - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("extremal", ["H", "scrH"])
 def test_cumulative_bound_at_p2_matches_parseval(extremal):
     # (1 + k) int_0^r M_2(s, E_k) ds with M_2 from Parseval's sum, by mpmath.quad
