@@ -12,8 +12,8 @@ representations cover the whole library:
     antiderivative of a closed-form integrand: pointwise values from an exact
     antiderivative when one is supplied (shears have one by partial
     fractions) and otherwise by composite Gauss-Legendre panels along [0, z]
-    graded toward the endpoint, whole circles by a spectral FFT pass, Taylor
-    coefficients by integrating the integrand's term by term.
+    graded toward the endpoint, whole circles by a spectral FFT pass (exact
+    shears skip it), Taylor coefficients by integrating term by term.
 
 ``graded_breaks``, ``gauss_panels`` and ``graded_integral`` are the one graded
 Gauss-Legendre quadrature: radial integrals here, radius-line integrals and
@@ -277,6 +277,8 @@ class RadialIntegral(AnalyticFunction):
     at 0), else from graded Gauss-Legendre quadrature; whole circles come
     from an oversampled spectral pass, whose samples are point values too,
     and Taylor coefficients from the integrand's, integrated term by term.
+    The pass serves radial integrals sampled alone and shears with no exact
+    antiderivative; exact shears sample circles by their point formula.
     """
 
     kind = "radial-path-integral"

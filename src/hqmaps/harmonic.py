@@ -5,7 +5,8 @@ together with declared class tags and, when quasiconformal, the dilatation
 bound. Shears are built from a conformal slice phi and a dilatation omega as
 two radial integrals of closed-form derivatives, h' = phi'/(1 - omega) and
 g' = omega h', so that h - g = phi; for the named slices and omega = kappa z^m
-h is also exact by partial fractions.
+h is also exact by partial fractions, and such a shear samples whole circles
+by that point formula rather than by its components' spectral passes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .analytic import (
     geometric_coefficients,
     series_mul,
     series_reciprocal,
+    unit_circle,
 )
 
 CLASS_TAGS = ("convex", "close-to-convex", "starlike", "convex-in-one-direction", "analytic")
@@ -60,7 +62,10 @@ class HarmonicMap:
         return "analytic" in self.class_tags
 
     def circle_values(self, r: float, n: int) -> np.ndarray:
-        """f on the uniform n-point circle grid, from its components' samples."""
+        """f on the uniform n-point circle grid: an exact shear by its point
+        formula, h taken once; any other map from its components' samples."""
+        if self.slice_phi is not None:
+            return self(r * unit_circle(n))
         return circle_values(self.h, r, n) + np.conj(circle_values(self.g, r, n))
 
     def __repr__(self):
@@ -118,8 +123,9 @@ def _exact_shear_h(phi_prime_terms, kappa: float, m: int):
     w u(b) (1 - z/b)^-2 - w b u'(b) (1 - z/b)^-1 at each double pole b of
     phi', and (phi'(a)/m) (1 - z/a)^-1 at each of the m roots a of
     1 - kappa z^m. Integrated from 0, (1 - z/c)^-2 gives z/(1 - z/c) and
-    (1 - z/c)^-1 gives -c log(1 - z/c); every pole c lies on or outside the
-    unit circle, so the principal logarithm is the right branch in the disk.
+    (1 - z/c)^-1 gives -c log(1 - z/c). Every pole c lies on or outside the
+    unit circle and |z| <= RADIUS_CAP, so w = 1 - z/c has Re w > 0: the right
+    branch is the principal one, taken in real arithmetic, log|w| + i arg w.
     """
     const, doubles = phi_prime_terms
     u = [1.0 / (1.0 - kappa * b**m) for _, b in doubles]
@@ -135,7 +141,8 @@ def _exact_shear_h(phi_prime_terms, kappa: float, m: int):
         for c, b in rational:
             out += c * z / (1.0 - z / b)
         for c, b in logs:
-            out += c * np.log(1.0 - z / b)
+            w = 1.0 - z / b
+            out += c * (np.log(np.abs(w)) + 1j * np.angle(w))
         return out
 
     return h
@@ -153,9 +160,9 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     h and g are radial integrals of h' and g'. When phi is a named slice of
     the catalog and omega is a monomial with kappa > 0, h is also known
     exactly by partial fractions and g = h - phi, so both evaluate at any
-    point without quadrature; whole circles and Taylor coefficients come
-    from the integrands either way. Any other omega keeps the radial
-    quadrature for pointwise values.
+    point without quadrature, whole circles included; Taylor coefficients
+    come from the integrands either way. Any other omega keeps the radial
+    quadrature for pointwise values and the spectral pass for circles.
     """
     z0 = np.asarray(0.0, dtype=complex)
     if abs(phi(z0)) > 1e-12 or abs(phi.derivative(z0) - 1.0) > 1e-12:

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqmaps import harmonic
-from hqmaps.analytic import ClosedForm, DomainError, catalog, series_integrate
+from hqmaps.analytic import (
+    ClosedForm,
+    DomainError,
+    RadialIntegral,
+    catalog,
+    series_integrate,
+    unit_circle,
+)
 from hqmaps.harmonic import (
     K_of_k,
     analytic_dilatation,
@@ -87,9 +94,33 @@ def test_exact_shear_evaluates_h_once_per_call(monkeypatch, corpus):
     monkeypatch.setattr(harmonic, "_exact_shear_h", counted_exact_h)
     f = corpus_shear("strip", 0.5, 2)
     f(GRID)
-    assert calls == [GRID.size]
+    f.circle_values(0.99, 2**10)
+    assert calls == [GRID.size, 2**10]
     # a copy with another h must not reuse g = h - phi
     assert dataclasses.replace(f, h=catalog("koebe")).slice_phi is None
+
+
+def test_exact_shear_samples_a_circle_by_its_point_formula(monkeypatch, corpus):
+    spectral = []
+
+    def counted_spectral(self, r, n):
+        spectral.append(self.uid)
+        return spectral_pass(self, r, n)
+
+    spectral_pass = RadialIntegral.circle_values
+    monkeypatch.setattr(RadialIntegral, "circle_values", counted_spectral)
+    exact = [f for f in corpus if f.slice_phi is not None]
+    assert len(exact) == 18
+    for f in exact:
+        for r in (0.5, 0.99):
+            assert np.array_equal(f.circle_values(r, 2**10), f(r * unit_circle(2**10))), f.uid
+    assert spectral == []
+    # an omega not declared a monomial leaves h inexact: its components
+    # keep their whole-circle spectral passes
+    omega = ClosedForm("0.5z", lambda z: 0.5 * z, dfn=lambda z: 0.5 + 0.0 * z)
+    f = make_shear(catalog("half-plane"), omega)
+    f.circle_values(0.9, 2**9)
+    assert spectral == [f.h.uid, f.g.uid]
 
 
 def test_shear_normalization_rejected():

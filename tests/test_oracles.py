@@ -18,7 +18,8 @@ root finder, checks the adaptive rule at deep radii.
 Shear components: the partial-fraction antiderivatives of h' and g' must
 match the graded radial quadrature of the same integrands on the whole
 corpus, and mpmath's quadrature of the rational h' and g' at the singular
-directions.
+directions; h must match mpmath's quadrature of h' for every named slice, in
+12 directions at radii up to the cap.
 """
 
 import math
@@ -246,6 +247,26 @@ _SLICE_DERIVATIVES = {
     "halfplane": lambda t: 1 / (1 - t) ** 2,
     "strip": lambda t: (1 + t**2) / (1 - t**2) ** 2,
 }
+
+
+@pytest.mark.parametrize(
+    "phi, power, kappa",
+    [(phi, power, kappa) for phi in _SLICE_DERIVATIVES for power in (1, 2) for kappa in (0.25, 0.8)],
+)
+def test_exact_shear_h_matches_mpmath_up_to_the_cap(phi, power, kappa):
+    # 12 directions, the singular ones among them, at four radii up to the cap
+    directions = np.exp(2j * np.pi * np.arange(12) / 12)
+    z = np.multiply.outer([0.1, 0.5, 0.99, RADIUS_CAP], directions).ravel()
+    dphi = _SLICE_DERIVATIVES[phi]
+    for point, got in zip(z, corpus_shear(phi, kappa, power).h(z)):
+        w = mpmath.mpc(point.real, point.imag)
+        # breakpoints 1 - 2^-j of the way to z, down to the distance of z from the circle
+        depth = round(-math.log2(1.0 - abs(point)))
+        path = [0] + [w * (1 - mpmath.mpf(2) ** -j) for j in range(1, depth + 1, 3)] + [w]
+        with mpmath.workdps(20):
+            hp = lambda t: dphi(t) / (1 - kappa * t**power)
+            want = complex(mpmath.quad(hp, path, method="gauss-legendre"))
+        assert abs(got - want) <= 5e-13 * abs(want), (point, got, want)
 
 
 # the directions of the poles of phi' and of the roots of 1 - kappa z^m,

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqmaps.analytic import ClosedForm, DomainError, catalog
+from hqmaps.analytic import ClosedForm, DomainError, catalog, radial_path_integral, unit_circle
+from hqmaps.harmonic import corpus_shear
 from hqmaps.star import (
     MIN_CIRCLE_SAMPLES,
     SampledCircle,
@@ -206,6 +207,17 @@ def test_sample_log_modulus_nudges_off_zero():
     assert sc.radius != 0.5
     assert abs(sc.radius - 0.5) < 1e-5
     assert np.all(np.isfinite(sc.values))
+
+
+def test_sample_log_modulus_of_a_shear_keeps_its_digits_at_the_modulus_minimum():
+    # |f| is least near theta = 3.04, where a spectral pass, accurate to
+    # 1e-12 of the largest |f| on the circle, was 3.6e-8 off in log|f|
+    f = corpus_shear("halfplane", 0.5, 1)
+    n = 2**12
+    sc = sample_log_modulus(f, 0.9999, n)
+    z = sc.radius * np.roll(unit_circle(n), n // 2)
+    want = radial_path_integral(f.h_prime, z) + np.conj(radial_path_integral(f.g_prime, z))
+    assert np.max(np.abs(sc.values - np.log(np.abs(want)))) <= 1e-12
 
 
 def test_sample_log_modulus_gives_up_on_zero_function():
