@@ -97,9 +97,10 @@ def _mean_pow_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9, n_max: int = N_M
         level = _next_level(F, rs[live], level[keep])
         for j in range(len(ps)):
             for i, cur in zip(live, pow_means(j, live)):
-                if not out[i][j][2]:
-                    prev = out[i][j][0]
-                    out[i][j] = (cur, n, abs(cur - prev) <= rel_tol * abs(cur), (prev, cur))
+                if not out[i][j][2]:  # M_p below the least normal double is exact only to it
+                    prev, p = out[i][j][0], ps[j]
+                    floor = abs(p) * 2.0**-1022 / (abs(cur) ** (1 / p) * s[j, i]) if cur else 0.0
+                    out[i][j] = (cur, n, abs(cur - prev) <= max(rel_tol, floor) * abs(cur), (prev, cur))
     if scales is not None:
         scales.extend(s.T.tolist())
     elif not plain:  # the raw means, s^p times the scaled ones

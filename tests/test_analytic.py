@@ -113,8 +113,9 @@ def test_radius_cap_enforced():
 
 def test_circle_values_matches_direct_evaluation():
     targets = [catalog(name, k) for name, k in (("H", 0.5), ("scrH", 0.25), ("G", 2 / 3))]
-    # shear components are radial integrals sampled by the spectral pass
-    targets += [corpus_shear("halfplane", 0.5, 1), corpus_shear("strip", 0.8, 2)]
+    # shear components are radial integrals, sampled alone by the spectral pass
+    for f in (corpus_shear("halfplane", 0.5, 1), corpus_shear("strip", 0.8, 2)):
+        targets += [f.h, f.g]
     n = 4096
     theta = 2 * np.pi * np.arange(n) / n
     for F in targets:
@@ -127,11 +128,11 @@ def test_circle_values_matches_direct_evaluation():
 
 def test_circle_values_match_pointwise_evaluation_near_boundary():
     # at n = 2^12 and r = 0.9999 a plain whole-circle pass aliases by percents
-    f = corpus_shear("halfplane", 0.5, 1)
+    g = corpus_shear("halfplane", 0.5, 1).g
     n, r = 2**12, 0.9999
     idx = np.arange(0, n, 64)
-    direct = f(r * np.exp(2j * np.pi * idx / n))
-    points = circle_values(f, r, n)[idx]
+    direct = g(r * np.exp(2j * np.pi * idx / n))
+    points = circle_values(g, r, n)[idx]
     assert np.max(np.abs(points - direct)) < 1e-10 * np.max(np.abs(direct))
 
 

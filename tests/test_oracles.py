@@ -17,16 +17,16 @@ root finder, checks the adaptive rule at deep radii.
 
 Shear components: the partial-fraction antiderivatives of h' and g' must
 match the graded radial quadrature of the same integrands on the whole
-corpus, and mpmath's quadrature of the rational h' and g' at the singular
-directions; h must match mpmath's quadrature of h' for every named slice, in
-12 directions at radii up to the cap.
+corpus, and mpmath's quadrature of the rational h' (with g = h - phi) for
+every named slice, in 12 directions that hold the singular ones, at radii from
+1e-3 up to the cap.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqmaps.analytic import RADIUS_CAP, ClosedForm, catalog, radial_path_integral
@@ -66,6 +66,9 @@ def test_parseval_for_every_corpus_member(corpus):
     k=st.floats(0.0, 0.95, exclude_max=True),
     r=st.floats(0.3, 0.95),
 )
+# a subnormal k makes every value of G_k subnormal, so its means are exact
+# only to the least normal double
+@example(name="G", k=5e-324, r=0.75)
 def test_parseval_for_the_extremals_at_random_k(name, k, r):
     n = np.arange(1024)
     E = catalog(name, k)
@@ -241,58 +244,40 @@ def test_exact_shear_components_match_radial_quadrature():
             assert np.all(err <= 1e-11), (part.uid, err)
 
 
-# phi' of the slices, in mpmath arithmetic
-_SLICE_DERIVATIVES = {
-    "identity": lambda t: mpmath.mpf(1),
-    "halfplane": lambda t: 1 / (1 - t) ** 2,
-    "strip": lambda t: (1 + t**2) / (1 - t**2) ** 2,
+# phi and phi' of the slices, in mpmath arithmetic
+_SLICES = {
+    "identity": (lambda t: t, lambda t: mpmath.mpf(1)),
+    "halfplane": (lambda t: t / (1 - t), lambda t: 1 / (1 - t) ** 2),
+    "strip": (lambda t: t / (1 - t**2), lambda t: (1 + t**2) / (1 - t**2) ** 2),
 }
 
 
+# every named slice with m in {1, 2} and kappa in {0.25, 0.8}, and one
+# kappa = 0.5; the 12 directions hold every direction where h' and g' blow
+# up or vanish: the poles of phi' and the roots of 1 - kappa z^m
 @pytest.mark.parametrize(
-    "phi, power, kappa",
-    [(phi, power, kappa) for phi in _SLICE_DERIVATIVES for power in (1, 2) for kappa in (0.25, 0.8)],
+    "phi, kappa, power",
+    [(phi, kappa, power) for phi in _SLICES for power in (1, 2) for kappa in (0.25, 0.8)]
+    + [("identity", 0.5, 2)],
+    ids=lambda v: f"{v:g}" if isinstance(v, float) else str(v),
 )
-def test_exact_shear_h_matches_mpmath_up_to_the_cap(phi, power, kappa):
-    # 12 directions, the singular ones among them, at four radii up to the cap
-    directions = np.exp(2j * np.pi * np.arange(12) / 12)
-    z = np.multiply.outer([0.1, 0.5, 0.99, RADIUS_CAP], directions).ravel()
-    dphi = _SLICE_DERIVATIVES[phi]
-    for point, got in zip(z, corpus_shear(phi, kappa, power).h(z)):
+def test_exact_shear_components_match_mpmath_at_singular_directions(phi, kappa, power):
+    f = corpus_shear(phi, kappa, power)
+    phi_mp, dphi = _SLICES[phi]
+    radii = [1e-3, 1e-2, 0.1, 0.5, 0.99, 1.0 - 2.0**-13, RADIUS_CAP]
+    z = np.multiply.outer(radii, np.exp(2j * np.pi * np.arange(12) / 12)).ravel()
+    for point, h, g in zip(z, f.h(z), f.g(z)):
         w = mpmath.mpc(point.real, point.imag)
         # breakpoints 1 - 2^-j of the way to z, down to the distance of z from the circle
         depth = round(-math.log2(1.0 - abs(point)))
         path = [0] + [w * (1 - mpmath.mpf(2) ** -j) for j in range(1, depth + 1, 3)] + [w]
         with mpmath.workdps(20):
-            hp = lambda t: dphi(t) / (1 - kappa * t**power)
-            want = complex(mpmath.quad(hp, path, method="gauss-legendre"))
-        assert abs(got - want) <= 5e-13 * abs(want), (point, got, want)
-
-
-# the directions of the poles of phi' and of the roots of 1 - kappa z^m,
-# where h' and g' blow up or vanish
-@pytest.mark.parametrize(
-    "phi, kappa, power, angles",
-    [
-        ("identity", 0.5, 2, (0.0, math.pi)),
-        ("halfplane", 0.8, 1, (0.0,)),
-        ("strip", 0.8, 2, (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)),
-    ],
-    ids=["identity-0.5-2", "halfplane-0.8-1", "strip-0.8-2"],
-)
-def test_exact_shear_components_match_mpmath_at_singular_directions(phi, kappa, power, angles):
-    f = corpus_shear(phi, kappa, power)
-    dphi = _SLICE_DERIVATIVES[phi]
-    for angle in angles:
-        r = 1.0 - 2.0**-13
-        z = mpmath.mpc(r * math.cos(angle), r * math.sin(angle))
-        # breakpoints 1 - 8^-j of the way to z, next to the nearest singularity
-        path = [0] + [z * (1 - mpmath.mpf(2) ** -j) for j in range(1, 14, 3)] + [z]
-        for part, weight in ((f.h, lambda t: 1), (f.g, lambda t: kappa * t**power)):
-            with mpmath.workdps(20):
-                want = complex(
-                    mpmath.quad(lambda t: weight(t) * dphi(t) / (1 - kappa * t**power), path)
-                )
-            got = complex(part(np.array([complex(z)]))[0])
-            # h'(0) = 1 sets the scale where g = h - phi is small
-            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (part.uid, angle)
+            want_h = mpmath.quad(lambda t: dphi(t) / (1 - kappa * t**power), path,
+                                 method="gauss-legendre")
+            want_g = complex(want_h - phi_mp(w))
+        want_h = complex(want_h)
+        # near 0 the partial fractions of h cancel to about 1e-11
+        h_tol = 5e-13 if abs(point) >= 0.1 else 2e-11
+        assert abs(h - want_h) <= h_tol * abs(want_h), (point, h, want_h)
+        # g = h - phi is small near 0, where h'(0) = 1 sets the scale
+        assert abs(g - want_g) <= 1e-12 * max(abs(want_g), 1.0), (point, g, want_g)

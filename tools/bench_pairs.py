@@ -1,53 +1,55 @@
 """Alternating parent/change pairs of perfbench runs, summarised as BENCH_<topic>.json.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload queries \
-        --pairs 10 --seed 1 --seconds 30 --out BENCH_topic.json \
-        [--topic TEXT] [--parent-label TEXT] [--change-label TEXT]
+    python3 tools/bench_pairs.py --parent REV --change REV --workload queries \
+        --pairs 10 --out BENCH_topic.json
 
-DIR is a checkout of each side: a tree with ``perfbench/run.py`` and ``src/``
-(``git archive`` of a commit, or a copy of a working tree). Each pair runs
-``python3 perfbench/run.py --workload W --seed N --seconds S`` once in each
-tree; the parent goes first in even pairs and the change in odd ones, so a
-drift of the machine's speed does not favour one side. The JSON object on
-the last line of each run's standard output is kept.
+REV is a git revision of this repository. Each side is a ``git archive`` of
+its commit, unpacked into a temporary directory, so only committed files
+are measured. Each pair runs
+``python3 perfbench/run.py --workload W --seed 1 --seconds 30`` once in each
+tree, the command every speed claim of ROADMAP.md quotes; the parent goes
+first in even pairs and the change in odd ones, so a drift of the machine's
+speed does not favour one side. The JSON object on the last line of each
+run's standard output is kept.
 
-The output holds, under ``<workload>_pairs``, the command, every run, and per
-end-to-end metric the median and quartiles of each side, the median's
-relative change and the number of pairs in which the change read lower
-(every end-to-end metric of the benchmark is lower-is-better). An existing
-output file is updated, so one file can gather several workloads.
+The output records both commits and, under ``<workload>_pairs``, the
+command, every run, and per end-to-end metric the median and quartiles of
+each side, the median's relative change and the number of pairs in which
+the change read lower (every end-to-end metric of the benchmark is
+lower-is-better). An existing output file is updated, so one file can
+gather several workloads of the same two commits.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+REPO = Path(__file__).resolve().parent.parent
+COMMAND = ["perfbench/run.py", "--seed", "1", "--seconds", "30"]
 
 
-def git_revision(tree: Path) -> str:
-    """The commit a tree is checked out at, or its name when it is no git checkout."""
-    out = subprocess.run(
-        ["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True
-    )
-    return out.stdout.strip() if out.returncode == 0 else tree.name
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(REPO), *args], capture_output=True, check=True).stdout
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str) -> dict:
     """One perfbench run in ``tree``: its last output line, each metric as its
     bare value (BENCHMARK.json gives the units), plus the elapsed time."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", f"{seconds:g}"]
     start = time.perf_counter()
-    out = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, *COMMAND, "--workload", workload],
+                         cwd=tree, capture_output=True, text=True, check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     result["elapsed_s"] = time.perf_counter() - start
@@ -75,44 +77,42 @@ def summarise(runs: list) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--parent", required=True, help="git revision")
+    parser.add_argument("--change", required=True, help="git revision")
     parser.add_argument("--workload", required=True, choices=("verify-all", "sweep", "queries"))
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--topic", default=None)
-    parser.add_argument("--parent-label", default=None, help="default: the tree's git commit")
-    parser.add_argument("--change-label", default=None, help="default: the tree's git commit")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least two pairs")
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for side, tree in trees.items():
-        if not (tree / "perfbench" / "run.py").is_file():
-            parser.error(f"--{side} {tree} has no perfbench/run.py")
+    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+               for side, rev in (("parent", args.parent), ("change", args.change))}
+    bench = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    if any(bench.get(side, commits[side]) != commits[side] for side in SIDES):
+        parser.error(f"{args.out} holds runs of other commits")
 
     runs = []
-    for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for side in order:
-            result = run_once(trees[side], args.workload, args.seed, args.seconds)
-            runs.append({"workload": args.workload, "pair": pair, "side": side, "first": order[0], **result})
-            print(f"# pair {pair} {side}: " + json.dumps(result["metrics"]), file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        trees = {side: Path(scratch, side) for side in SIDES}
+        for side, tree in trees.items():
+            tarfile.open(fileobj=io.BytesIO(git("archive", commits[side]))).extractall(tree)
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                result = run_once(trees[side], args.workload)
+                runs.append({"workload": args.workload, "pair": pair, "side": side,
+                             "first": order[0], **result})
+                print(f"# pair {pair} {side}: " + json.dumps(result["metrics"]),
+                      file=sys.stderr, flush=True)
 
-    bench = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    if args.topic is not None:
-        bench["topic"] = args.topic
+    bench["topic"] = args.out.stem.removeprefix("BENCH_")
     bench["machine"] = (
         f"{platform.machine()}, {len(os.sched_getaffinity(0))} CPUs available, "
         f"Python {platform.python_version()}; parent and change run alternately"
     )
-    bench["parent"] = args.parent_label or git_revision(trees["parent"])
-    bench["change"] = args.change_label or git_revision(trees["change"])
+    bench.update(commits)
     bench[f"{args.workload}_pairs"] = {
-        "command": f"python3 perfbench/run.py --workload {args.workload} "
-                   f"--seed {args.seed} --seconds {args.seconds:g}",
+        "command": " ".join(["python3", *COMMAND, "--workload", args.workload]),
         "summary": summarise(runs),
         "correct": all(r["correct"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
