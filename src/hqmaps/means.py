@@ -133,8 +133,8 @@ def integral_means(
 ) -> float:
     """M_p(r, F) by periodic trapezoid sums with grid doubling.
 
-    Doubles from n = 2**9 until the successive relative change drops below
-    rel_tol; hitting n_max raises, with the last two iterates attached.
+    Doubles from n = 2**9 until successive levels agree to rel_tol, or to the
+    least normal double in M_p; hitting n_max raises with the last two iterates.
     """
     return _integral_means_grid(F, (p,), (r,), rel_tol, n_max)[0][0]
 
