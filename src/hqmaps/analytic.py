@@ -331,13 +331,13 @@ class RadialIntegral(AnalyticFunction):
         return series_integrate(self.integrand.taylor(n), n)
 
 
-def unit_circle(n: int, start: int = 0, step: int = 1) -> np.ndarray:
-    """exp(2 pi i j / n) for j = start, start + step, ... below n: a view of a
-    constant table when n divides 2^16, bitwise what the expression gives,
-    since 2 pi / n and 2 pi / 2^16 differ by an exact power of two."""
+def unit_circle(n: int) -> np.ndarray:
+    """exp(2 pi i j / n) for j = 0 .. n - 1: a view of a constant table when
+    n divides 2^16, bitwise what the expression gives, since 2 pi / n and
+    2 pi / 2^16 differ by an exact power of two."""
     if 2**16 % n == 0:
-        return _UNIT_CIRCLE[start * (2**16 // n) :: step * (2**16 // n)]
-    return np.exp(1j * ((2.0 * np.pi / n) * np.arange(start, n, step)))
+        return _UNIT_CIRCLE[:: 2**16 // n]
+    return np.exp(1j * ((2.0 * np.pi / n) * np.arange(n)))
 
 
 def circle_values(F, r, n: int) -> np.ndarray:

@@ -284,7 +284,7 @@ def cmd_means(ns: argparse.Namespace) -> int:
     lines = [MeansCurve.csv_header()]
     curves_doc = []
     series = []
-    by_r = _integral_means_grid(target, p_list, r_list)  # one batch of chains
+    by_r = _integral_means_grid(target, p_list, r_list)  # one batch of the angular rule
     for p, values in zip(p_list, map(list, zip(*by_r))):
         curve = MeansCurve(
             p=p, radii=np.array(r_list), values=np.array(values), target=uid

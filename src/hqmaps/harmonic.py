@@ -137,12 +137,17 @@ def _exact_shear_h(phi_prime_terms, kappa: float, m: int):
         logs.append((-a * phi_prime_a / m, a))
 
     def h(z):
-        out = np.zeros_like(z)
+        # in place, in two scratch arrays, each term bitwise its plain
+        # expression: c z / (1 - z/b) and c (log|w| + i angle(w))
+        out, w, t = np.zeros_like(z), np.empty_like(z), np.empty_like(z)
         for c, b in rational:
-            out += c * z / (1.0 - z / b)
+            np.subtract(1.0, np.divide(z, b, out=w), out=w)
+            out += np.divide(np.multiply(c, z, out=t), w, out=t)
         for c, b in logs:
-            w = 1.0 - z / b
-            out += c * (np.log(np.abs(w)) + 1j * np.angle(w))
+            np.subtract(1.0, np.divide(z, b, out=w), out=w)
+            np.log(np.abs(w, out=t.real), out=t.real)
+            np.arctan2(w.imag, w.real, out=t.imag)
+            out += np.multiply(c, t, out=t)
         return out
 
     return h

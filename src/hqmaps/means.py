@@ -1,23 +1,18 @@
 """Integral means, sup-means, and the integral bounds built from them.
 
 The p-mean M_p(r, F) = ((1/2pi) int |F(r e^{i theta})|^p dtheta)^{1/p} is
-computed by the periodic trapezoid rule with grid doubling; the integrand is
-smooth and periodic for r < 1, so convergence is geometric with a rate set by
-the distance from the nearest singularity to the sampled circle. Circle
-samples are point values for every target, so the grid levels of a doubling
-chain nest: each level keeps the one below and evaluates only the new
-midpoints. Nothing is kept between calls; a caller asks for its whole p grid
-and all its radii at once, and the chains of all the radii advance together,
-each serving every p, the target evaluated once per level.
-
-That distance is about 1 - r, so near the boundary the trapezoid needs about
-1/(1 - r) samples. The Hardy-norm certificate, the boundary-kernel integral
-and the dyadic means curves behind the membership verdicts therefore use one
-globally adaptive Gauss-Legendre rule in theta, which finds the directions
-where |F|^p is hard by itself: panels split where halving them changes
-their value, until the summed change is within the tolerance. The radii of
-one call and a whole p grid share each of its steps, one evaluation of the
-target.
+taken by one globally adaptive Gauss-Legendre rule in theta, for every
+caller: the means and their suites, the cumulative bounds, the Hardy-norm
+certificate, the boundary-kernel integral and the dyadic means curves. The
+integrand is smooth and periodic for r < 1, but near the boundary it is
+hard only in a few directions, about 1 - r wide, that no target declares:
+the rule finds them by itself, since panels split where halving them
+changes their value, until the summed change is within the tolerance. A
+radius takes a few thousand nodes where a uniform grid would need about
+1/(1 - r). Nothing is kept between calls; a caller asks for its whole p
+grid and all its radii at once, and each step of the rule takes the target
+once on the active panels of every radius, each p only raising |F| to its
+power.
 """
 
 from __future__ import annotations
@@ -38,122 +33,63 @@ from .analytic import (
     circle_values,
     gauss_panels,
     graded_integral,
-    unit_circle,
 )
 from .csvio import join_row
 from .harmonic import HarmonicMap
 
 Evaluable = Union[AnalyticFunction, HarmonicMap]
 
-N_START = 2**9
 N_MAX = 2**20
 HARDY_CUTOFF_EXP = 16  # improper r-integrals stop at 1 - 2**-16
 
 
-def circle_modulus(F: Evaluable, r: float, n: int, half: Optional[np.ndarray] = None) -> np.ndarray:
-    """|F| sampled on the uniform n-point circle grid at radius r.
+def circle_modulus(F: Evaluable, r: float, n: int) -> np.ndarray:
+    """|F| sampled on the uniform n-point circle grid at radius r."""
+    return np.abs(circle_values(F, float(r), int(n)))
 
-    Grid levels nest for every target: handed ``half``, the level n/2 that a
-    doubling chain holds, level n keeps it and evaluates F only at the n/2
-    midpoints; without it the level comes from ``circle_values``. A chain
-    thus takes one whole-circle pass, at its first level.
+
+def _mean_pow(F: Evaluable, p: float, r: float, rel_tol: float = 1e-9):
+    """Raw power mean (1/2pi) int |F|^p dtheta at one radius by the adaptive
+    rule of ``_graded_mean_pows``, at rel_tol itself; p may be negative.
+
+    Returns (value, nodes, converged, last_two); last_two are the totals of
+    the rule's last two steps.
     """
-    return np.abs(circle_values(F, float(r), int(n))) if half is None else _next_level(F, r, half)
+    return _graded_mean_pows(F, (p,), (r,), rel_tol)[0][0]
 
 
-def _next_level(F: Evaluable, r, half: np.ndarray) -> np.ndarray:
-    """The level of twice the points of ``half`` at radius r, or at each of an
-    array of radii, a row of ``half`` each: F runs once, on the midpoints."""
-    n = 2 * half.shape[-1]
-    midpoints = np.abs(F(np.multiply.outer(r, unit_circle(n, 1, 2))))
-    return np.stack((half, midpoints), axis=-1).reshape(half.shape[:-1] + (n,))
+def integral_means(F: Evaluable, p: float, r: float, rel_tol: float = 1e-9) -> float:
+    """M_p(r, F) by the adaptive angular rule, to rel_tol or better.
 
-
-def _mean_pow_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9, n_max: int = N_MAX, scales=None) -> list:
-    """``_mean_pow`` for every p in ps at every r in rs: per radius, a list of
-    results by p. The doubling chains of all radii advance together, F
-    running once per level on the radii not yet converged for every p, until
-    none is left or n reaches n_max. Each p keeps the first level that agrees
-    with the level below: bitwise what its own chain at its own radius gives.
-    Where a radius's largest first-level |F|^p is out of 2^-960 .. 2^960, that
-    p averages |F/s|^p, s a power of two near that |F|; handed a list
-    ``scales``, the call appends a row of s by p per radius, else it returns raw means.
+    Raises NonConvergenceError with the last two iterates of M_p where the
+    rule stops unconverged at its node cap.
     """
-    rs = np.asarray(rs, dtype=float)
-    n, level = N_START, np.abs(circle_values(F, rs, N_START))
-    e = np.round(np.log2(np.maximum(level.max(axis=1), 5e-324)))  # a zero row as the least double
-    s = np.where(np.abs(np.multiply.outer(ps, e)) > 960, 2.0**e, 1.0)  # by p and radius
-    plain = bool(np.all(s == 1.0))
-    def pow_means(j, rows):  # the mean of |F|^p, or of |F/s|^p, at level on rows, for the j-th p
-        return np.mean((level if plain else level / s[j, rows, None]) ** ps[j], axis=1).tolist()
-    first = zip(*(pow_means(j, slice(None)) for j in range(len(ps))))
-    out = [[(v, n, False, (v, v)) for v in row] for row in first]
-    live = list(range(rs.size))
-    while n < n_max:
-        keep = [j for j, i in enumerate(live) if not all(res[2] for res in out[i])]
-        if not keep:
-            break
-        live, n = [live[j] for j in keep], 2 * n
-        level = _next_level(F, rs[live], level[keep])
-        for j in range(len(ps)):
-            for i, cur in zip(live, pow_means(j, live)):
-                if not out[i][j][2]:  # M_p below the least normal double is exact only to it
-                    prev, p = out[i][j][0], ps[j]
-                    floor = abs(p) * 2.0**-1022 / (abs(cur) ** (1 / p) * s[j, i]) if cur else 0.0
-                    out[i][j] = (cur, n, abs(cur - prev) <= max(rel_tol, floor) * abs(cur), (prev, cur))
-    if scales is not None:
-        scales.extend(s.T.tolist())
-    elif not plain:  # the raw means, s^p times the scaled ones
-        out = [[(v * u, n, c, (a * u, b * u)) for u, (v, n, c, (a, b)) in zip(us, row)]
-               for us, row in zip((s ** np.reshape(ps, (-1, 1))).T.tolist(), out)]
-    return out
+    return _integral_means_grid(F, (p,), (r,), rel_tol)[0][0]
 
 
-def _mean_pow(
-    F: Evaluable,
-    p: float,
-    r: float,
-    rel_tol: float = 1e-9,
-    n_max: int = N_MAX,
-):
-    """Raw power mean (1/2pi) int |F|^p dtheta with doubling; p may be negative.
-
-    Returns (value, n, converged, last_two); last_two are the values at the
-    last two grid sizes, n/2 and n.
-    """
-    return _mean_pow_grid(F, (p,), (r,), rel_tol, n_max)[0][0]
-
-
-def integral_means(
-    F: Evaluable,
-    p: float,
-    r: float,
-    rel_tol: float = 1e-9,
-    n_max: int = N_MAX,
-) -> float:
-    """M_p(r, F) by periodic trapezoid sums with grid doubling.
-
-    Doubles from n = 2**9 until successive levels agree to rel_tol, or to the
-    least normal double in M_p; hitting n_max raises with the last two iterates.
-    """
-    return _integral_means_grid(F, (p,), (r,), rel_tol, n_max)[0][0]
-
-
-def _integral_means_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9, n_max=N_MAX) -> list:
+def _integral_means_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9) -> list:
     """``integral_means`` for every p in ps at every r in rs, per radius a
-    list by p, from the doubling chains of ``_mean_pow_grid``."""
+    list by p, from one batch of ``_graded_mean_pows``.
+
+    The rule runs at rel_tol / 100. Its check bounds the change that halving
+    the panels makes, and the finer total it returns is usually far closer
+    than that, but not always to the digits the callers read: the report's
+    rows are compared to 1e-12 relative and better (Parseval, 2F1), and at
+    rel_tol = 1e-9 itself M_p of strip-like at p = 0.25, r = 0.99 is 3.0e-12
+    off its hypergeometric closed form.
+    """
     for p in ps:
         if not (0 < p < math.inf):
             raise DomainError(f"p must lie in (0, inf), got {p}")
     for r in rs:
         if not (0 < r <= RADIUS_CAP):
             raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
-    out, scales = [], []  # the chains fill scales, s by p, a row per radius
-    for r, results, st in zip(rs, _mean_pow_grid(F, ps, rs, rel_tol, n_max, scales), scales):
+    out, scales = [], []  # the rule fills scales, s by p, a row per radius
+    for r, results, st in zip(rs, _graded_mean_pows(F, ps, rs, rel_tol / 100, scales), scales):
         for p, t, (value, n, converged, last_two) in zip(ps, st, results):
             if not converged:
                 raise NonConvergenceError(
-                    f"trapezoid means for {F.uid} at p={p}, r={r} hit n={n}",
+                    f"angular means for {F.uid} at p={p}, r={r} stopped at n={n} nodes",
                     last_two=tuple(v ** (1.0 / p) * t for v in last_two),
                 )
         out.append([value ** (1.0 / p) * t for p, t, (value, *_) in zip(ps, st, results)])
@@ -165,7 +101,7 @@ def sup_mean(F: Evaluable, r: float) -> float:
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
     n = 2**12
-    vals = np.abs(circle_values(F, r, n))
+    vals = circle_modulus(F, r, n)
     i = int(np.argmax(vals))
     a = (2.0 * np.pi / n) * i - 2.0 * np.pi / n
     b = (2.0 * np.pi / n) * i + 2.0 * np.pi / n
@@ -192,65 +128,112 @@ def sup_mean(F: Evaluable, r: float) -> float:
 
 # ---------------------------------------------------------------------------
 # adaptive quadrature in the angle
+#
+# A row of breaks holds a panel's ends and its midpoint.
 
 
-def _graded_mean_pows(F: Evaluable, ps, rs, rel_tol: float) -> list:
+def _halves(breaks: np.ndarray) -> np.ndarray:
+    """The rows of breaks of both halves of each panel."""
+    halves = breaks[:, (0, 1, 1, 1, 1, 2)].reshape(-1, 3)
+    halves[:, 1] = 0.5 * (halves[:, 0] + halves[:, 2])
+    return halves
+
+
+def _rule_nodes(breaks: np.ndarray) -> tuple:
+    """e^{i theta} and the weights at the nodes of the 16-node rule on both
+    halves of each panel, panel after panel."""
+    t, w = gauss_panels(breaks, 16)
+    return np.exp(1j * t), w
+
+
+# The rule starts from eight panels whose halves are the 16 start panels.
+# Every radius takes its first two steps alike, on the start panels and on
+# their halves, so the nodes of those two are taken once, here.
+_START = np.linspace(0.0, 2.0 * np.pi, 9)
+_START_BREAKS = np.stack((_START[:-1], 0.5 * (_START[:-1] + _START[1:]), _START[1:]), axis=1)
+_START_NODES = (_rule_nodes(_START_BREAKS), _rule_nodes(_halves(_START_BREAKS)))
+
+
+def _graded_mean_pows(F: Evaluable, ps, rs, rel_tol: float, scales: Optional[list] = None) -> list:
     """Raw power means (1/2pi) int |F(r e^{i theta})|^p dtheta for every p in
     ps at every r in rs, by one globally adaptive Gauss-Legendre rule.
 
-    Each radius starts from 16 uniform panels. A step takes the 16-node rule
-    on both halves of every active panel, and a panel's error is
-    |Q(left) + Q(right) - Q(panel)|, for each p. A radius converges when its
-    retired and active errors sum to at most rel_tol |total| for every p;
-    otherwise the panels whose error is at most 0.1 rel_tol |total| over the
-    number of active panels, for every p, retire, and the rest split in
-    halves. A radius with no panel left to split, or that the next step
-    would take past N_MAX nodes, stops unconverged. |F| is taken once per
-    step on the active panels of all radii, in pieces of 2^20 points, and
-    each p only raises it to its power; no radius depends on the others.
-    Returns, per radius, (value, nodes, converged, last_two) by p, like
-    ``_mean_pow``: nodes counts the points F was taken at, last_two are the
-    totals of the last two steps. p may be < 0.
+    A step takes the 16-node rule on both halves of every active panel. The
+    first takes it on the 16 start panels of each radius, which all split.
+    From then on a panel's error is |Q(left) + Q(right) - Q(panel)|, for
+    each p. A radius converges when its retired and active errors sum to at
+    most rel_tol |total| for every p; otherwise the panels whose error is at
+    most 0.1 rel_tol |total| over the number of active panels, for every p,
+    retire, and the rest split in halves. A radius with no panel left to
+    split, or that the next step would take past N_MAX nodes, stops
+    unconverged. |F| is taken once per step on the active panels of all
+    radii, in pieces of 2^20 points, and each p only raises it to its power;
+    no radius depends on the others.
+
+    Where a radius's largest |F|^p at the first step's nodes is out of
+    2^-960 .. 2^960, that p averages |F/s|^p, s a power of two near that
+    |F|, so tiny and huge targets keep their relative precision; handed a
+    list ``scales``, the call appends a row of s by p per radius and returns
+    the scaled means, else it returns raw ones. M_p is at most that largest
+    |F|, and where it comes near the least normal double it is exact only to
+    2^-1022: rel_tol is raised to |p| 2^-1022 / max |F| there.
+
+    Returns, per radius, (value, nodes, converged, last_two) by p: nodes
+    counts the points F was taken at, last_two are the totals of the last
+    two steps. p may be < 0.
     """
-    rs = np.asarray(rs, dtype=float)
+    ps, rs = np.asarray(ps, dtype=float), np.asarray(rs, dtype=float)
+    if not rs.size:
+        return []
     out = [None] * rs.size
-    # eight panels of no value, so of infinite error: the first step splits
-    # them and takes the rule on the 16 start panels
-    owner = np.repeat(np.arange(rs.size), 8)
-    start = np.linspace(0.0, 2.0 * np.pi, 9)
-    ends = np.tile(np.stack((start[:-1], start[1:]), axis=1), (rs.size, 1))
-    coarse = np.full((len(ps), owner.size), np.inf)
-    retired = np.zeros((2, len(ps), rs.size))  # value and error, by p and radius
-    prev, nodes = np.zeros((len(ps), rs.size)), np.zeros(rs.size, dtype=int)
-    while owner.size:
-        breaks = np.stack((ends[:, 0], 0.5 * (ends[:, 0] + ends[:, 1]), ends[:, 1]), axis=1)
-        t, w = gauss_panels(breaks, 16)
-        z = np.repeat(rs[owner], 32) * np.exp(1j * t)
+    live, count, nodes = np.arange(rs.size), np.full(rs.size, 8), np.zeros(rs.size, dtype=int)
+    breaks = np.tile(_START_BREAKS, (rs.size, 1))
+    acc = np.zeros((3, ps.size, rs.size))  # retired value and error, last total: by p and live radius
+    step = 0
+    while live.size:
+        unit, w = (np.tile(x, live.size) for x in _START_NODES[step]) if step < 2 else _rule_nodes(breaks)
+        step += 1
+        z = np.repeat(rs[live], 32 * count) * unit
         mods = np.concatenate([np.abs(F(z[i : i + 2**20])) for i in range(0, z.size, 2**20)])
-        halves = np.stack([np.sum((mods**p * w).reshape(-1, 2, 16), axis=2) for p in ps])
-        halves /= 2.0 * np.pi
-        fine = halves[..., 0] + halves[..., 1]
+        if step == 1:
+            e = np.round(np.log2(np.maximum(mods.reshape(rs.size, -1).max(axis=1), 5e-324)))
+            s = np.where(np.abs(np.multiply.outer(ps, e)) > 960, 2.0**e, 1.0)  # by p and radius
+            plain = bool(np.all(s == 1.0))
+            tol = np.maximum(rel_tol, np.abs(ps)[:, None] * 2.0 ** (-1022 - e))
+        pows = (mods if plain else mods / np.repeat(s[:, live], 32 * count, axis=1)) ** ps[:, None]
+        halves = np.multiply(pows, w, out=pows).reshape(ps.size, -1, 2, 16).sum(axis=3) / (2.0 * np.pi)
+        fine = halves.sum(axis=2)
+        first = count.cumsum() - count  # each live radius's first panel
+        total = acc[0] + np.add.reduceat(fine, first, axis=1)
+        nodes += 32 * count
+        if step == 1:  # the start panels: nothing to judge, all split
+            acc[2], coarse, breaks, count = total, halves.reshape(ps.size, -1), _halves(breaks), 2 * count
+            continue
         err = np.abs(fine - coarse)
-        first = np.flatnonzero(np.diff(owner, prepend=-1))  # each radius's first panel
-        live, count = owner[first], np.diff(first, append=owner.size)
-        nodes[live] += 32 * count
-        total = retired[0][:, live] + np.add.reduceat(fine, first, axis=1)
-        bound = rel_tol * np.abs(total)
-        done = np.all(retired[1][:, live] + np.add.reduceat(err, first, axis=1) <= bound, axis=0)
-        radius_of = np.repeat(np.arange(live.size), count)
-        retire = np.all(err <= (0.1 * bound / count)[:, radius_of], axis=0)
+        bound = tol * np.abs(total)
+        done = (acc[1] + np.add.reduceat(err, first, axis=1) <= bound).all(axis=0)
+        retire = (err <= (0.1 * bound / count).repeat(count, axis=1)).all(axis=0)
         splits = np.add.reduceat(~retire, first, dtype=int)
-        stop = done | (splits == 0) | (nodes[live] + 64 * splits > N_MAX)
-        for j in np.flatnonzero(stop):
-            i = live[j]
-            out[i] = [(v, int(nodes[i]), bool(done[j]), (u, v))
-                      for u, v in zip(prev[:, i].tolist(), total[:, j].tolist())]
-        prev[:, live] = total
-        retired[:, :, live] += np.add.reduceat(np.where(retire, (fine, err), 0.0), first, axis=2)
-        split = ~retire & ~stop[radius_of]
-        owner = np.repeat(owner[split], 2)
-        ends = np.stack((breaks[split, :2], breaks[split, 1:]), axis=1).reshape(-1, 2)
-        coarse = halves[:, split].reshape(len(ps), -1)
+        stop = done | (splits == 0) | (nodes + 64 * splits > N_MAX)
+        acc[:2] += np.add.reduceat(np.where(retire, (fine, err), 0.0), first, axis=2)
+        split = ~retire
+        if stop.any():
+            j, keep = np.flatnonzero(stop), ~stop
+            for i, n, c, us, vs in zip(live[j].tolist(), nodes[j].tolist(), done[j].tolist(),
+                                       acc[2][:, j].T.tolist(), total[:, j].T.tolist()):
+                out[i] = [(v, n, c, (u, v)) for u, v in zip(us, vs)]
+            split &= keep.repeat(count)
+            live, splits, nodes, acc, total, tol = (
+                live[keep], splits[keep], nodes[keep], acc[:, :, keep], total[:, keep], tol[:, keep])
+        acc[2] = total
+        breaks = _halves(breaks[split])
+        coarse = halves[:, split].reshape(ps.size, -1)
+        count = 2 * splits
+    if scales is not None:
+        scales.extend(s.T.tolist())
+    elif not plain:  # the raw means, s^p times the scaled ones
+        out = [[(v * u, n, c, (a * u, b * u)) for u, (v, n, c, (a, b)) in zip(us, row)]
+               for us, row in zip((s ** ps[:, None]).T.tolist(), out)]
     return out
 
 
@@ -265,7 +248,7 @@ def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
 
 def _corollary_bounds(k: float, ps, r: float, extremal: str = "H") -> np.ndarray:
     """``corollary_bound`` for every p in ps from one vector integrand on shared
-    radius-line panels; the new nodes of each depth run their chains together."""
+    radius-line panels; the new nodes of each depth take one batch of the angular rule."""
     if min(ps) < 1:
         raise DomainError(f"cumulative bound requires p >= 1, got {min(ps)}")
     if not (0.0 <= k < 1.0):
@@ -298,7 +281,7 @@ def lemmaF_integral(p: float, r: float) -> float:
     if r == 0:
         return 2.0 * math.pi
     one_minus = ClosedForm("one-minus-z", lambda z: 1.0 - z)
-    value, _, converged, last_two = _graded_mean_pows(one_minus, (-p,), (r,), 1e-10)[0][0]
+    value, _, converged, last_two = _mean_pow(one_minus, -p, r, 1e-10)
     if not converged:
         raise NonConvergenceError(
             f"boundary-kernel integral stalled at p={p}, r={r}", last_two=last_two

@@ -231,9 +231,10 @@ def check_means_domination(
 
 def _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means: dict) -> list:
     """``check_means_domination`` for every (extremal, k) in pairs. Each
-    target takes one batch of doubling chains over r_grid for the whole p
-    grid; the means of h' and g' serve every pair, and those of the extremal
-    pair are kept in extremal_means under (name, k) for the maps that share it."""
+    target takes one batch of the adaptive angular rule over r_grid for the
+    whole p grid; the means of h' and g' serve every pair, and those of the
+    extremal pair are kept in extremal_means under (name, k) for the maps
+    that share it."""
     checked = _checked_pairs(f, pairs)
     sides = (("hprime", f.h_prime), ("gprime", f.g_prime))
     lhs_means = {side: _integral_means_grid(F, p_grid, r_grid, 1e-8) for side, F in sides}
@@ -505,8 +506,8 @@ def suite_cumulative(
     By default convex members are held to the tighter convex-family bound;
     force_family pins every member to one family (used by class filters).
     Members with the same k share their bounds, so each distinct one is
-    computed once; one batch of doubling chains over r_grid, and one
-    radius-line integral per bound, serves the whole p grid.
+    computed once; one batch of the adaptive angular rule over r_grid, and
+    one radius-line integral per bound, serves the whole p grid.
     """
     bounds = {}
     rows = []

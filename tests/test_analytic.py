@@ -168,13 +168,10 @@ def _bits(z):
 
 
 def test_unit_circle_is_bitwise_the_grid_computed_in_place():
-    # tabled up to 2^16 points, computed beyond; the odd points are the
-    # midpoints a doubling level adds
+    # tabled up to 2^16 points, computed beyond
     for n in [2**k for k in range(21)] + [3, 96, 1000]:
         grid = np.exp(1j * ((2.0 * np.pi / n) * np.arange(n)))
-        midpoints = np.exp(1j * (2.0 * np.pi / n) * np.arange(1, n, 2))
         assert np.array_equal(_bits(unit_circle(n)), _bits(grid)), n
-        assert np.array_equal(_bits(unit_circle(n, 1, 2)), _bits(midpoints)), n
 
 
 def test_circle_values_take_one_row_per_radius():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hqmaps import harmonic
 from hqmaps.analytic import (
+    RADIUS_CAP,
     ClosedForm,
     DomainError,
     RadialIntegral,
@@ -121,6 +122,37 @@ def test_exact_shear_samples_a_circle_by_its_point_formula(monkeypatch, corpus):
     f = make_shear(catalog("half-plane"), omega)
     f.circle_values(0.9, 2**9)
     assert spectral == [f.h.uid, f.g.uid]
+
+
+def _plain_exact_h(f):
+    """The exact h of shear f by the plain expressions c z / (1 - z/b) and
+    c (log|w| + i angle(w)), w = 1 - z/b, over the terms its closure holds."""
+    h = f.h._antiderivative
+    terms = dict(zip(h.__code__.co_freevars, (cell.cell_contents for cell in h.__closure__)))
+
+    def plain(z):
+        out = np.zeros_like(z)
+        for c, b in terms["rational"]:
+            out += c * z / (1.0 - z / b)
+        for c, b in terms["logs"]:
+            w = 1.0 - z / b
+            out += c * (np.log(np.abs(w)) + 1j * np.angle(w))
+        return out
+
+    return plain
+
+
+def test_exact_shear_h_in_place_is_bitwise_its_plain_expression(corpus):
+    exact = [f for f in corpus if f.slice_phi is not None]
+    assert len(exact) == 18
+    for f in exact:
+        plain = _plain_exact_h(f)
+        for r in (0.5, 0.99, 1.0 - 2.0**-13, RADIUS_CAP):
+            z = r * unit_circle(2**12)
+            hz = plain(z)
+            want = hz + np.conj(hz - f.slice_phi(z))
+            got = f.circle_values(r, 2**12)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (f.uid, r)
 
 
 def test_shear_normalization_rejected():

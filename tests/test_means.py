@@ -80,21 +80,25 @@ def test_domain_errors():
 
 
 def test_nonconvergence_carries_last_iterates():
-    # koebe modulus at this radius has a spike the trapezoid cap cannot resolve
-    with pytest.raises(NonConvergenceError) as info:
-        integral_means(catalog("koebe"), 4.0, 0.999999, n_max=2**14)
+    # |1 + z^(2^18)|^2 turns 2^18 times round the circle: past the node cap
+    # of the angular rule, which must say so
+    lacunary = ClosedForm("lacunary", lambda z: 1 + z**2**18)
+    with pytest.raises(NonConvergenceError, match="n=") as info:
+        integral_means(lacunary, 2.0, 0.999999)
+    assert "trapezoid" not in str(info.value)
     assert len(info.value.last_two) == 2
-    # the values at n = 2**13 and 2**14, not the last one twice
+    # the totals of the last two steps, not the last one twice
     first, last = info.value.last_two
     assert first != last
-    value, n, converged, last_two = _mean_pow(catalog("koebe"), 4.0, 0.999999, n_max=2**14)
-    assert (n, converged) == (2**14, False)
+    value, n, converged, last_two = _mean_pow(lacunary, 2.0, 0.999999)
+    # the next step would take it past the cap
+    assert (n, converged) == (1048320, False)
     assert last_two[1] == value and last_two[0] != value
 
 
-def test_doubling_levels_nest_for_a_whole_circle_target():
-    # a harmonic map has a whole-circle sampler, yet each level keeps the one
-    # below and evaluates h only at the new midpoints: n points in all
+def test_the_angular_rule_takes_h_once_per_node_for_a_harmonic_map():
+    # a harmonic map has a whole-circle sampler, yet the rule evaluates h
+    # only at its own nodes, each once
     f = harmonic_koebe()
     h, evaluated = f.h, []
 
@@ -103,8 +107,8 @@ def test_doubling_levels_nest_for_a_whole_circle_target():
         return h(z)
 
     f = dataclasses.replace(f, h=ClosedForm(h.uid, counted))
-    _, n, _, _ = _mean_pow(f, 0.4, 1 - 2**-5, 1e-7)
-    assert n > 2**9
+    _, n, converged, _ = _mean_pow(f, 0.4, 1 - 2**-5, 1e-7)
+    assert converged and n > 768
     assert sum(evaluated) == n
 
 
@@ -114,78 +118,21 @@ def test_functions_sharing_a_uid_share_no_samples():
     assert abs(integral_means(ClosedForm("same", lambda z: 2 * z), 2.0, 0.5) - 1.0) < 1e-14
 
 
-def _own_chain(F, p, r, rel_tol, n_max):
-    """The doubling chain of one p at one radius, level by level."""
-    n = means.N_START
-    level = means.circle_modulus(F, r, n)
-    prev = cur = float(np.mean(level**p))
-    while n < n_max:
-        n *= 2
-        level = means.circle_modulus(F, r, n, level)
-        prev, cur = cur, float(np.mean(level**p))
-        if abs(cur - prev) <= rel_tol * abs(cur):
-            return cur, n, True, (prev, cur)
-    return cur, n, False, (prev, cur)
-
-
-@pytest.mark.parametrize(
-    "F, r, ps, n_max",
-    [
-        (catalog("H", 0.5), 0.99, (0.25, 0.5, 1.0, 2.0, 4.0), means.N_MAX),
-        (corpus_shear("strip", 0.8, 2).g_prime, 0.9, (0.25, 0.5, 1.0, 2.0, 4.0), means.N_MAX),
-        (harmonic_koebe(), 0.95, (1.0, 2.0, 4.0), means.N_MAX),
-        # p = -1 converges at n = 2**10 while p = 4 stalls at the cap
-        (catalog("koebe"), 0.999999, (-1.0, 4.0), 2**14),
-    ],
-)
-def test_one_chain_serves_the_whole_p_grid(F, r, ps, n_max):
-    [got] = means._mean_pow_grid(F, ps, (r,), 1e-8, n_max)
-    assert got == [_own_chain(F, p, r, 1e-8, n_max) for p in ps]
-    assert got == [_mean_pow(F, p, r, 1e-8, n_max) for p in ps]
-    if n_max == 2**14:
-        assert [res[1:3] for res in got] == [(2**10, True), (2**14, False)]
-
-
-@pytest.mark.parametrize(
-    "F",
-    [
-        catalog("H", 0.5),
-        # a harmonic map's first level comes from its whole-circle sampler
-        corpus_shear("strip", 0.8, 2),
-        catalog("koebe"),
-    ],
-    ids=lambda F: F.uid,
-)
-def test_chains_batched_across_radii_equal_one_radius_at_a_time(F):
-    # radii whose chains stop at different levels; at 0.999999 koebe's
-    # p = 4 chain runs into n_max while the others have stopped
-    rs, ps, n_max = (0.3, 0.99, 0.5, 0.999999, 0.9), (-1.0, 0.45, 2.0, 4.0), 2**14
-    got = means._mean_pow_grid(F, ps, rs, 1e-8, n_max)
-    assert got == [[_own_chain(F, p, r, 1e-8, n_max) for p in ps] for r in rs]
-    assert {res[1] for row in got for res in row} != {got[0][0][1]}
-    if F.uid == "koebe":
-        value, n, converged, last_two = got[3][3]
-        assert (n, converged) == (n_max, False)
-        assert last_two == _mean_pow(F, 4.0, 0.999999, 1e-8, n_max)[3]
-        assert last_two[1] == value and last_two[0] != value
-
-
-def test_batched_chains_evaluate_a_pointwise_target_once_per_level():
+def test_integral_means_evaluate_a_pointwise_target_once_per_step():
     H, sizes = catalog("H", 0.5), []
-    F = ClosedForm(H.uid, lambda z: sizes.append(z.shape) or H(z))
+    F = ClosedForm(H.uid, lambda z: sizes.append(z.size) or H(z))
     rs = (0.5, 0.9, 0.99)
-    got = means._mean_pow_grid(F, (1.0, 2.0), rs, 1e-8)
-    levels = max(res[1] for row in got for res in row) // means.N_START
-    # one first level on every circle, then the midpoints of the radii left
-    assert sizes[0] == (3, means.N_START)
-    assert len(sizes) == 1 + round(math.log2(levels))
-    assert [n for _, n in sizes[1:]] == [means.N_START * 2**i for i in range(len(sizes) - 1)]
-    assert [rows for rows, _ in sizes] == sorted((rows for rows, _ in sizes), reverse=True)
+    nodes = [res[0][1] for res in _graded_mean_pows(H, (1.0, 2.0), rs, 1e-10)]
+    means._integral_means_grid(F, (1.0, 2.0), rs, 1e-8)
+    # the 16 start panels of every circle at once, their 32 halves, then
+    # the active panels of the radii left: each node once, all p served
+    assert sizes[:2] == [3 * 256, 3 * 512]
+    assert sum(sizes) == sum(nodes) and len(sizes) > 2
 
 
 def test_cumulative_bound_takes_each_depths_new_nodes_in_one_batch(monkeypatch):
     ps, k, r = (1.0, 2.0, 4.0), 0.5, 0.99
-    # the radius-line integrand with one doubling chain per node
+    # the radius-line integrand with one call of the angular rule per node
     E = catalog("H", k)
     one_by_one = (1.0 + k) * analytic.graded_integral(
         lambda s: np.array([means._integral_means_grid(E, ps, (x,), 1e-8)[0] for x in s]),
@@ -198,18 +145,18 @@ def test_cumulative_bound_takes_each_depths_new_nodes_in_one_batch(monkeypatch):
         return ClosedForm(E.uid, lambda z: calls.append(z.size) or E(z))
 
     def recorded(F, ps, rs, *args):
-        out = grid(F, ps, rs, *args)
-        batches.append(max(res[1] for row in out for res in row))
+        out = graded(F, ps, rs, *args)
+        batches.append(sum(row[0][1] for row in out))
         return out
 
-    grid = means._mean_pow_grid
+    graded = means._graded_mean_pows
     monkeypatch.setattr(means, "catalog", counted)
-    monkeypatch.setattr(means, "_mean_pow_grid", recorded)
+    monkeypatch.setattr(means, "_graded_mean_pows", recorded)
     got = means._corollary_bounds(k, ps, r, "H")
     assert np.array_equal(got, one_by_one)
-    # one batch per grading depth, E run once per level of each
+    # one batch per grading depth, E run on each node of each once
     assert 2 <= len(batches) <= 5
-    assert len(calls) == sum(1 + round(math.log2(n / means.N_START)) for n in batches)
+    assert sum(calls) == sum(batches)
 
 
 def test_one_radius_line_integral_serves_every_p():
@@ -373,6 +320,8 @@ _BATCH_RADII = tuple(1.0 - 2.0 ** -np.arange(1, 14)) + (0.05, 0.3, 0.62, 0.9, 0.
         (corpus_shear("strip", 0.25, 2).h_prime, 0.45),
         (analytic_map("half-plane"), 0.9),
         (catalog("koebe"), 0.45),
+        (catalog("H", 0.5), 2.0),
+        (corpus_shear("strip", 0.8, 2), 4.0),
         (ClosedForm("one-minus-z", lambda z: 1.0 - z), -1.5),
     ],
     ids=lambda v: getattr(v, "uid", None),
@@ -384,7 +333,13 @@ def test_batched_graded_means_equal_one_radius_at_a_time(F, p):
 
 @pytest.mark.parametrize(
     "F, ps",
-    [(harmonic_koebe(), (0.25, 0.4, 1.0, 2.0)), (analytic_map("identity"), (0.25, 0.45, 0.9))],
+    [
+        (harmonic_koebe(), (0.25, 0.4, 1.0, 2.0)),
+        (analytic_map("identity"), (0.25, 0.45, 0.9)),
+        (catalog("H", 0.5), (0.25, 0.5, 1.0, 2.0, 4.0)),
+        (corpus_shear("strip", 0.8, 2).g_prime, (0.25, 0.5, 1.0, 2.0, 4.0)),
+        (catalog("koebe"), (-1.0, 4.0)),
+    ],
     ids=lambda v: getattr(v, "uid", None),
 )
 def test_graded_means_for_a_p_grid_equal_one_p_at_a_time(F, ps):
@@ -497,19 +452,27 @@ def test_dyadic_curve_shape():
     assert MeansCurve.csv_header() == "target_id,p,r,value"
 
 
+def _trapezoid_mean_pow(F, p, r, rel_tol):
+    """(1/2pi) int |F|^p by the periodic trapezoid rule, doubling the grid
+    until two levels agree to rel_tol; None where 2^20 points do not."""
+    prev = None
+    for n in 2 ** np.arange(9, 21):
+        cur = float(np.mean(np.abs(analytic.circle_values(F, r, int(n))) ** p))
+        if prev is not None and abs(cur - prev) <= rel_tol * abs(cur):
+            return cur
+        prev = cur
+    return None
+
+
 @pytest.mark.parametrize("phi, kappa, power", [("halfplane", 0.5, 1), ("strip", 0.8, 2)])
 @pytest.mark.parametrize("p", [0.25, 0.45])
 def test_shear_curve_on_graded_panels_matches_the_trapezoid(phi, kappa, power, p):
     f = corpus_shear(phi, kappa, power)
     c = dyadic_means_curve(f, p, 10)
     assert np.all(c.converged)
-    checked = 0
     for r, value in zip(c.radii, c.values):
-        want, _, converged, _ = _mean_pow(f, p, float(r), rel_tol=1e-7)
-        if converged:
-            assert abs(value / want ** (1.0 / p) - 1.0) <= 1e-7, r
-            checked += 1
-    assert checked == 10
+        want = _trapezoid_mean_pow(f, p, float(r), 1e-7)
+        assert abs(value / want ** (1.0 / p) - 1.0) <= 1e-7, r
 
 
 # dyadic_means_curve(harmonic_koebe(), 0.4, 13) at its first seven radii by

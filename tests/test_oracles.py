@@ -15,6 +15,10 @@ Harmonic Koebe: mpmath's quadrature of |f|^p over the circle, split at 0,
 pi and the two directions +-theta*(r) where |f| dips, found by mpmath's
 root finder, checks the adaptive rule at deep radii.
 
+Baernstein's hinge family: a* <= b* everywhere exactly when
+mean((a - t)+) <= mean((b - t)+) for every level t, and the largest gaps
+agree up to the star function's factor 2 pi.
+
 Shear components: the partial-fraction antiderivatives of h' and g' must
 match the graded radial quadrature of the same integrands on the whole
 corpus, and mpmath's quadrature of the rational h' (with g = h - phi) for
@@ -26,7 +30,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hqmaps.analytic import RADIUS_CAP, ClosedForm, catalog, radial_path_integral
@@ -39,6 +43,7 @@ from hqmaps.means import (
     integral_means,
     lemmaF_integral,
 )
+from hqmaps.star import SampledCircle, phi_means_dominates, star_dominates, star_function
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 30
@@ -196,6 +201,24 @@ def test_report_certificates_converge_with_exact_tails(f, p, tail):
     b = hardy_norm_bound(f, p)
     assert b.all_converged
     assert abs(b.tail_exponent - tail) < 0.01
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.floats(-0.5, 0.5), noise=st.floats(0.0, 1.0))
+def test_star_domination_agrees_with_the_hinge_family(seed, shift, noise):
+    # b is a rearrangement of a, moved by shift and blurred by noise: a* <= b*
+    # about as often as not. Both hinge means are piecewise linear in t with
+    # kinks at the samples, so the samples of a and b are every level t needs.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(512)
+    b = rng.permutation(a) + shift + noise * rng.standard_normal(512)
+    A, B = SampledCircle(0.5, a), SampledCircle(0.5, b)
+    star = star_dominates(star_function(A), star_function(B))
+    hinge = phi_means_dominates(A, B, p_grid=(), t_grid=np.concatenate((a, b)))
+    assert abs(star.max_violation - 2.0 * np.pi * hinge.max_violation) <= 1e-12
+    # verdicts read their gaps against the same 1e-9: clear of it, they agree
+    assume(not 1e-10 <= hinge.max_violation <= 1e-8)
+    assert bool(star) == bool(hinge)
 
 
 def test_harmonic_koebe_curve_matches_mpmath_at_deep_radii():

@@ -17,7 +17,9 @@ command, every run, and per end-to-end metric the median and quartiles of
 each side, the median's relative change and the number of pairs in which
 the change read lower (every end-to-end metric of the benchmark is
 lower-is-better). An existing output file is updated, so one file can
-gather several workloads of the same two commits.
+gather several workloads of the same two commits. The exit status is 1 when
+any run failed the benchmark's correctness gate (``correct`` false), which
+the file then records.
 """
 
 from __future__ import annotations
@@ -119,6 +121,11 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    wrong = [f"pair {r['pair']} {r['side']}" for r in runs if not r["correct"]]
+    if wrong:
+        print(f"error: {len(wrong)} runs failed the correctness gate ({', '.join(wrong)}); "
+              f"{args.out} records them", file=sys.stderr)
+        return 1
     return 0
 
 
