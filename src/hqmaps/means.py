@@ -72,11 +72,12 @@ def _integral_means_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9) -> list:
     list by p, from one batch of ``_graded_mean_pows``.
 
     The rule runs at rel_tol / 100. Its check bounds the change that halving
-    the panels makes, and the finer total it returns is usually far closer
-    than that, but not always to the digits the callers read: the report's
-    rows are compared to 1e-12 relative and better (Parseval, 2F1), and at
-    rel_tol = 1e-9 itself M_p of strip-like at p = 0.25, r = 0.99 is 3.0e-12
-    off its hypergeometric closed form.
+    the panels makes, an estimate of the coarser total's error; the finer
+    total it returns is often, not always, far better than that. Callers
+    read more digits than rel_tol: the report's rows against their
+    reference, the Parseval and 2F1 oracles to 1e-12. At rel_tol = 1e-9
+    itself, M_p of strip-like at p = 0.25, r = 0.99 is 3.0e-12 off its
+    hypergeometric closed form.
     """
     for p in ps:
         if not (0 < p < math.inf):
@@ -159,16 +160,16 @@ def _graded_mean_pows(F: Evaluable, ps, rs, rel_tol: float, scales: Optional[lis
     ps at every r in rs, by one globally adaptive Gauss-Legendre rule.
 
     A step takes the 16-node rule on both halves of every active panel. The
-    first takes it on the 16 start panels of each radius, which all split.
-    From then on a panel's error is |Q(left) + Q(right) - Q(panel)|, for
-    each p. A radius converges when its retired and active errors sum to at
-    most rel_tol |total| for every p; otherwise the panels whose error is at
-    most 0.1 rel_tol |total| over the number of active panels, for every p,
-    retire, and the rest split in halves. A radius with no panel left to
-    split, or that the next step would take past N_MAX nodes, stops
-    unconverged. |F| is taken once per step on the active panels of all
-    radii, in pieces of 2^20 points, and each p only raises it to its power;
-    no radius depends on the others.
+    first step takes it on the 16 uniform start panels of each radius, and
+    all of them split. From then on a panel's error is
+    |Q(left) + Q(right) - Q(panel)|, for each p. A radius converges when its
+    retired and active errors sum to at most rel_tol |total| for every p;
+    otherwise the panels whose error is at most 0.1 rel_tol |total| over
+    the number of active panels, for every p, retire, and the rest split in
+    halves. A radius with no panel left to split, or that the next step
+    would take past N_MAX nodes, stops unconverged. |F| is taken once per
+    step on the active panels of all radii, in pieces of 2^20 points, and
+    each p only raises it to its power; no radius depends on the others.
 
     Where a radius's largest |F|^p at the first step's nodes is out of
     2^-960 .. 2^960, that p averages |F/s|^p, s a power of two near that

@@ -76,7 +76,8 @@ def test_unknown_flag_exits_2(tmp_path, monkeypatch):
 def test_nonconvergence_exits_3(tmp_path, monkeypatch, capsys):
     # means asks for 1e-9, so the angular rule for 1e-11: there the summed
     # panel errors of koebe's p = 4 mean at r = 0.999999 reach their roundoff
-    # floor (the last two totals 4e-14 apart) and the rule stops at its node cap
+    # floor (its last two iterates are 4e-14 apart) and the rule stops at its
+    # node cap
     code, _, err = run_main(
         ["means", "--catalog", "koebe", "--p", "4", "--r", "0.999999"],
         tmp_path, monkeypatch, capsys,

@@ -122,6 +122,7 @@ def test_integral_means_evaluate_a_pointwise_target_once_per_step():
     H, sizes = catalog("H", 0.5), []
     F = ClosedForm(H.uid, lambda z: sizes.append(z.size) or H(z))
     rs = (0.5, 0.9, 0.99)
+    # integral_means asks the rule for a hundredth of its tolerance
     nodes = [res[0][1] for res in _graded_mean_pows(H, (1.0, 2.0), rs, 1e-10)]
     means._integral_means_grid(F, (1.0, 2.0), rs, 1e-8)
     # the 16 start panels of every circle at once, their 32 halves, then
