@@ -22,7 +22,10 @@ the adaptive angular rule in ``means``.
 ``circle_values`` is the one circle sampler: it takes a target's
 whole-circle method when it has one and evaluates pointwise otherwise. Every
 sample it returns is a point value; a spectral pass oversamples until its
-aliasing is below double precision, so grids at any level nest.
+aliasing is below double precision, so grids at any level nest. Pointwise
+targets take ``CIRCLE_BLOCK`` points a call into one output, so a block's
+temporaries stay under glibc's 128 KiB mmap threshold and reuse heap pages,
+where a 2^16-point circle's (1 MiB each) fault in fresh ones; no bit changes.
 
 Evaluation is capped at |z| <= 1 - 2**-20; all the closed forms of interest
 blow up at z = 1 and double precision carries no information beyond that.
@@ -41,6 +44,8 @@ _GAUSS = {m: np.polynomial.legendre.leggauss(m) for m in (8, 16)}
 # exp(2 pi i j / 2^16), 1 MiB: every grid of n | 2^16 points is a stride of it
 _UNIT_CIRCLE = np.exp(1j * ((2.0 * np.pi / 2**16) * np.arange(2**16)))
 _UNIT_CIRCLE.flags.writeable = False
+# points per call of a pointwise target on a circle: 64 KiB a complex array
+CIRCLE_BLOCK = 2**12
 
 
 class DomainError(ValueError):
@@ -314,7 +319,7 @@ class RadialIntegral(AnalyticFunction):
         while m * (1.0 - r) < 40.0 and m < 2**20:
             m *= 2
         if m * (1.0 - r) < 40.0:
-            return self(r * unit_circle(n))
+            return pointwise_circle_values(self, r, n)
         unit = unit_circle(m)
         z = r * unit
         _check_radius(z)
@@ -340,19 +345,27 @@ def unit_circle(n: int) -> np.ndarray:
     return np.exp(1j * ((2.0 * np.pi / n) * np.arange(n)))
 
 
+def pointwise_circle_values(fn, r: float, n: int) -> np.ndarray:
+    """fn at the n circle grid points r e^{i theta_j}, CIRCLE_BLOCK points a
+    call into one output: bitwise one call on the whole grid."""
+    unit, out = unit_circle(n), np.empty(n, dtype=complex)
+    for j in range(0, n, CIRCLE_BLOCK):
+        out[j : j + CIRCLE_BLOCK] = fn(r * unit[j : j + CIRCLE_BLOCK])
+    return out
+
+
 def circle_values(F, r, n: int) -> np.ndarray:
     """F at the n points theta_j = 2 pi j / n of the circle |z| = r; for an
     array of radii, one row per radius.
 
     Targets with a whole-circle ``circle_values`` method (radial integrals,
-    harmonic maps) use it circle by circle; any other target is evaluated
-    pointwise, once on all the circles. Either way every sample is a point
-    value, free of aliasing.
+    harmonic maps) use it; any other target is evaluated pointwise, in
+    blocks. Either way every sample is a point value, free of aliasing.
     """
+    if np.ndim(r):
+        return np.array([circle_values(F, float(s), n) for s in r])
     fast = getattr(F, "circle_values", None)
-    if fast is None:
-        return np.asarray(F(np.multiply.outer(r, unit_circle(n))))
-    return np.array([fast(float(s), n) for s in r]) if np.ndim(r) else np.asarray(fast(r, n))
+    return pointwise_circle_values(F, r, n) if fast is None else np.asarray(fast(r, n))
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +456,11 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
     if name == "G":
         uid = f"G[k={kk!r}]"
         Hf = catalog("H", kk)
+        H, dH = Hf._fn, Hf._dfn  # unchecked: G's own call checks the radius
         return ClosedForm(
             uid,
-            lambda z: kk * z * Hf(z),
-            dfn=lambda z: kk * Hf(z) + kk * z * Hf.derivative(z),
+            lambda z: kk * z * H(z),
+            dfn=lambda z: kk * H(z) + kk * z * dH(z),
             taylor_fn=_shift_up(lambda n: _H_taylor(kk, n), kk),
         )
     if name == "scrH":
@@ -467,10 +481,11 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
     if name == "scrG":
         uid = f"scrG[k={kk!r}]"
         Sf = catalog("scrH", kk)
+        S, dS = Sf._fn, Sf._dfn  # unchecked: scrG's own call checks the radius
         return ClosedForm(
             uid,
-            lambda z: kk * z * Sf(z),
-            dfn=lambda z: kk * Sf(z) + kk * z * Sf.derivative(z),
+            lambda z: kk * z * S(z),
+            dfn=lambda z: kk * S(z) + kk * z * dS(z),
             taylor_fn=_shift_up(lambda n: _scrH_taylor(kk, n), kk),
         )
     raise DomainError(f"unknown catalog name {name!r}")

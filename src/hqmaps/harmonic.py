@@ -6,14 +6,17 @@ bound. Shears are built from a conformal slice phi and a dilatation omega as
 two radial integrals of closed-form derivatives, h' = phi'/(1 - omega) and
 g' = omega h', so that h - g = phi; for the named slices and omega = kappa z^m
 h is also exact by partial fractions, and such a shear samples whole circles
-by that point formula rather than by its components' spectral passes.
+by that point formula rather than by its components' spectral passes, as
+f = h + conj(h - phi) = 2 Re h - conj(phi): Re h takes no angle when the
+partial-fraction coefficients are real (every named slice with m <= 2), and
+Im f is Im phi exactly, free of the cancellation in h - phi.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,9 +28,9 @@ from .analytic import (
     catalog,
     circle_values,
     geometric_coefficients,
+    pointwise_circle_values,
     series_mul,
     series_reciprocal,
-    unit_circle,
 )
 
 CLASS_TAGS = ("convex", "close-to-convex", "starlike", "convex-in-one-direction", "analytic")
@@ -43,12 +46,19 @@ class HarmonicMap:
     class_tags: frozenset = frozenset()
     qc_k: Optional[float] = None
     meta: dict = field(default_factory=dict)
-    # phi when g = h - phi exactly (make_shear's exact path): f(z) takes h once
+    # phi and Re h when g = h - phi exactly (make_shear's exact path):
+    # f = h + conj(h - phi) = 2 Re h - conj(phi), so Im f is Im phi exactly
     slice_phi: Optional[AnalyticFunction] = field(default=None, init=False, repr=False)
+    slice_re_h: Optional[Callable] = field(default=None, init=False, repr=False)
 
     def __call__(self, z):
-        hz = self.h(z)
-        return hz + np.conj(self.g(z) if self.slice_phi is None else hz - self.slice_phi(z))
+        if self.slice_phi is None:
+            return self.h(z) + np.conj(self.g(z))
+        phi = self.slice_phi(z)  # a ClosedForm, which checks the radius
+        f = np.empty(phi.shape, dtype=complex)
+        f.real = 2.0 * self.slice_re_h(np.asarray(z, dtype=complex)) - phi.real
+        f.imag = phi.imag
+        return f
 
     @property
     def h_prime(self) -> AnalyticFunction:
@@ -63,9 +73,10 @@ class HarmonicMap:
 
     def circle_values(self, r: float, n: int) -> np.ndarray:
         """f on the uniform n-point circle grid: an exact shear by its point
-        formula, h taken once; any other map from its components' samples."""
+        formula, in the blocks of ``pointwise_circle_values``; any other map
+        from its components' samples."""
         if self.slice_phi is not None:
-            return self(r * unit_circle(n))
+            return pointwise_circle_values(self, r, n)
         return circle_values(self.h, r, n) + np.conj(circle_values(self.g, r, n))
 
     def __repr__(self):
@@ -117,7 +128,8 @@ _SLICE_PARTIAL_FRACTIONS = {
 
 
 def _exact_shear_h(phi_prime_terms, kappa: float, m: int):
-    """h with h(0) = 0 and h' = phi'/(1 - kappa z^m), kappa > 0, exactly.
+    """h with h(0) = 0 and h' = phi'/(1 - kappa z^m), kappa > 0, exactly;
+    ``h(z, real=True)`` is Re h alone.
 
     With u = 1/(1 - kappa z^m), the partial fractions of h' are
     w u(b) (1 - z/b)^-2 - w b u'(b) (1 - z/b)^-1 at each double pole b of
@@ -126,28 +138,39 @@ def _exact_shear_h(phi_prime_terms, kappa: float, m: int):
     (1 - z/c)^-1 gives -c log(1 - z/c). Every pole c lies on or outside the
     unit circle and |z| <= RADIUS_CAP, so w = 1 - z/c has Re w > 0: the right
     branch is the principal one, taken in real arithmetic, log|w| + i arg w.
+    For m <= 2 the roots are the real numbers +-kappa^(-1/m), so every
+    coefficient is real and Re h needs log|w| alone.
     """
     const, doubles = phi_prime_terms
     u = [1.0 / (1.0 - kappa * b**m) for _, b in doubles]
     rational = [(w * ub, b) for (w, b), ub in zip(doubles, u)]  # c z/(1 - z/b)
     # c log(1 - z/b) from -w b u'(b), u'(b) = kappa m b^(m-1) u(b)^2
     logs = [(w * kappa * m * b ** (m + 1) * ub**2, b) for (w, b), ub in zip(doubles, u)]
-    for a in kappa ** (-1.0 / m) * np.exp(2j * np.pi * np.arange(m) / m):
+    roots = np.array([1.0, -1.0][:m]) if m <= 2 else np.exp(2j * np.pi * np.arange(m) / m)
+    for a in kappa ** (-1.0 / m) * roots:
         phi_prime_a = const + sum(w / (1.0 - a / b) ** 2 for w, b in doubles)
         logs.append((-a * phi_prime_a / m, a))
 
-    def h(z):
-        # in place, in two scratch arrays, each term bitwise its plain
-        # expression: c z / (1 - z/b) and c (log|w| + i angle(w))
-        out, w, t = np.zeros_like(z), np.empty_like(z), np.empty_like(z)
+    def h(z, real=False):
+        # in place, in scratch arrays, each term bitwise its plain expression:
+        # c z / (1 - z/b) and c (log|w| + i angle(w)), or their real parts
+        # (c z / (1 - z/b)).real and Re c log|w| - Im c angle(w)
+        out, w, t = np.zeros(z.shape, float if real else complex), np.empty_like(z), np.empty_like(z)
+        log_w = np.empty(z.shape) if real else t.real
         for c, b in rational:
             np.subtract(1.0, np.divide(z, b, out=w), out=w)
-            out += np.divide(np.multiply(c, z, out=t), w, out=t)
+            np.divide(np.multiply(c, z, out=t), w, out=t)
+            out += t.real if real else t
         for c, b in logs:
             np.subtract(1.0, np.divide(z, b, out=w), out=w)
-            np.log(np.abs(w, out=t.real), out=t.real)
-            np.arctan2(w.imag, w.real, out=t.imag)
-            out += np.multiply(c, t, out=t)
+            np.log(np.abs(w, out=log_w), out=log_w)
+            if real:
+                out += np.multiply(c.real, log_w, out=log_w)
+                if c.imag:
+                    out -= c.imag * np.angle(w)
+            else:
+                np.arctan2(w.imag, w.real, out=t.imag)
+                out += np.multiply(c, t, out=t)
         return out
 
     return h
@@ -186,9 +209,12 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     if uid is None:
         uid = f"shear[phi={phi.uid},omega={omega.uid}]"
     phi_prime = phi.derivative_function()
+    # hp and gp check the radius; inside them phi' and omega need not again
+    dphi = phi._dfn if isinstance(phi, ClosedForm) else phi.derivative
+    omega_fn = omega._fn if isinstance(omega, ClosedForm) else omega
 
     def hp_fn(z):
-        return phi.derivative(z) / (1.0 - omega(z))
+        return dphi(z) / (1.0 - omega_fn(z))
 
     def hp_taylor(m: int) -> np.ndarray:
         one_minus = -omega.taylor(m)
@@ -198,7 +224,7 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     hp = ClosedForm(uid + ":h'", hp_fn, taylor_fn=hp_taylor)
     gp = ClosedForm(
         uid + ":g'",
-        lambda z: omega(z) * hp_fn(z),
+        lambda z: omega_fn(z) * hp_fn(z),
         taylor_fn=lambda m: series_mul(omega.taylor(m), hp_taylor(m), m),
     )
     h_exact = g_exact = None
@@ -214,7 +240,8 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
         qc_k=qc,
         meta={"phi": phi.uid, "omega": omega.uid},
     )
-    f.slice_phi = None if h_exact is None else phi
+    if h_exact is not None:
+        f.slice_phi, f.slice_re_h = phi, lambda z: h_exact(z, real=True)
     return f
 
 

@@ -56,14 +56,17 @@ def sample_log_modulus(F: AnalyticFunction, r: float, n: int) -> SampledCircle:
     A sample with |F| < 1e-8 counts as a zero collision; the radius is
     perturbed by 1e-7 up to three times before giving up. The circle grid
     starts at theta = 0; rolling it by n/2 puts the samples on [-pi, pi).
+    |F| is written rolled into one array and its log taken in place.
     """
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
-    rr = r
+    rr, half, mod = r, n // 2, np.empty(n)
     for _ in range(3):
-        mod = np.roll(np.abs(circle_values(F, rr, n)), n // 2)
+        values = circle_values(F, rr, n)
+        np.abs(values[n - half :], out=mod[:half])
+        np.abs(values[: n - half], out=mod[half:])
         if np.min(mod) >= 1e-8:
-            return SampledCircle(radius=rr, values=np.log(mod), source_id=F.uid)
+            return SampledCircle(radius=rr, values=np.log(mod, out=mod), source_id=F.uid)
         rr += 1e-7
     raise DomainError(f"{F.uid} vanishes on the sampled circle at r ~ {r}")
 
@@ -105,7 +108,10 @@ def star_function(samples: Union[SampledCircle, Sequence[float], np.ndarray]) ->
 
     values[m] = (2 pi / n) * (sum of the m largest samples); the grid node
     theta_m = pi m / n carries exactly m cells of measure 2 theta_m, so node
-    values need no fractional cell.
+    values need no fractional cell. The sums are built in the output: the
+    negated samples sorted ascending, summed and scaled by -(2 pi / n), give
+    the descending sums' bits, since rounding is odd; adding +0.0 makes an
+    exact cancellation, and values[0], +0.0 as there.
     """
     if isinstance(samples, SampledCircle):
         vals = samples.values
@@ -118,11 +124,17 @@ def star_function(samples: Union[SampledCircle, Sequence[float], np.ndarray]) ->
         if not np.all(np.isfinite(vals)):
             raise DomainError("samples must be finite")
     n = vals.size
-    ordered = np.sort(vals)[::-1]
-    cumulative = np.concatenate([[0.0], np.cumsum(ordered)]) * (2.0 * np.pi / n)
+    values = np.zeros(n + 1)
+    sums = np.negative(vals, out=values[1:])
+    sums.sort()
+    np.cumsum(sums, out=sums)
+    values *= -(2.0 * np.pi / n)
+    values += 0.0
+    thetas = np.arange(n + 1.0)
+    np.divide(np.multiply(thetas, np.pi, out=thetas), n, out=thetas)
     return StarFunction(
-        thetas=np.pi * np.arange(n + 1) / n,
-        values=cumulative,
+        thetas=thetas,
+        values=values,
         source_id=source,
         radius=radius,
     )
@@ -141,7 +153,8 @@ class DominationVerdict:
 
 def star_dominates(a: StarFunction, b: StarFunction, tol: float = 1e-9) -> DominationVerdict:
     """True iff a* <= b* + tol pointwise on the common grid."""
-    if a.thetas.shape != b.thetas.shape or np.max(np.abs(a.thetas - b.thetas)) > 1e-12:
+    same = a.thetas is b.thetas  # star functions of one grid share its thetas
+    if not same and (a.thetas.shape != b.thetas.shape or np.max(np.abs(a.thetas - b.thetas)) > 1e-12):
         raise DomainError("star functions live on different grids")
     gap = a.values - b.values
     i = int(np.argmax(gap))

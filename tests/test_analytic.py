@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hqmaps.analytic import (
     CATALOG_NAMES,
+    CIRCLE_BLOCK,
     RADIUS_CAP,
     ClosedForm,
     DomainError,
@@ -146,7 +147,8 @@ def test_radial_integral_circle_values_are_point_values():
 
 
 def test_circle_values_evaluate_a_pointwise_target_once_per_point():
-    # a closed form has no whole-circle pass to alias, so no oversampling
+    # a closed form has no whole-circle pass to alias, so no oversampling;
+    # a large circle takes it in blocks, each point once
     koebe = catalog("koebe")
     evaluated = []
 
@@ -155,12 +157,28 @@ def test_circle_values_evaluate_a_pointwise_target_once_per_point():
         return koebe(z)
 
     F = ClosedForm("counted-koebe", counted)
-    theta = 2 * np.pi * np.arange(2**12) / 2**12
-    for r in (0.999, 0.9999):
-        evaluated.clear()
-        points = circle_values(F, r, 2**12)
-        assert sum(evaluated) == 2**12, r
-        assert np.array_equal(points, koebe(r * np.exp(1j * theta)))
+    for n in (2**12, 2**16):
+        theta = 2 * np.pi * np.arange(n) / n
+        for r in (0.999, 0.9999):
+            evaluated.clear()
+            points = circle_values(F, r, n)
+            assert evaluated == [CIRCLE_BLOCK] * (n // CIRCLE_BLOCK), (n, r)
+            assert np.array_equal(points, koebe(r * np.exp(1j * theta)))
+
+
+def test_blocked_circle_values_are_bitwise_one_evaluation_of_the_grid(corpus):
+    targets = [catalog(name, 0.5) for name in CATALOG_NAMES]
+    for f in corpus:
+        targets.append(f)
+        if f.uid.startswith("shear["):
+            targets += [f.h_prime, f.g_prime]
+    assert len(targets) == 8 + 23 + 2 * 18
+    # 3 * 2^11 points: one whole block and one half block
+    for n in (2**9, 2**12, 3 * 2**11, 2**16):
+        for r in (0.5, 0.99, RADIUS_CAP):
+            z = r * unit_circle(n)
+            for F in targets:
+                assert np.array_equal(_bits(circle_values(F, r, n)), _bits(F(z))), (F.uid, n, r)
 
 
 def _bits(z):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hqmaps import harmonic
 from hqmaps.analytic import (
+    CIRCLE_BLOCK,
     RADIUS_CAP,
     ClosedForm,
     DomainError,
@@ -76,18 +77,18 @@ def test_shear_evaluates_as_h_plus_conj_g():
 
 
 def test_exact_shear_evaluates_h_once_per_call(monkeypatch, corpus):
-    # g = h - phi, so f(z) = h(z) + conj(h(z) - phi(z)) bit for bit
+    # g = h - phi, so f = h + conj(h - phi) = 2 Re h - conj(phi) bit for bit
     for f in corpus:
-        if f.uid.startswith("shear["):
-            assert np.array_equal(f(GRID), f.h(GRID) + np.conj(f.g(GRID))), f.uid
+        if f.slice_phi is not None:
+            assert np.array_equal(_bits(f(GRID)), _bits(_plain_exact_f(f, GRID))), f.uid
     calls = []
 
     def counted_exact_h(*args):
         h = exact_h(*args)
 
-        def counted(z):
-            calls.append(np.size(z))
-            return h(z)
+        def counted(z, real=False):
+            calls.append((np.size(z), real))
+            return h(z, real)
 
         return counted
 
@@ -95,10 +96,12 @@ def test_exact_shear_evaluates_h_once_per_call(monkeypatch, corpus):
     monkeypatch.setattr(harmonic, "_exact_shear_h", counted_exact_h)
     f = corpus_shear("strip", 0.5, 2)
     f(GRID)
-    f.circle_values(0.99, 2**10)
-    assert calls == [GRID.size, 2**10]
+    f.circle_values(0.99, 2**16)
+    # Re h alone, once per point; a 2^16-point circle in blocks
+    assert calls == [(GRID.size, True)] + [(CIRCLE_BLOCK, True)] * (2**16 // CIRCLE_BLOCK)
     # a copy with another h must not reuse g = h - phi
-    assert dataclasses.replace(f, h=catalog("koebe")).slice_phi is None
+    copy = dataclasses.replace(f, h=catalog("koebe"))
+    assert copy.slice_phi is None and copy.slice_re_h is None
 
 
 def test_exact_shear_samples_a_circle_by_its_point_formula(monkeypatch, corpus):
@@ -124,22 +127,41 @@ def test_exact_shear_samples_a_circle_by_its_point_formula(monkeypatch, corpus):
     assert spectral == [f.h.uid, f.g.uid]
 
 
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
 def _plain_exact_h(f):
     """The exact h of shear f by the plain expressions c z / (1 - z/b) and
-    c (log|w| + i angle(w)), w = 1 - z/b, over the terms its closure holds."""
+    c (log|w| + i angle(w)), w = 1 - z/b, over the terms its closure holds;
+    with real=True, Re h by (c z / (1 - z/b)).real and
+    Re c log|w| - Im c angle(w)."""
     h = f.h._antiderivative
     terms = dict(zip(h.__code__.co_freevars, (cell.cell_contents for cell in h.__closure__)))
 
-    def plain(z):
-        out = np.zeros_like(z)
+    def plain(z, real=False):
+        out = np.zeros(z.shape, float if real else complex)
         for c, b in terms["rational"]:
-            out += c * z / (1.0 - z / b)
+            term = c * z / (1.0 - z / b)
+            out += term.real if real else term
         for c, b in terms["logs"]:
             w = 1.0 - z / b
-            out += c * (np.log(np.abs(w)) + 1j * np.angle(w))
+            if not real:
+                out += c * (np.log(np.abs(w)) + 1j * np.angle(w))
+                continue
+            out += c.real * np.log(np.abs(w))
+            if c.imag:
+                out -= c.imag * np.angle(w)
         return out
 
     return plain
+
+
+def _plain_exact_f(f, z):
+    """2 Re h - conj(phi) from the plain Re h, its parts set one by one."""
+    phi = f.slice_phi(z)
+    parts = np.stack([2.0 * _plain_exact_h(f)(z, real=True) - phi.real, phi.imag], axis=-1)
+    return parts.view(complex)[..., 0]
 
 
 def test_exact_shear_h_in_place_is_bitwise_its_plain_expression(corpus):
@@ -149,10 +171,37 @@ def test_exact_shear_h_in_place_is_bitwise_its_plain_expression(corpus):
         plain = _plain_exact_h(f)
         for r in (0.5, 0.99, 1.0 - 2.0**-13, RADIUS_CAP):
             z = r * unit_circle(2**12)
-            hz = plain(z)
-            want = hz + np.conj(hz - f.slice_phi(z))
+            assert np.array_equal(_bits(f.h(z)), _bits(plain(z))), (f.uid, r)
             got = f.circle_values(r, 2**12)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (f.uid, r)
+            assert np.array_equal(_bits(got), _bits(_plain_exact_f(f, z))), (f.uid, r)
+
+
+def test_exact_shears_take_their_coefficients_real_and_im_f_from_phi(corpus):
+    exact = [f for f in corpus if f.slice_phi is not None]
+    assert len(exact) == 18
+    for f in exact:
+        h = f.h._antiderivative
+        terms = dict(zip(h.__code__.co_freevars, (cell.cell_contents for cell in h.__closure__)))
+        # the roots of 1 - kappa z^m are +-kappa^(-1/m) for m <= 2: no angle enters Re h
+        assert all(np.isrealobj(c) for c, _ in terms["rational"] + terms["logs"]), f.uid
+        for r in (0.5, 0.99, 1.0 - 2.0**-13, RADIUS_CAP):
+            z = r * unit_circle(2**12)
+            assert np.array_equal(_bits(f.circle_values(r, 2**12).imag), _bits(f.slice_phi(z).imag))
+        assert np.array_equal(_bits(f(GRID).imag), _bits(f.slice_phi(GRID).imag)), f.uid
+
+
+def test_exact_shear_re_h_keeps_an_angle_for_complex_coefficients():
+    # m = 3 has complex roots, so some coefficients are complex: Re h needs
+    # their -Im c angle(w), and equals the real part of the complex h
+    omega = ClosedForm("0.5z^3", lambda z: 0.5 * z**3, dfn=lambda z: 1.5 * z**2)
+    omega.monomial = (0.5, 3)
+    f = make_shear(catalog("half-plane"), omega)
+    h = f.h._antiderivative
+    z = 0.99 * unit_circle(2**9)
+    assert np.max(np.abs(h(z, real=True) - h(z).real)) <= 1e-14 * np.max(np.abs(h(z)))
+    assert np.array_equal(_bits(f.circle_values(0.99, 2**9)), _bits(_plain_exact_f(f, z)))
+    want = f.h(z) + np.conj(f.g(z))
+    assert np.max(np.abs(f(z) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_shear_normalization_rejected():

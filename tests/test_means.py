@@ -532,7 +532,7 @@ _CURVE_PINS = {
         2.0265793721047807, [3328, 6656, 1408, 1280, 1152, 896, 640, 512, 384, 256, 128]
     ),
     "shear[phi=strip,omega=0.8z^2]": (
-        2.061503552707862, [3328, 6656, 2816, 2560, 2304, 2048, 1536, 1024, 768, 512, 256]
+        2.061503552707861, [3328, 6656, 2816, 2560, 2304, 2048, 1536, 1024, 768, 512, 256]
     ),
 }
 

@@ -23,9 +23,11 @@ Shear components: the partial-fraction antiderivatives of h' and g' must
 match the graded radial quadrature of the same integrands on the whole
 corpus, and mpmath's quadrature of the rational h' (with g = h - phi) for
 every named slice, in 12 directions that hold the singular ones, at radii from
-1e-3 up to the cap.
+1e-3 up to the cap; the shears' values f = 2 Re h - conj(phi) match it no
+worse than h + conj(h - phi) did.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -275,6 +277,24 @@ _SLICES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _mpmath_h_and_g(phi, kappa, power, point):
+    """h and g = h - phi of the shear at the point, by mpmath quadrature of
+    the rational h' along [0, point], as complex numbers."""
+    phi_mp, dphi = _SLICES[phi]
+    w = mpmath.mpc(point.real, point.imag)
+    # breakpoints 1 - 2^-j of the way to z, down to the distance of z from the circle
+    depth = round(-math.log2(1.0 - abs(point)))
+    path = [0] + [w * (1 - mpmath.mpf(2) ** -j) for j in range(1, depth + 1, 3)] + [w]
+    with mpmath.workdps(20):
+        want_h = mpmath.quad(lambda t: dphi(t) / (1 - kappa * t**power), path,
+                             method="gauss-legendre")
+        return complex(want_h), complex(want_h - phi_mp(w))
+
+
+_DIRECTIONS = np.exp(2j * np.pi * np.arange(12) / 12)
+
+
 # every named slice with m in {1, 2} and kappa in {0.25, 0.8}, and one
 # kappa = 0.5; the 12 directions hold every direction where h' and g' blow
 # up or vanish: the poles of phi' and the roots of 1 - kappa z^m
@@ -286,21 +306,39 @@ _SLICES = {
 )
 def test_exact_shear_components_match_mpmath_at_singular_directions(phi, kappa, power):
     f = corpus_shear(phi, kappa, power)
-    phi_mp, dphi = _SLICES[phi]
     radii = [1e-3, 1e-2, 0.1, 0.5, 0.99, 1.0 - 2.0**-13, RADIUS_CAP]
-    z = np.multiply.outer(radii, np.exp(2j * np.pi * np.arange(12) / 12)).ravel()
+    z = np.multiply.outer(radii, _DIRECTIONS).ravel()
     for point, h, g in zip(z, f.h(z), f.g(z)):
-        w = mpmath.mpc(point.real, point.imag)
-        # breakpoints 1 - 2^-j of the way to z, down to the distance of z from the circle
-        depth = round(-math.log2(1.0 - abs(point)))
-        path = [0] + [w * (1 - mpmath.mpf(2) ** -j) for j in range(1, depth + 1, 3)] + [w]
-        with mpmath.workdps(20):
-            want_h = mpmath.quad(lambda t: dphi(t) / (1 - kappa * t**power), path,
-                                 method="gauss-legendre")
-            want_g = complex(want_h - phi_mp(w))
-        want_h = complex(want_h)
+        want_h, want_g = _mpmath_h_and_g(phi, kappa, power, complex(point))
         # near 0 the partial fractions of h cancel to about 1e-11
         h_tol = 5e-13 if abs(point) >= 0.1 else 2e-11
         assert abs(h - want_h) <= h_tol * abs(want_h), (point, h, want_h)
         # g = h - phi is small near 0, where h'(0) = 1 sets the scale
         assert abs(g - want_g) <= 1e-12 * max(abs(want_g), 1.0), (point, g, want_g)
+
+
+# largest relative error of f over the 36 points below when f was evaluated
+# as h + conj(h - phi), rounded up to two digits; 2 Re h - conj(phi) must
+# not do worse on any map
+_F_ERROR_OF_H_PLUS_CONJ_G = {
+    ("identity", 0.25, 1): 4.5e-15, ("identity", 0.5, 1): 2.2e-15,
+    ("identity", 0.8, 1): 1.6e-15, ("identity", 0.25, 2): 1.6e-15,
+    ("identity", 0.5, 2): 9.0e-16, ("identity", 0.8, 2): 8.8e-16,
+    ("halfplane", 0.25, 1): 7.4e-16, ("halfplane", 0.5, 1): 2.5e-15,
+    ("halfplane", 0.8, 1): 6.3e-14, ("halfplane", 0.25, 2): 1.2e-15,
+    ("halfplane", 0.5, 2): 6.3e-15, ("halfplane", 0.8, 2): 1.8e-13,
+    ("strip", 0.25, 1): 6.2e-16, ("strip", 0.5, 1): 2.0e-15,
+    ("strip", 0.8, 1): 1.6e-14, ("strip", 0.25, 2): 1.3e-15,
+    ("strip", 0.5, 2): 7.3e-15, ("strip", 0.8, 2): 2.3e-13,
+}
+
+
+def test_exact_shear_values_match_mpmath_no_worse_than_h_plus_conj_g():
+    z = np.multiply.outer([0.5, 0.99, 1.0 - 2.0**-13], _DIRECTIONS).ravel()
+    for key in CORPUS_SHEARS:
+        f = corpus_shear(*key)
+        err = 0.0
+        for point, value in zip(z, f(z)):
+            h, g = _mpmath_h_and_g(*key, complex(point))
+            err = max(err, abs(value - (h + np.conj(g))) / abs(h + np.conj(g)))
+        assert err <= _F_ERROR_OF_H_PLUS_CONJ_G[key], (f.uid, err)

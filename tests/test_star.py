@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqmaps.analytic import ClosedForm, DomainError, catalog, radial_path_integral, unit_circle
+from hqmaps.analytic import (
+    ClosedForm,
+    DomainError,
+    catalog,
+    circle_values,
+    radial_path_integral,
+    unit_circle,
+)
 from hqmaps.harmonic import corpus_shear
 from hqmaps.star import (
     MIN_CIRCLE_SAMPLES,
@@ -20,6 +27,10 @@ from hqmaps.star import (
     star_function,
     star_grid_size,
 )
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
 
 
 def brute_force_star(values):
@@ -218,6 +229,25 @@ def test_sample_log_modulus_of_a_shear_keeps_its_digits_at_the_modulus_minimum()
     z = sc.radius * np.roll(unit_circle(n), n // 2)
     want = radial_path_integral(f.h_prime, z) + np.conj(radial_path_integral(f.g_prime, z))
     assert np.max(np.abs(sc.values - np.log(np.abs(want)))) <= 1e-12
+
+
+def test_log_samples_and_star_functions_are_bitwise_their_plain_expressions():
+    rng = np.random.default_rng(11)
+    f = corpus_shear("strip", 0.8, 2)
+    for n in (2**9, 2**12, 2**16):
+        sc = sample_log_modulus(f, 0.99, n)
+        want = np.log(np.roll(np.abs(circle_values(f, 0.99, n)), n // 2))
+        assert np.array_equal(_bits(sc.values), _bits(want)), n
+        for vals in (sc.values, rng.normal(size=n), sample_log_modulus(f.g_prime, 0.5, n).values):
+            sf = star_function(vals)
+            plain = np.concatenate([[0.0], np.cumsum(np.sort(vals)[::-1])]) * (2.0 * np.pi / n)
+            assert np.array_equal(_bits(sf.values), _bits(plain)), n
+            assert np.array_equal(_bits(sf.thetas), _bits(np.pi * np.arange(n + 1) / n)), n
+            assert not np.signbit(sf.values[0])
+    # sums that cancel exactly read +0.0, as the descending sums do
+    vals = [1.0, 0.5, -0.5, -1.0]
+    plain = np.concatenate([[0.0], np.cumsum(np.sort(vals)[::-1])]) * (2.0 * np.pi / 4)
+    assert np.array_equal(_bits(star_function(vals).values), _bits(plain))
 
 
 def test_sample_log_modulus_gives_up_on_zero_function():
