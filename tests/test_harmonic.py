@@ -131,13 +131,18 @@ def _bits(z):
     return np.ascontiguousarray(z).view(np.uint64)
 
 
+def _exact_terms(f):
+    """The (c, b) terms the closure of shear f's exact h holds, by name."""
+    h = f.h._antiderivative
+    return dict(zip(h.__code__.co_freevars, (cell.cell_contents for cell in h.__closure__)))
+
+
 def _plain_exact_h(f):
     """The exact h of shear f by the plain expressions c z / (1 - z/b) and
     c (log|w| + i angle(w)), w = 1 - z/b, over the terms its closure holds;
     with real=True, Re h by (c z / (1 - z/b)).real and
     Re c log|w| - Im c angle(w)."""
-    h = f.h._antiderivative
-    terms = dict(zip(h.__code__.co_freevars, (cell.cell_contents for cell in h.__closure__)))
+    terms = _exact_terms(f)
 
     def plain(z, real=False):
         out = np.zeros(z.shape, float if real else complex)
@@ -180,8 +185,7 @@ def test_exact_shears_take_their_coefficients_real_and_im_f_from_phi(corpus):
     exact = [f for f in corpus if f.slice_phi is not None]
     assert len(exact) == 18
     for f in exact:
-        h = f.h._antiderivative
-        terms = dict(zip(h.__code__.co_freevars, (cell.cell_contents for cell in h.__closure__)))
+        terms = _exact_terms(f)
         # the roots of 1 - kappa z^m are +-kappa^(-1/m) for m <= 2: no angle enters Re h
         assert all(np.isrealobj(c) for c, _ in terms["rational"] + terms["logs"]), f.uid
         for r in (0.5, 0.99, 1.0 - 2.0**-13, RADIUS_CAP):
