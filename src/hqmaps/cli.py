@@ -1,8 +1,9 @@
 """Command line front end: means and star curves, growth fits, verification.
 
-Config files are flat key=value text; command-line flags win over config
-entries. All file writes go through a temp-then-rename step so partially
-written outputs never appear under the final name.
+Config files are flat key=value text whose entries replace the command's
+built-in defaults; command-line flags win over both. All file writes go
+through a temp-then-rename step so partially written outputs never appear
+under the final name.
 
 Exit codes: 0 success, 1 verification violations, 2 usage errors,
 3 numerical non-convergence.
@@ -47,16 +48,17 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# value parsing shared by flags and config entries
+# value parsing shared by flags and config entries; argparse reports a
+# ArgumentTypeError under the option's name and exits 2
 
 
 def _float_list(text: str) -> list:
     try:
         vals = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise UsageError(f"malformed number list {text!r}")
+        raise argparse.ArgumentTypeError(f"malformed number list {text!r}")
     if not vals:
-        raise UsageError(f"empty number list {text!r}")
+        raise argparse.ArgumentTypeError(f"empty number list {text!r}")
     return vals
 
 
@@ -67,10 +69,10 @@ def _formats(text: str) -> list:
         if not fmt:
             continue
         if fmt not in ("csv", "json", "svg"):
-            raise UsageError(f"unknown format {fmt!r}; choose from csv, json, svg")
+            raise argparse.ArgumentTypeError(f"unknown format {fmt!r}; use csv, json, svg")
         out.append(fmt)
     if not out:
-        raise UsageError("empty format list")
+        raise argparse.ArgumentTypeError("empty format list")
     return out
 
 
@@ -80,33 +82,7 @@ def _bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"malformed boolean {text!r}")
-
-
-_OPTION_TYPES = {
-    "catalog": str,
-    "corpus": str,
-    "shear": str,
-    "k": float,
-    "p": _float_list,
-    "r": _float_list,
-    "n": int,
-    "depth": int,
-    "suite": str,
-    "class": str,
-    "K": _float_list,
-    "tol": float,
-    "out": str,
-    "formats": _formats,
-    "stamp": _bool,
-}
-
-_COMMAND_KEYS = {
-    "means": ("catalog", "corpus", "shear", "k", "p", "r", "out", "formats"),
-    "star": ("catalog", "corpus", "shear", "k", "r", "n", "out", "formats"),
-    "growth": ("corpus", "shear", "p", "depth", "out", "formats"),
-    "verify": ("suite", "class", "K", "tol", "depth", "out", "stamp"),
-}
+    raise UsageError(f"config key 'stamp': malformed boolean {text!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -127,23 +103,17 @@ def _load_config(path: str) -> dict:
     return entries
 
 
-def _apply_config(ns: argparse.Namespace, command: str) -> None:
-    """Fill unset flags from the config file; reject keys the command lacks."""
-    if not ns.config:
-        return
-    allowed = _COMMAND_KEYS[command]
+def _config_defaults(ns: argparse.Namespace) -> dict:
+    """ns.config's entries as defaults for ns.command, keyed by option dest.
+    ns, parsed without them, holds every option the command has: no other key."""
+    defaults = {}
     for key, raw in _load_config(ns.config).items():
-        if key not in allowed:
-            raise UsageError(f"unknown config key {key!r} for command {command!r}")
         dest = "cls" if key == "class" else key
-        if getattr(ns, dest) is not None:
-            continue  # explicit flag wins
-        try:
-            setattr(ns, dest, _OPTION_TYPES[key](raw))
-        except UsageError as e:
-            raise UsageError(f"config key {key!r}: {e}")
-        except (TypeError, ValueError):
-            raise UsageError(f"config key {key!r}: malformed value {raw!r}")
+        if key in ("cls", "command", "config", "func") or dest not in ns:
+            raise UsageError(f"unknown config key {key!r} for command {ns.command!r}")
+        # argparse type-converts a string default, but --stamp is store_const
+        defaults[dest] = _bool(raw) if key == "stamp" else raw
+    return defaults
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +215,7 @@ def _resolve_target(ns: argparse.Namespace, allow_catalog: bool = True):
                 f"unknown catalog entry {ns.catalog!r}; choose from "
                 + ", ".join(CATALOG_NAMES)
             )
-        return catalog(ns.catalog, ns.k if ns.k is not None else 0.0)
+        return catalog(ns.catalog, ns.k)
     if picked[0] == "shear":
         return parse_shear_spec(ns.shear)
     members = {f.uid: f for f in build_corpus()}
@@ -275,7 +245,7 @@ def _check_r(r_list) -> list:
 
 
 def cmd_means(ns: argparse.Namespace) -> int:
-    p_list = _check_p(ns.p if ns.p is not None else [2.0])
+    p_list = _check_p(ns.p)
     if ns.r is None:
         raise UsageError("means needs --r (comma-separated radii)")
     r_list = _check_r(ns.r)
@@ -311,7 +281,7 @@ def cmd_star(ns: argparse.Namespace) -> int:
     doc = []
     series = []
     for r in r_list:
-        n = ns.n if ns.n is not None else star_grid_size(r)
+        n = ns.n or star_grid_size(r)
         sf = star_function(sample_log_modulus(target, r, n))
         lines += sf.csv_rows()
         doc.append(
@@ -335,16 +305,15 @@ def _fmt_threshold(value) -> str:
 
 
 def cmd_growth(ns: argparse.Namespace) -> int:
-    p_list = _check_p(ns.p if ns.p is not None else [0.5])
-    depth = ns.depth if ns.depth is not None else 12
-    if depth < 6:
-        raise UsageError(f"growth needs dyadic depth >= 6, got {depth}")
+    p_list = _check_p(ns.p)
+    if ns.depth < 6:
+        raise UsageError(f"growth needs dyadic depth >= 6, got {ns.depth}")
     f = _resolve_target(ns, allow_catalog=False)
     lines = [GROWTH_CSV_HEADER]
     doc = []
     series = []
     for p in p_list:
-        v = hardy_membership_verdict(f, p, depth)
+        v = hardy_membership_verdict(f, p, ns.depth)
         thr = v.thresholds
         lines.append(
             join_row(
@@ -393,21 +362,15 @@ def cmd_growth(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    suite = ns.suite if ns.suite is not None else "all"
-    if suite not in SUITES + ("all",):
+    if ns.suite not in SUITES + ("all",):
         raise UsageError(
-            f"unknown suite {suite!r}; choose from " + ", ".join(SUITES + ("all",))
+            f"unknown suite {ns.suite!r}; choose from " + ", ".join(SUITES + ("all",))
         )
-    K_grid = tuple(ns.K) if ns.K is not None else K_GRID
-    for K in K_grid:
+    for K in ns.K:
         if K < 1.0:
             raise UsageError(f"K must be >= 1, got {K:g}")
     report = run_suite(
-        suite,
-        K_grid=K_grid,
-        tol=ns.tol if ns.tol is not None else REL_TOL,
-        depth=ns.depth if ns.depth is not None else DEFAULT_DEPTH,
-        class_filter=ns.cls,
+        ns.suite, K_grid=tuple(ns.K), tol=ns.tol, depth=ns.depth, class_filter=ns.cls
     )
     if ns.stamp:
         report.metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -430,76 +393,79 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def _add_target_flags(sub, with_catalog: bool = True):
     if with_catalog:
         sub.add_argument("--catalog", help="catalog function name")
-        sub.add_argument("--k", type=float, help="parameter k for the extremal family")
+        sub.add_argument("--k", type=float, default=0.0, help="parameter k of the family")
     sub.add_argument("--corpus", help="built-in corpus member id")
     sub.add_argument("--shear", help='shear spec, e.g. "phi=halfplane,omega=0.5z"')
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
+    """The hqmaps parser; config maps a command to defaults, keyed by option
+    dest, that replace its built-in ones (string values are type-converted)."""
     parser = argparse.ArgumentParser(
         prog="hqmaps",
         description="harmonic quasiconformal mapping toolkit: integral means, "
         "star functions, extremal verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shown = argparse.ArgumentDefaultsHelpFormatter  # --help prints each default
 
-    means = sub.add_parser("means", help="integral means along radii")
+    means = sub.add_parser("means", help="integral means along radii", formatter_class=shown)
     _add_target_flags(means)
-    means.add_argument("--p", type=_float_list, help="comma-separated exponents")
+    means.add_argument("--p", type=_float_list, default="2", help="comma-separated exponents")
     means.add_argument("--r", type=_float_list, help="comma-separated radii in (0,1)")
     means.set_defaults(func=cmd_means)
 
-    star = sub.add_parser("star", help="star function of log-modulus on a circle")
+    star = sub.add_parser(
+        "star", help="star function of log-modulus on a circle", formatter_class=shown
+    )
     _add_target_flags(star)
     star.add_argument("--r", type=_float_list, help="comma-separated radii in (0,1)")
-    star.add_argument("--n", type=int, help="samples per circle (power of two)")
+    star.add_argument(
+        "--n", type=int, help="samples per circle, a power of two; None: 2^12, 2^16 at r >= 0.99"
+    )
     star.set_defaults(func=cmd_star)
 
-    growth = sub.add_parser("growth", help="dyadic growth fit and membership verdict")
+    growth = sub.add_parser(
+        "growth", help="dyadic growth fit and membership verdict", formatter_class=shown
+    )
     _add_target_flags(growth, with_catalog=False)
-    growth.add_argument("--p", type=_float_list, help="comma-separated exponents")
-    growth.add_argument("--depth", type=int, help="dyadic depth (>= 6)")
-    growth.set_defaults(func=cmd_growth, catalog=None, k=None)
+    growth.add_argument("--p", type=_float_list, default="0.5", help="comma-separated exponents")
+    growth.add_argument("--depth", type=int, default=12, help="dyadic depth (>= 6)")
+    growth.set_defaults(func=cmd_growth)
 
-    verify = sub.add_parser("verify", help="run the inequality suites")
-    verify.add_argument("--suite", help="one of " + ", ".join(SUITES + ("all",)))
+    verify = sub.add_parser("verify", help="run the inequality suites", formatter_class=shown)
+    verify.add_argument("--suite", default="all", help="one of " + ", ".join(SUITES + ("all",)))
     verify.add_argument("--class", dest="cls", help="corpus filter: convex or ctc")
-    verify.add_argument("--K", type=_float_list, help="comma-separated K grid")
-    verify.add_argument("--tol", type=float, help="relative inequality tolerance")
-    verify.add_argument("--depth", type=int, help="dyadic depth for membership rows")
+    verify.add_argument("--K", type=_float_list, default=K_GRID, help="comma-separated K grid")
+    verify.add_argument("--tol", type=float, default=REL_TOL, help="relative inequality tolerance")
     verify.add_argument(
-        "--stamp",
-        action="store_const",
-        const=True,
+        "--depth", type=int, default=DEFAULT_DEPTH, help="dyadic depth for membership rows"
+    )
+    verify.add_argument(
+        "--stamp", action="store_const", const=True, default=False,
         help="record a wall-clock timestamp (breaks byte determinism)",
     )
     verify.set_defaults(func=cmd_verify)
 
-    for sp in (means, star, growth, verify):
-        sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--out", help="output directory (default: $HQMAPS_OUT or .)")
+    for name, sp in sub.choices.items():
+        sp.add_argument("--config", help="flat key=value file of defaults for these flags")
+        out = os.environ.get(OUT_ENV) or "."
+        sp.add_argument("--out", default=out, help=f"output directory; ${OUT_ENV} sets the default")
         if sp is not verify:  # verify always writes verify_report.{json,csv}
-            sp.add_argument(
-                "--formats", type=_formats, help="comma-separated subset of csv,json,svg"
-            )
+            sp.add_argument("--formats", type=_formats, default="csv", help="csv, json, svg")
+        sp.set_defaults(**(config or {}).get(name, {}))
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        _apply_config(ns, ns.command)
-        ns.out = ns.out or os.environ.get(OUT_ENV) or "."
-        if getattr(ns, "formats", None) is None:
-            ns.formats = ["csv"]
-        if getattr(ns, "stamp", None) is None:
-            ns.stamp = False
+        if ns.config:
+            # the config's entries become the command's defaults and the
+            # flags parse again over them: flag > config > built-in default
+            ns = build_parser({ns.command: _config_defaults(ns)}).parse_args(argv)
         return ns.func(ns)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as e:
+    except (UsageError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as e:

@@ -353,11 +353,13 @@ def shear_omega(kappa: float, power: int) -> AnalyticFunction:
             out[power] = kappa
         return out
 
+    # products, not numpy's general complex power: z**0 and z**1 cost 8x more
+    if power == 1:
+        fn, dfn = (lambda z: kappa * z), (lambda z: np.full_like(z, kappa))
+    else:
+        fn, dfn = (lambda z: kappa * (z * z)), (lambda z: (2 * kappa) * z)
     F = ClosedForm(
-        f"{float(kappa)!r}z" + ("^2" if power == 2 else ""),
-        lambda z: kappa * z**power,
-        dfn=lambda z: kappa * power * z ** (power - 1),
-        taylor_fn=taylor,
+        f"{float(kappa)!r}z" + ("^2" if power == 2 else ""), fn, dfn=dfn, taylor_fn=taylor
     )
     F.monomial = (float(kappa), power)
     return F

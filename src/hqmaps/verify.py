@@ -53,6 +53,10 @@ DEFAULT_DEPTH = 13
 _CTC_TAGS = frozenset(
     {"close-to-convex", "starlike", "convex-in-one-direction", "convex"}
 )
+# extremal h' family -> (inequality-id prefix, tags that make a map eligible),
+# tightest first; _COMPANION names the family g' is held to
+_FAMILIES = {"H": ("convex", frozenset({"convex"})), "scrH": ("ctc", _CTC_TAGS)}
+_COMPANION = {"H": "G", "scrH": "scrG"}
 
 
 class ClassTagError(DomainError):
@@ -169,22 +173,21 @@ class VerificationReport:
 # preconditions
 
 
+def _families_of(f: HarmonicMap, families) -> list:
+    """The extremal families in families, in order, whose tags f carries."""
+    if not set(families) <= _FAMILIES.keys():
+        raise DomainError(f"extremal must be 'H' or 'scrH', got {list(families)!r}")
+    return [e for e in families if _FAMILIES[e][1] & f.class_tags]
+
+
 def _require_tags(f: HarmonicMap, extremal: str) -> str:
     """Return the inequality-id prefix for the extremal family, or raise."""
-    if extremal == "H":
-        if "convex" not in f.class_tags:
-            raise ClassTagError(
-                f"{f.uid}: comparison against the convex extremal needs the convex tag"
-            )
-        return "convex"
-    if extremal == "scrH":
-        if not (_CTC_TAGS & f.class_tags):
-            raise ClassTagError(
-                f"{f.uid}: comparison against the close-to-convex extremal needs a "
-                "close-to-convex-family tag"
-            )
-        return "ctc"
-    raise DomainError(f"extremal must be 'H' or 'scrH', got {extremal!r}")
+    if not _families_of(f, [extremal]):
+        raise ClassTagError(
+            f"{f.uid}: comparison against the {extremal} extremal needs one of the "
+            f"tags {sorted(_FAMILIES[extremal][1])}"
+        )
+    return _FAMILIES[extremal][0]
 
 
 def _require_certificate(f: HarmonicMap, k: float):
@@ -242,7 +245,7 @@ def _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means: dict) -> list:
     for i, r in enumerate(r_grid):
         for side, _ in sides:
             for prefix, extremal, k in checked:
-                name = extremal if side == "hprime" else ("G" if extremal == "H" else "scrG")
+                name = extremal if side == "hprime" else _COMPANION[extremal]
                 if (name, k) not in extremal_means:
                     E = catalog(name, k)
                     extremal_means[name, k] = _integral_means_grid(E, p_grid, r_grid, 1e-8)
@@ -270,7 +273,8 @@ def check_star_chain(
     violation, so margin = -lhs.
     """
     if extremal is None:
-        extremal = "H" if "convex" in f.class_tags else "scrH"
+        # the tightest family f's tags allow; an untagged map fails on scrH's
+        extremal = (_families_of(f, _FAMILIES) or ["scrH"])[0]
     return _star_rows(f, _checked_pairs(f, [(extremal, k)]), r, tol, {})
 
 
@@ -286,7 +290,7 @@ def _star_rows(f, checked, r, tol, extremal_stars: dict) -> list:
         sides = [("hprime", f.h_prime, extremal)]
         # the companion row needs log|g'|; skip it when g vanishes identically
         if k > 0 and not f.is_analytic():
-            sides.append(("gprime", f.g_prime, "G" if extremal == "H" else "scrG"))
+            sides.append(("gprime", f.g_prime, _COMPANION[extremal]))
         for side, target, name in sides:
             if side not in map_stars:
                 map_stars[side] = star_function(sample_log_modulus(target, r, n))
@@ -446,37 +450,25 @@ def membership_row(
 # suites
 
 
-def _tagged_targets(corpus, K_grid, families):
-    """(f, extremal, k) for every map carrying the extremal family's tag."""
-    for f in corpus:
-        for extremal in families:
-            try:
-                _require_tags(f, extremal)
-            except ClassTagError:
-                continue
-            for k in _k_values(f, K_grid):
-                yield f, extremal, k
-
-
 def suite_means(
     corpus,
     p_grid=P_GRID,
     r_grid=R_GRID,
     K_grid=K_GRID,
     tol=REL_TOL,
-    families=("H", "scrH"),
+    families=tuple(_FAMILIES),
 ):
     """Means domination rows for every tagged map, extremal means shared."""
     extremal_means = {}
     rows = []
     for f in corpus:
-        pairs = [(extremal, k) for _, extremal, k in _tagged_targets([f], K_grid, families)]
+        pairs = [(e, k) for e in _families_of(f, families) for k in _k_values(f, K_grid)]
         rows += _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means)
     return rows
 
 
 def suite_star(
-    corpus, r_grid=R_GRID, K_grid=K_GRID, tol=STAR_TOL, families=("H", "scrH")
+    corpus, r_grid=R_GRID, K_grid=K_GRID, tol=STAR_TOL, families=tuple(_FAMILIES)
 ):
     """Star-chain rows for every tagged map, each (map, k) certified once.
     Radii run outermost: at each radius a map's star functions serve all its
@@ -484,7 +476,7 @@ def suite_star(
     and dropped when the radius moves on."""
     groups = []
     for f in corpus:
-        pairs = [(extremal, k) for _, extremal, k in _tagged_targets([f], K_grid, families)]
+        pairs = [(e, k) for e in _families_of(f, families) for k in _k_values(f, K_grid)]
         groups.append((f, _checked_pairs(f, pairs)))
     rows = []
     for r in r_grid:
@@ -499,12 +491,13 @@ def suite_cumulative(
     p_grid=CUMULATIVE_P_GRID,
     r_grid=CUMULATIVE_R_GRID,
     tol=REL_TOL,
-    force_family: Optional[str] = None,
+    families=tuple(_FAMILIES),
 ):
     """M_p(r, f) against (1+k) int_0^r M_p(s, extremal) ds at the map's own k.
 
-    By default convex members are held to the tighter convex-family bound;
-    force_family pins every member to one family (used by class filters).
+    Each member is held to the first family in families whose tags it
+    carries, so by default convex members meet the tighter convex-family
+    bound; a member with none of their tags gets no row.
     Members with the same k share their bounds, so each distinct one is
     computed once; one batch of the adaptive angular rule over r_grid, and
     one radius-line integral per bound, serves the whole p grid.
@@ -512,17 +505,11 @@ def suite_cumulative(
     bounds = {}
     rows = []
     for f in corpus:
-        if f.qc_k is None or f.qc_k >= 1.0:
+        eligible = _families_of(f, families)
+        if f.qc_k is None or f.qc_k >= 1.0 or not eligible:
             continue
-        if force_family == "H" or (force_family is None and "convex" in f.class_tags):
-            extremal, prefix = "H", "convex"
-            if "convex" not in f.class_tags:
-                continue
-        elif _CTC_TAGS & f.class_tags:
-            extremal, prefix = "scrH", "ctc"
-        else:
-            continue
-        k = float(f.qc_k)
+        extremal, k = eligible[0], float(f.qc_k)
+        prefix = _FAMILIES[extremal][0]
         _require_certificate(f, k)
         for r, lhs_means in zip(r_grid, _integral_means_grid(f, p_grid, r_grid, 1e-8)):
             key = (k, r, extremal)
@@ -590,8 +577,10 @@ def run_suite(
 ) -> VerificationReport:
     """Assemble the named suite (or all of them) into one report.
 
-    A class filter narrows the corpus to one family and drops the suites
-    whose statements concern the other classes.
+    A class filter ('convex', or 'ctc' alias 'close-to-convex') picks one
+    extremal family: the corpus narrows to the maps whose tags admit it,
+    every suite holds them to it alone, and the suites whose statements
+    concern the other classes drop out.
     """
     if name == "all":
         # a class filter means "the rows about that family's theorem and
@@ -602,28 +591,21 @@ def run_suite(
     for nm in names:
         if nm not in SUITES:
             raise DomainError(f"unknown suite {nm!r}; choose from {SUITES + ('all',)}")
+    filters = {"convex": ("H",), "ctc": ("scrH",), "close-to-convex": ("scrH",)}
+    if class_filter is not None and class_filter not in filters:
+        raise DomainError(f"unknown class filter {class_filter!r}; use 'convex' or 'ctc'")
+    families = filters.get(class_filter, tuple(_FAMILIES))
     if corpus is None:
         corpus = build_corpus()
-    families = ("H", "scrH")
-    force_family = None
     if class_filter is not None:
-        if class_filter == "convex":
-            corpus = [f for f in corpus if "convex" in f.class_tags]
-            families, force_family = ("H",), "H"
-        elif class_filter in ("ctc", "close-to-convex"):
-            corpus = [f for f in corpus if _CTC_TAGS & f.class_tags]
-            families, force_family = ("scrH",), "scrH"
-        else:
-            raise DomainError(
-                f"unknown class filter {class_filter!r}; use 'convex' or 'ctc'"
-            )
+        corpus = [f for f in corpus if _families_of(f, families)]
     rows = []
     if "means" in names:
         rows += suite_means(corpus, p_grid, r_grid, K_grid, tol, families=families)
     if "star" in names:
         rows += suite_star(corpus, r_grid, K_grid, families=families)
     if "cumulative" in names:
-        rows += suite_cumulative(corpus, tol=tol, force_family=force_family)
+        rows += suite_cumulative(corpus, tol=tol, families=families)
     if "classic" in names and class_filter is None:
         rows += suite_classic(corpus, p_grid, r_grid)
     if "membership" in names and class_filter is None:

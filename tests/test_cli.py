@@ -124,6 +124,64 @@ def test_config_malformed_line(tmp_path, monkeypatch, capsys):
     assert code == EXIT_USAGE
 
 
+def test_verify_config_writes_the_report_of_its_flags(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("class=convex\nK=3\nstamp=no\n")
+    reports = {}
+    for name, args in (
+        ("config", ["--config", str(cfg)]),
+        ("flags", ["--class", "convex", "--K", "3"]),
+    ):
+        code, _, _ = run_main(
+            ["verify", "--out", str(tmp_path / name)] + args, tmp_path, monkeypatch, capsys
+        )
+        assert code == EXIT_OK
+        reports[name] = (tmp_path / name / "verify_report.json").read_bytes()
+    assert reports["config"] == reports["flags"]
+    meta = json.loads(reports["config"])["metadata"]
+    assert meta["timestamp"] is None
+    assert meta["class_filter"] == "convex" and meta["grid"]["K"] == [3.0]
+
+
+def test_verify_flag_beats_config(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("suite=star\ntol=0.5\ndepth=9\n")
+    code, _, _ = run_main(
+        ["verify", "--config", str(cfg), "--suite", "classic", "--tol", "0.001"],
+        tmp_path, monkeypatch, capsys,
+    )
+    assert code == EXIT_OK
+    meta = json.loads((tmp_path / "verify_report.json").read_text())["metadata"]
+    assert meta["suites"] == ["classic"]
+    assert meta["tolerances"]["inequality_rel"] == 0.001
+    assert meta["depth"] == 9  # no flag, so the config entry holds
+
+
+def test_malformed_value_exits_2_naming_the_option(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("K=abc\n")
+    monkeypatch.chdir(tmp_path)
+    for args in (
+        ["verify", "--suite", "classic", "--config", str(cfg)],
+        ["means", "--corpus", "identity", "--r", "abc"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(args)
+        assert info.value.code == EXIT_USAGE
+        flag = "--K" if args[0] == "verify" else "--r"
+        assert f"argument {flag}: malformed number list 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_verify_config_rejects_formats(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("suite=classic\nformats=csv\n")
+    code, _, err = run_main(["verify", "--config", str(cfg)], tmp_path, monkeypatch, capsys)
+    assert code == EXIT_USAGE
+    assert "unknown config key 'formats'" in err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_shear_spec_grammar():
     f = parse_shear_spec("phi=halfplane,omega=0.5z")
     assert f.uid == "shear[phi=halfplane,omega=0.5z]"

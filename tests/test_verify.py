@@ -51,6 +51,9 @@ def test_check_means_domination_class_tag_error():
     )
     with pytest.raises(ClassTagError):
         check_means_domination(stripped, "scrH", 0.5)
+    # with no family named, the star chain still refuses the untagged map
+    with pytest.raises(ClassTagError):
+        check_star_chain(stripped, 0.5, 0.5)
 
 
 def test_check_means_domination_certification_error(corpus_by_uid):
@@ -98,7 +101,12 @@ def test_suite_star_matches_check_star_chain_and_samples_each_target_once(
     rows = suite_star(corpus, r_grid=r_grid, K_grid=K_grid)
     monkeypatch.undo()
 
-    targets = list(verify._tagged_targets(corpus, K_grid, ("H", "scrH")))
+    targets = [
+        (f, extremal, k)
+        for f in corpus
+        for extremal in verify._families_of(f, ("H", "scrH"))
+        for k in verify._k_values(f, K_grid)
+    ]
     assert {(f.uid, k) for f, _, k in targets} >= {
         (f.uid, k) for f in corpus for k in (0.5, round(2 / 3, 12))
     }
@@ -278,6 +286,34 @@ def test_run_suite_star_small():
     assert rep.metadata["corpus_size"] == 1
     assert rep.metadata["timestamp"] is None
     assert len(rep.failures) == 0
+
+
+def test_run_suite_class_filter_keeps_one_family(corpus_by_uid):
+    # the convex identity shear and the half-plane carry both families' tags,
+    # the strip shear only close-to-convex ones; under ctc the convex maps are
+    # held to the close-to-convex bounds too
+    identity, strip = "shear[phi=identity,omega=0.25z]", "shear[phi=strip,omega=0.5z]"
+    corpus = [corpus_by_uid[uid] for uid in (identity, "half-plane", strip)]
+    third, two_thirds = round(1 / 3, 12), round(2 / 3, 12)
+    ks = {
+        "half-plane": (0.0, 0.2, third, 0.5, two_thirds),
+        identity: (0.25, third, 0.5, two_thirds),
+        strip: (0.5, two_thirds),
+    }
+    own_k = {"half-plane": 0.0, identity: 0.25, strip: 0.5}
+    members = {"convex": ("half-plane", identity), "ctc": ("half-plane", identity, strip)}
+    for family, uids in members.items():
+        rep = run_suite("all", corpus=corpus, class_filter=family)
+        want = {
+            (f"means-{family}-{side}", uid, k)
+            for uid in uids
+            for k in ks[uid]
+            for side in ("hprime", "gprime")
+        } | {(f"cumulative-bound-{family}", uid, own_k[uid]) for uid in uids}
+        assert {(r.inequality_id, r.mapping_id, r.k) for r in rep.rows} == want
+        assert rep.metadata["suites"] == ["means", "cumulative"]
+        assert rep.metadata["class_filter"] == family
+        assert not rep.failures
 
 
 def test_run_suite_unknown_name():
