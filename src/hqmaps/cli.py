@@ -447,9 +447,9 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     )
     verify.set_defaults(func=cmd_verify)
 
+    out = os.environ.get(OUT_ENV) or "."
     for name, sp in sub.choices.items():
         sp.add_argument("--config", help="flat key=value file of defaults for these flags")
-        out = os.environ.get(OUT_ENV) or "."
         sp.add_argument("--out", default=out, help=f"output directory; ${OUT_ENV} sets the default")
         if sp is not verify:  # verify always writes verify_report.{json,csv}
             sp.add_argument("--formats", type=_formats, default="csv", help="csv, json, svg")
