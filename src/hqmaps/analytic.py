@@ -234,11 +234,10 @@ class PowerSeries(AnalyticFunction):
 # graded Gauss-Legendre quadrature
 
 
-def graded_breaks(lo, hi, depth: int) -> np.ndarray:
+def graded_breaks(lo: float, hi: float, depth: int) -> np.ndarray:
     """lo, hi - (hi - lo) 2^-j for j = 1..depth, and hi: panels halving toward
-    hi. Arrays of ends broadcast together and give one row of breaks each."""
-    lo, hi = np.broadcast_arrays(*(np.asarray(end, dtype=float)[..., None] for end in (lo, hi)))
-    return np.concatenate([lo, hi - (hi - lo) * 2.0 ** -np.arange(1, depth + 1), hi], axis=-1)
+    hi. Depth 2d keeps the first d panels of depth d, all but its last."""
+    return np.concatenate([[lo], hi - (hi - lo) * 2.0 ** -np.arange(1, depth + 1), [hi]])
 
 
 def gauss_panels(breaks: np.ndarray, order: int) -> tuple:
@@ -253,11 +252,15 @@ def gauss_panels(breaks: np.ndarray, order: int) -> tuple:
 def graded_integral(fn: Callable, lo, hi, order: int, rel_tol: float, floor: float = 0.0):
     """int_lo^hi fn(t) dt on panels graded toward hi; fn maps nodes to values
     along its first axis. The depth doubles from 6 to 96 until two values
-    agree to rel_tol relative to max(|value|, floor), in every component."""
-    cur = None
+    agree to rel_tol relative to max(|value|, floor), in every component.
+    Each node is taken once: a depth keeps the values on the panels it
+    shares with the one before and calls fn only at its new panels' nodes."""
+    cur, vals, kept = None, None, 0
     for depth in (6, 12, 24, 48, 96):
         t, w = gauss_panels(graded_breaks(lo, hi, depth), order)
-        prev, cur = cur, w @ fn(t)
+        new = fn(t[kept * order :])
+        vals = new if vals is None else np.concatenate([vals[: kept * order], new])
+        prev, cur, kept = cur, w @ vals, depth
         scale = rel_tol * np.maximum(np.abs(cur), floor)
         if prev is not None and np.all(np.abs(cur - prev) <= scale):
             return cur
@@ -372,15 +375,9 @@ def circle_values(F, r, n: int) -> np.ndarray:
 # the extremal catalog
 
 
-def _H_taylor(k: float, n: int) -> np.ndarray:
-    out = series_mul([1.0, 1.0], geometric_coefficients(1.0, 2, n), n)
-    if k != 0.0:
-        out = series_mul(out, geometric_coefficients(k, 1, n), n)
-    return out
-
-
-def _scrH_taylor(k: float, n: int) -> np.ndarray:
-    out = series_mul([1.0, 2.0, 1.0], geometric_coefficients(1.0, 3, n), n)
+def _extremal_taylor(numerator, power: int, k: float, n: int) -> np.ndarray:
+    """Taylor coefficients of numerator(z) / ((1 - z)^power (1 - k z))."""
+    out = series_mul(numerator, geometric_coefficients(1.0, power, n), n)
     if k != 0.0:
         out = series_mul(out, geometric_coefficients(k, 1, n), n)
     return out
@@ -443,8 +440,6 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             taylor_fn=strip_taylor,
         )
     if name == "H":
-        uid = f"H[k={kk!r}]"
-
         def H(z):
             return (1 + z) / ((1 - z) ** 2 * (1 - kk * z))
 
@@ -452,20 +447,9 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             num = (1 - z) * (1 - kk * z) + 2 * (1 + z) * (1 - kk * z) + kk * (1 - z**2)
             return num / ((1 - z) ** 3 * (1 - kk * z) ** 2)
 
-        return ClosedForm(uid, H, dfn=dH, taylor_fn=lambda n: _H_taylor(kk, n))
-    if name == "G":
-        uid = f"G[k={kk!r}]"
-        Hf = catalog("H", kk)
-        H, dH = Hf._fn, Hf._dfn  # unchecked: G's own call checks the radius
-        return ClosedForm(
-            uid,
-            lambda z: kk * z * H(z),
-            dfn=lambda z: kk * H(z) + kk * z * dH(z),
-            taylor_fn=_shift_up(lambda n: _H_taylor(kk, n), kk),
-        )
+        taylor = lambda n: _extremal_taylor([1.0, 1.0], 2, kk, n)
+        return ClosedForm(f"H[k={kk!r}]", H, dfn=dH, taylor_fn=taylor)
     if name == "scrH":
-        uid = f"scrH[k={kk!r}]"
-
         def scrH(z):
             return (1 + z) ** 2 / ((1 - z) ** 3 * (1 - kk * z))
 
@@ -477,16 +461,17 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             )
             return (1 + z) * num / ((1 - z) ** 4 * (1 - kk * z) ** 2)
 
-        return ClosedForm(uid, scrH, dfn=dscrH, taylor_fn=lambda n: _scrH_taylor(kk, n))
-    if name == "scrG":
-        uid = f"scrG[k={kk!r}]"
-        Sf = catalog("scrH", kk)
-        S, dS = Sf._fn, Sf._dfn  # unchecked: scrG's own call checks the radius
+        taylor = lambda n: _extremal_taylor([1.0, 2.0, 1.0], 3, kk, n)
+        return ClosedForm(f"scrH[k={kk!r}]", scrH, dfn=dscrH, taylor_fn=taylor)
+    if name in ("G", "scrG"):
+        # k z E(z), with E the H entry for G and the scrH entry for scrG
+        Ef = catalog(name.replace("G", "H"), kk)
+        E, dE = Ef._fn, Ef._dfn  # unchecked: this entry's own call checks the radius
         return ClosedForm(
-            uid,
-            lambda z: kk * z * S(z),
-            dfn=lambda z: kk * S(z) + kk * z * dS(z),
-            taylor_fn=_shift_up(lambda n: _scrH_taylor(kk, n), kk),
+            f"{name}[k={kk!r}]",
+            lambda z: kk * z * E(z),
+            dfn=lambda z: kk * E(z) + kk * z * dE(z),
+            taylor_fn=_shift_up(Ef._taylor_fn, kk),
         )
     raise DomainError(f"unknown catalog name {name!r}")
 

@@ -258,20 +258,16 @@ def normalize_to_S0(f: HarmonicMap) -> HarmonicMap:
     if alpha == 0:
         return f
     denom = 1.0 - abs(alpha) ** 2
-    ca = np.conj(alpha)
 
-    h0 = ClosedForm(
-        f.uid + ":h0",
-        lambda z: (f.h(z) - ca * f.g(z)) / denom,
-        dfn=lambda z: (f.h.derivative(z) - ca * f.g.derivative(z)) / denom,
-        taylor_fn=lambda n: (f.h.taylor(n) - ca * f.g.taylor(n)) / denom,
-    )
-    g0 = ClosedForm(
-        f.uid + ":g0",
-        lambda z: (f.g(z) - alpha * f.h(z)) / denom,
-        dfn=lambda z: (f.g.derivative(z) - alpha * f.h.derivative(z)) / denom,
-        taylor_fn=lambda n: (f.g.taylor(n) - alpha * f.h.taylor(n)) / denom,
-    )
+    def combine(suffix, a, b, c):  # (a - c b) / denom
+        return ClosedForm(
+            f.uid + suffix,
+            lambda z: (a(z) - c * b(z)) / denom,
+            dfn=lambda z: (a.derivative(z) - c * b.derivative(z)) / denom,
+            taylor_fn=lambda n: (a.taylor(n) - c * b.taylor(n)) / denom,
+        )
+
+    h0, g0 = combine(":h0", f.h, f.g, np.conj(alpha)), combine(":g0", f.g, f.h, alpha)
     return HarmonicMap(
         h=h0,
         g=g0,

@@ -248,8 +248,8 @@ def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
 
 
 def _corollary_bounds(k: float, ps, r: float, extremal: str = "H") -> np.ndarray:
-    """``corollary_bound`` for every p in ps from one vector integrand on shared
-    radius-line panels; the new nodes of each depth take one batch of the angular rule."""
+    """``corollary_bound`` for every p in ps from one vector integrand on the
+    radius line; each depth's new nodes take one batch of the angular rule."""
     if min(ps) < 1:
         raise DomainError(f"cumulative bound requires p >= 1, got {min(ps)}")
     if not (0.0 <= k < 1.0):
@@ -259,14 +259,8 @@ def _corollary_bounds(k: float, ps, r: float, extremal: str = "H") -> np.ndarray
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
     E = catalog(extremal, k)
-    means = {}  # radius node: M_p there by p; each depth keeps the panels of the one before
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        new = [x for x in dict.fromkeys(map(float, s)) if x not in means]
-        means.update(zip(new, _integral_means_grid(E, ps, new, rel_tol=1e-8)))
-        return np.array([means[x] for x in map(float, s)])
-
-    return (1.0 + k) * graded_integral(integrand, 0.0, r, 8, 1e-7)
+    means = lambda s: np.array(_integral_means_grid(E, ps, s, rel_tol=1e-8))
+    return (1.0 + k) * graded_integral(means, 0.0, r, 8, 1e-7)
 
 
 def lemmaF_integral(p: float, r: float) -> float:
@@ -359,21 +353,20 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
 
     all_converged is False when the adaptive angular rule fails its check at
     some radius of the integral or the fit; the value then is best-effort.
-    The new radius nodes of each depth and the dyadic tail take one batch each.
+    Each depth's new radius nodes and the dyadic tail take one batch each.
     """
     tail = hardy_tail(f, p)
-    hp = f.h_prime
-    means = {}  # radius node: _graded_mean_pows there, each node computed once
+    hp, flags = f.h_prime, []  # each radius node's converged flag
 
     def integrand(rs: np.ndarray) -> np.ndarray:
-        new = [r for r in dict.fromkeys(map(float, rs)) if r not in means]
-        means.update((r, res[0]) for r, res in zip(new, _graded_mean_pows(hp, (p,), new, 1e-9)))
-        return np.array([(1.0 - r) ** (p - 1.0) * means[r][0] for r in map(float, rs)])
+        means = [res[0] for res in _graded_mean_pows(hp, (p,), rs, 1e-9)]
+        flags.extend(c for _, _, c, _ in means)
+        return np.array([(1.0 - r) ** (p - 1.0) * m[0] for r, m in zip(rs.tolist(), means)])
 
     total = float(graded_integral(integrand, 0.0, 1.0 - 2.0**-6, 8, 1e-6))
     t, w = gauss_panels(1.0 - 2.0 ** -np.arange(6, HARDY_CUTOFF_EXP + 1), 8)  # dyadic tail
     total += float(w @ integrand(t))
-    converged = tail.all_converged and all(c for _, _, c, _ in means.values())
+    converged = tail.all_converged and all(flags)
     return HardyBound(tail.tail_exponent, tail.divergent, converged, value=total)
 
 

@@ -24,6 +24,11 @@ from .csvio import join_row
 MIN_CIRCLE_SAMPLES = 2**9
 
 
+def _check_count(n: int) -> None:
+    if n < MIN_CIRCLE_SAMPLES or n & (n - 1):
+        raise DomainError(f"need a power-of-two sample count >= {MIN_CIRCLE_SAMPLES}")
+
+
 @dataclass
 class SampledCircle:
     """Real samples of a boundary functional on the uniform angle grid."""
@@ -34,9 +39,7 @@ class SampledCircle:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        n = self.values.size
-        if n < MIN_CIRCLE_SAMPLES or n & (n - 1):
-            raise DomainError(f"need a power-of-two sample count >= {MIN_CIRCLE_SAMPLES}")
+        _check_count(self.values.size)
         if not np.all(np.isfinite(self.values)):
             raise DomainError("samples must be finite")
         if not (0.0 < self.radius < 1.0):
@@ -45,9 +48,6 @@ class SampledCircle:
     @property
     def n(self) -> int:
         return self.values.size
-
-    def thetas(self) -> np.ndarray:
-        return -np.pi + 2.0 * np.pi * np.arange(self.n) / self.n
 
 
 def sample_log_modulus(F: AnalyticFunction, r: float, n: int) -> SampledCircle:
@@ -60,6 +60,7 @@ def sample_log_modulus(F: AnalyticFunction, r: float, n: int) -> SampledCircle:
     """
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
+    _check_count(n)
     rr, half, mod = r, n // 2, np.empty(n)
     for _ in range(3):
         values = circle_values(F, rr, n)

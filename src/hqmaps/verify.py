@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -49,14 +49,25 @@ DIVERGENT_BETA = 0.05
 CERT_TAIL = -0.95
 DEFAULT_DEPTH = 13
 
-# any of these marks eligibility for the close-to-convex extremal family
-_CTC_TAGS = frozenset(
-    {"close-to-convex", "starlike", "convex-in-one-direction", "convex"}
-)
-# extremal h' family -> (inequality-id prefix, tags that make a map eligible),
-# tightest first; _COMPANION names the family g' is held to
-_FAMILIES = {"H": ("convex", frozenset({"convex"})), "scrH": ("ctc", _CTC_TAGS)}
-_COMPANION = {"H": "G", "scrH": "scrG"}
+
+class _Family(NamedTuple):
+    prefix: str  # of its inequality ids
+    tags: frozenset  # any of these makes a map eligible
+    companion: str  # the extremal g' is held to
+    theorem: float  # Hardy-membership threshold of this work
+    nowak: float  # Nowak's earlier threshold
+    member_ps: tuple  # where membership rows expect 'member'
+
+
+# extremal h' family -> its facts, tightest first
+_FAMILIES = {
+    "H": _Family("convex", frozenset({"convex"}), "G", 1.0, 0.5, (0.9,)),
+    "scrH": _Family(
+        "ctc",
+        frozenset({"close-to-convex", "starlike", "convex-in-one-direction", "convex"}),
+        "scrG", 0.5, 1.0 / 3.0, (0.25, 0.45),
+    ),
+}
 
 
 class ClassTagError(DomainError):
@@ -85,6 +96,13 @@ class VerificationRow:
     rhs: float
     tol: float
     detail: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # numpy scalars become plain str/float, so reports serialize alike
+        self.mapping_id, self.inequality_id = str(self.mapping_id), str(self.inequality_id)
+        self.k, self.p, self.r = float(self.k), float(self.p), float(self.r)
+        self.lhs, self.rhs, self.tol = float(self.lhs), float(self.rhs), float(self.tol)
+        self.detail = dict(self.detail or {})
 
     @property
     def margin(self) -> float:
@@ -129,18 +147,15 @@ class VerificationRow:
         )
 
 
-def _row(mapping_id, inequality_id, k, p, r, lhs, rhs, tol, detail=None):
-    return VerificationRow(
-        mapping_id=str(mapping_id),
-        inequality_id=str(inequality_id),
-        k=float(k),
-        p=float(p),
-        r=float(r),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        tol=float(tol),
-        detail=dict(detail or {}),
-    )
+def _grid_rows(uid, inequality_id, k, ps, rs, lhs, rhs, tol, relative=True) -> list:
+    """A row per (r, p) from lhs and rhs, per radius a list by p; the row's
+    tolerance is tol times the larger side (at least 1), or tol itself."""
+    return [
+        VerificationRow(
+            uid, inequality_id, k, p, r, a, b, tol * max(abs(a), abs(b), 1.0) if relative else tol
+        )
+        for r, lhs_r, rhs_r in zip(rs, lhs, rhs) for p, a, b in zip(ps, lhs_r, rhs_r)
+    ]
 
 
 @dataclass
@@ -177,7 +192,7 @@ def _families_of(f: HarmonicMap, families) -> list:
     """The extremal families in families, in order, whose tags f carries."""
     if not set(families) <= _FAMILIES.keys():
         raise DomainError(f"extremal must be 'H' or 'scrH', got {list(families)!r}")
-    return [e for e in families if _FAMILIES[e][1] & f.class_tags]
+    return [e for e in families if _FAMILIES[e].tags & f.class_tags]
 
 
 def _require_tags(f: HarmonicMap, extremal: str) -> str:
@@ -185,9 +200,9 @@ def _require_tags(f: HarmonicMap, extremal: str) -> str:
     if not _families_of(f, [extremal]):
         raise ClassTagError(
             f"{f.uid}: comparison against the {extremal} extremal needs one of the "
-            f"tags {sorted(_FAMILIES[extremal][1])}"
+            f"tags {sorted(_FAMILIES[extremal].tags)}"
         )
-    return _FAMILIES[extremal][0]
+    return _FAMILIES[extremal].prefix
 
 
 def _require_certificate(f: HarmonicMap, k: float):
@@ -239,23 +254,16 @@ def _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means: dict) -> list:
     extremal pair are kept in extremal_means under (name, k) for the maps
     that share it."""
     checked = _checked_pairs(f, pairs)
-    sides = (("hprime", f.h_prime), ("gprime", f.g_prime))
-    lhs_means = {side: _integral_means_grid(F, p_grid, r_grid, 1e-8) for side, F in sides}
     rows = []
-    for i, r in enumerate(r_grid):
-        for side, _ in sides:
-            for prefix, extremal, k in checked:
-                name = extremal if side == "hprime" else _COMPANION[extremal]
-                if (name, k) not in extremal_means:
-                    E = catalog(name, k)
-                    extremal_means[name, k] = _integral_means_grid(E, p_grid, r_grid, 1e-8)
-                for p, lhs, rhs in zip(p_grid, lhs_means[side][i], extremal_means[name, k][i]):
-                    rows.append(
-                        _row(
-                            f.uid, f"means-{prefix}-{side}", k, p, r, lhs, rhs,
-                            tol * max(abs(lhs), abs(rhs), 1.0),
-                        )
-                    )
+    for side, F in (("hprime", f.h_prime), ("gprime", f.g_prime)):
+        lhs = _integral_means_grid(F, p_grid, r_grid, 1e-8)
+        for prefix, extremal, k in checked:
+            name = extremal if side == "hprime" else _FAMILIES[extremal].companion
+            if (name, k) not in extremal_means:
+                E = catalog(name, k)
+                extremal_means[name, k] = _integral_means_grid(E, p_grid, r_grid, 1e-8)
+            rhs = extremal_means[name, k]
+            rows += _grid_rows(f.uid, f"means-{prefix}-{side}", k, p_grid, r_grid, lhs, rhs, tol)
     return rows
 
 
@@ -290,7 +298,7 @@ def _star_rows(f, checked, r, tol, extremal_stars: dict) -> list:
         sides = [("hprime", f.h_prime, extremal)]
         # the companion row needs log|g'|; skip it when g vanishes identically
         if k > 0 and not f.is_analytic():
-            sides.append(("gprime", f.g_prime, _COMPANION[extremal]))
+            sides.append(("gprime", f.g_prime, _FAMILIES[extremal].companion))
         for side, target, name in sides:
             if side not in map_stars:
                 map_stars[side] = star_function(sample_log_modulus(target, r, n))
@@ -303,7 +311,7 @@ def _star_rows(f, checked, r, tol, extremal_stars: dict) -> list:
             scale = max(1.0, float(np.max(np.abs(star_E.values))))
             v = star_dominates(star_f, star_E, tol=tol * scale)
             rows.append(
-                _row(
+                VerificationRow(
                     f.uid, f"star-{prefix}-{side}", k, 0.0, r,
                     v.max_violation, 0.0, tol * scale,
                     detail={"n": n, "at_theta": float(v.theta_at_max)},
@@ -330,13 +338,9 @@ def growth_exponent(curve: MeansCurve) -> float:
 def _thresholds(f: HarmonicMap) -> dict:
     """Membership thresholds for context: this work, the earlier unconditioned
     bounds, and the distortion-only bound 1/(2K)."""
-    convex = "convex" in f.class_tags
-    ctc = bool(_CTC_TAGS & f.class_tags)
-    theorem = 1.0 if convex else (0.5 if ctc else None)
-    nowak = 0.5 if convex else (1.0 / 3.0 if ctc else None)
-    ak = None
-    if f.qc_k is not None and f.qc_k < 1.0:
-        ak = 1.0 / (2.0 * K_of_k(f.qc_k))
+    family = next((_FAMILIES[e] for e in _families_of(f, _FAMILIES)), None)
+    theorem, nowak = (family.theorem, family.nowak) if family else (None, None)
+    ak = 1.0 / (2.0 * K_of_k(f.qc_k)) if f.qc_k is not None and f.qc_k < 1.0 else None
     return {"theorem": theorem, "nowak": nowak, "astala_koskela": ak}
 
 
@@ -433,17 +437,9 @@ def membership_row(
         ),
         "converged_radii": int(np.sum(v.curve.converged)),
     }
-    return _row(
-        f.uid,
-        "membership-hardy",
-        f.qc_k if f.qc_k is not None else 1.0,
-        p,
-        float(v.curve.radii[-1]),
-        0.0 if v.verdict == expected else 1.0,
-        0.0,
-        0.5,
-        detail,
-    )
+    k, r = f.qc_k if f.qc_k is not None else 1.0, v.curve.radii[-1]
+    lhs = 0.0 if v.verdict == expected else 1.0
+    return VerificationRow(f.uid, "membership-hardy", k, p, r, lhs, 0.0, 0.5, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +505,12 @@ def suite_cumulative(
         if f.qc_k is None or f.qc_k >= 1.0 or not eligible:
             continue
         extremal, k = eligible[0], float(f.qc_k)
-        prefix = _FAMILIES[extremal][0]
         _require_certificate(f, k)
-        for r, lhs_means in zip(r_grid, _integral_means_grid(f, p_grid, r_grid, 1e-8)):
-            key = (k, r, extremal)
-            if key not in bounds:
-                bounds[key] = _corollary_bounds(k, p_grid, r, extremal)
-            for p, lhs, rhs in zip(p_grid, lhs_means, bounds[key]):
-                rows.append(
-                    _row(
-                        f.uid, f"cumulative-bound-{prefix}", k, p, r, lhs, rhs,
-                        tol * max(abs(lhs), abs(rhs), 1.0),
-                    )
-                )
+        if (k, extremal) not in bounds:
+            bounds[k, extremal] = [_corollary_bounds(k, p_grid, r, extremal) for r in r_grid]
+        lhs = _integral_means_grid(f, p_grid, r_grid, 1e-8)
+        inequality = f"cumulative-bound-{_FAMILIES[extremal].prefix}"
+        rows += _grid_rows(f.uid, inequality, k, p_grid, r_grid, lhs, bounds[k, extremal], tol)
     return rows
 
 
@@ -536,12 +525,10 @@ def suite_classic(corpus, p_grid=P_GRID, r_grid=R_GRID, tol=CLASSIC_TOL):
     members = [f for f in corpus if {"analytic", "starlike"} <= f.class_tags]
     rows = []
     for inequality, target, koebe in sides if members else ():
-        rhs_means = _integral_means_grid(koebe, p_grid, r_grid, 1e-9)
+        rhs = _integral_means_grid(koebe, p_grid, r_grid, 1e-9)
         for f in members:
-            lhs_means = _integral_means_grid(target(f), p_grid, r_grid, 1e-9)
-            for r, lhs_r, rhs_r in zip(r_grid, lhs_means, rhs_means):
-                for p, lhs, rhs in zip(p_grid, lhs_r, rhs_r):
-                    rows.append(_row(f.uid, inequality, 0.0, p, r, lhs, rhs, tol))
+            lhs = _integral_means_grid(target(f), p_grid, r_grid, 1e-9)
+            rows += _grid_rows(f.uid, inequality, 0, p_grid, r_grid, lhs, rhs, tol, relative=False)
     return rows
 
 
@@ -555,8 +542,8 @@ def suite_membership(corpus, depth=DEFAULT_DEPTH):
         if f.uid == "harmonic-koebe":
             expected = [(0.4, "divergent")]
         elif f.qc_k is not None and f.qc_k < 1.0:
-            expected = [(p, "member") for p in (0.25, 0.45) if _CTC_TAGS & f.class_tags]
-            expected += [(0.9, "member")] if "convex" in f.class_tags else []
+            ps = {p for e in _families_of(f, _FAMILIES) for p in _FAMILIES[e].member_ps}
+            expected = [(p, "member") for p in sorted(ps)]
         curves = _dyadic_means_curves(f, [p for p, _ in expected], depth) if expected else []
         rows += [membership_row(f, p, v, depth, c) for (p, v), c in zip(expected, curves)]
     return rows

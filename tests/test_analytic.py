@@ -16,6 +16,8 @@ from hqmaps.analytic import (
     NonConvergenceError,
     catalog,
     circle_values,
+    gauss_panels,
+    graded_breaks,
     graded_integral,
     radial_path_integral,
     taylor_coefficients,
@@ -214,6 +216,28 @@ def test_graded_integral_integrates_vector_integrands_componentwise():
     value = graded_integral(lambda t: t[:, None] ** powers, 0.0, 2.0, 16, 1e-12, floor=1.0)
     assert value.shape == (4,)
     assert np.allclose(value, 2.0 ** (powers + 1) / (powers + 1), rtol=1e-14, atol=0)
+
+
+def test_graded_integral_takes_each_node_once_and_keeps_its_value():
+    # two components, one with its branch point just past t = 1, need three
+    # depths; deeper ones would round nodes of distinct panels to t = 1
+    def fn(t):
+        seen.append(t.copy())
+        return np.stack([((1.0 - t) + 2.0**-16) ** -0.5, np.cos(3.0 * t)], axis=1)
+
+    # the reference takes fn at every node of each depth
+    seen, cur = [], None
+    for depth in (6, 12, 24, 48, 96):
+        t, w = gauss_panels(graded_breaks(0.0, 1.0, depth), 8)
+        prev, cur = cur, w @ fn(t)
+        if prev is not None and np.all(np.abs(cur - prev) <= 1e-10 * np.abs(cur)):
+            break
+    reference_calls, seen = len(seen), []
+    value = graded_integral(fn, 0.0, 1.0, 8, 1e-10)
+    nodes = np.concatenate(seen)
+    assert len(seen) == reference_calls >= 3
+    assert np.unique(nodes).size == nodes.size
+    assert np.array_equal(value, cur)
 
 
 def test_graded_integral_reports_a_stalled_integrand():

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import hqmaps
 from hqmaps.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -64,6 +65,15 @@ def test_means_usage_errors(tmp_path, monkeypatch, capsys):
         code, _, err = run_main(args, tmp_path, monkeypatch, capsys)
         assert code == EXIT_USAGE, args
         assert "error" in err.lower()
+
+
+def test_star_bad_sample_count_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
+    for n in ("-4", "6", "1000"):
+        code, _, err = run_main(
+            ["star", "--catalog", "koebe", "--r", "0.5", "--n", n], tmp_path, monkeypatch, capsys
+        )
+        assert code == EXIT_USAGE, n
+        assert "power-of-two" in err
 
 
 def test_unknown_flag_exits_2(tmp_path, monkeypatch):
@@ -341,9 +351,12 @@ def test_verify_rejects_bad_suite_and_K(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_entry_point_runs():
+    # the child finds the package by an absolute path, from any working directory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hqmaps.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "hqmaps.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "means" in proc.stdout and "verify" in proc.stdout

@@ -55,6 +55,15 @@ def brute_force_star(values):
     return np.array(out)
 
 
+def test_sample_log_modulus_checks_the_count_before_sampling():
+    calls = []
+    F = ClosedForm("counted", lambda z: calls.append(z.size) or 1.0 + z)
+    for n in (-4, 6, 1000, 2**8):
+        with pytest.raises(DomainError, match="power-of-two"):
+            sample_log_modulus(F, 0.5, n)
+    assert calls == []
+
+
 def test_star_matches_exhaustive_oracle():
     rng = np.random.default_rng(7)
     for trial in range(100):

@@ -270,6 +270,39 @@ def test_report_sorting_and_serialization():
     assert rep.exit_status() == 0
 
 
+def test_rows_of_numpy_scalars_serialize_as_rows_of_floats():
+    plain = VerificationRow("m", "i", 0.5, 1.0, 0.9, 0.25, 0.5, 1e-6, {"n": 4})
+    scalars = VerificationRow(
+        "m", "i", np.float64(0.5), np.int64(1), np.float64(0.9),
+        np.float64(0.25), np.float64(0.5), np.float64(1e-6), {"n": 4},
+    )
+    for name in ("k", "p", "r", "lhs", "rhs", "tol"):
+        assert type(getattr(scalars, name)) is float, name
+    reports = [VerificationReport(rows=[row], metadata={}) for row in (plain, scalars)]
+    assert reports[0].to_json() == reports[1].to_json()
+    assert reports[0].to_csv() == reports[1].to_csv()
+
+
+def test_membership_rows_and_thresholds_follow_the_family_table():
+    # a starlike tag alone admits the close-to-convex family only
+    koebe = analytic_map("koebe")
+    starlike = type(koebe)(
+        h=koebe.h, g=koebe.g, uid="starlike-koebe", class_tags=frozenset({"starlike"}), qc_k=0.0
+    )
+    rows = verify.suite_membership([starlike, analytic_map("half-plane")])
+    by_map = {}
+    for row in rows:
+        by_map.setdefault(row.mapping_id, []).append(row)
+    assert [r.p for r in by_map["starlike-koebe"]] == [0.25, 0.45]
+    assert [r.p for r in by_map["half-plane"]] == [0.25, 0.45, 0.9]
+    for uid, theorem, nowak in (("starlike-koebe", 0.5, 1.0 / 3.0), ("half-plane", 1.0, 0.5)):
+        for row in by_map[uid]:
+            assert row.detail["expected"] == "member"
+            assert row.detail["threshold_theorem"] == theorem
+            assert row.detail["threshold_nowak"] == nowak
+    assert all(row.verdict == "pass" for row in rows)
+
+
 def test_report_exit_status_on_failure():
     rows = [VerificationRow("m", "i", 0.0, 1.0, 0.5, 2.0, 1.0, 1e-9)]
     rep = VerificationReport(rows=rows, metadata={})
