@@ -236,7 +236,7 @@ class PowerSeries(AnalyticFunction):
 
 def graded_breaks(lo: float, hi: float, depth: int) -> np.ndarray:
     """lo, hi - (hi - lo) 2^-j for j = 1..depth, and hi: panels halving toward
-    hi. Depth 2d keeps the first d panels of depth d, all but its last."""
+    hi. A deeper grading shares every panel of this one but the last."""
     return np.concatenate([[lo], hi - (hi - lo) * 2.0 ** -np.arange(1, depth + 1), [hi]])
 
 
