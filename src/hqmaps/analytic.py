@@ -4,16 +4,15 @@ Every evaluator is vectorized over numpy arrays of complex points. Three
 representations cover the whole library:
 
 ``ClosedForm``
-    explicit formula with an exact derivative formula and (optionally) an
-    exact Taylor coefficient generator.
+    explicit formula with an exact derivative (a formula, or a ``ClosedForm``
+    with its own Taylor generator) and an optional Taylor generator.
 ``PowerSeries``
     truncated Taylor series; calculus is term-wise.
 ``RadialIntegral``
-    antiderivative of a closed-form integrand: pointwise values from an exact
-    antiderivative when one is supplied (shears have one by partial
-    fractions) and otherwise by composite Gauss-Legendre panels along [0, z]
-    graded toward the endpoint, whole circles by a spectral FFT pass (exact
-    shears skip it), Taylor coefficients by integrating term by term.
+    antiderivative of a closed-form integrand: pointwise values by
+    composite Gauss-Legendre panels along [0, z] graded toward the
+    endpoint, whole circles by a spectral FFT pass, Taylor coefficients by
+    integrating term by term. No map of the library is built from one.
 
 ``graded_breaks``, ``gauss_panels`` and ``graded_integral`` are the one graded
 Gauss-Legendre quadrature: radial integrals here, radius-line integrals and
@@ -79,19 +78,6 @@ def series_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     if out.size < n:
         out = np.pad(out, (0, n - out.size))
     return out
-
-
-def series_reciprocal(c: np.ndarray, n: int) -> np.ndarray:
-    """First n coefficients of 1/C(z) where C has nonzero constant term."""
-    c = np.asarray(c, dtype=complex)
-    if c.size == 0 or c[0] == 0:
-        raise DomainError("reciprocal needs a nonzero constant term")
-    c = np.pad(c[:n], (0, max(0, n - c.size)))
-    b = np.zeros(n, dtype=complex)
-    b[0] = 1.0 / c[0]
-    for m in range(1, n):
-        b[m] = -(c[1 : m + 1] @ b[m - 1 :: -1]) / c[0]
-    return b
 
 
 def series_integrate(c: np.ndarray, n: int) -> np.ndarray:
@@ -182,6 +168,8 @@ class ClosedForm(AnalyticFunction):
     def derivative_function(self) -> "ClosedForm":
         if self._dfn is None:
             raise DomainError(f"{self.uid} carries no derivative formula")
+        if isinstance(self._dfn, ClosedForm):
+            return self._dfn
         dtaylor = None
         if self._taylor_fn is not None:
             base = self._taylor_fn
@@ -280,29 +268,21 @@ def radial_path_integral(fn: Callable, z) -> np.ndarray:
 class RadialIntegral(AnalyticFunction):
     """F(z) = integral of a given derivative along [0, z].
 
-    The derivative is exact (it is the integrand). Pointwise values come from
-    ``antiderivative`` when the caller knows F in closed form (it must vanish
-    at 0), else from graded Gauss-Legendre quadrature; whole circles come
-    from an oversampled spectral pass, whose samples are point values too,
-    and Taylor coefficients from the integrand's, integrated term by term.
-    The pass serves radial integrals sampled alone and shears with no exact
-    antiderivative; exact shears sample circles by their point formula.
+    The derivative is exact (it is the integrand). Pointwise values come
+    from graded Gauss-Legendre quadrature, whole circles from an oversampled
+    spectral pass, whose samples are point values too, and Taylor
+    coefficients from the integrand's, integrated term by term.
     """
 
     kind = "radial-path-integral"
 
-    def __init__(
-        self, integrand: AnalyticFunction, uid: str, antiderivative: Optional[Callable] = None
-    ):
+    def __init__(self, integrand: AnalyticFunction, uid: str):
         super().__init__(uid)
         self.integrand = integrand
-        self._antiderivative = antiderivative
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         _check_radius(z)
-        if self._antiderivative is not None:
-            return self._antiderivative(z)
         return radial_path_integral(self.integrand, z)
 
     def derivative(self, z):

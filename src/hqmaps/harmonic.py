@@ -2,11 +2,10 @@
 
 A harmonic map is stored as its canonical pair (h, g) of analytic functions
 together with declared class tags and, when quasiconformal, the dilatation
-bound. Shears are built from a conformal slice phi and a dilatation omega as
-two radial integrals of closed-form derivatives, h' = phi'/(1 - omega) and
-g' = omega h', so that h - g = phi; for the named slices and omega = kappa z^m
-h is also exact by partial fractions, and such a shear samples whole circles
-by that point formula rather than by its components' spectral passes, as
+bound. Shears are built from a named conformal slice phi and a dilatation
+omega = kappa z^m: h' = phi'/(1 - omega) and g' = omega h' are closed forms,
+h is exact by partial fractions and g = h - phi, so a shear evaluates at any
+point, whole circles included, without quadrature, as
 f = h + conj(h - phi) = 2 Re h - conj(phi): Re h takes no angle when the
 partial-fraction coefficients are real (every named slice with m <= 2), and
 Im f is Im phi exactly, free of the cancellation in h - phi.
@@ -24,13 +23,11 @@ from .analytic import (
     AnalyticFunction,
     ClosedForm,
     DomainError,
-    RadialIntegral,
     catalog,
-    circle_values,
     geometric_coefficients,
     pointwise_circle_values,
+    series_integrate,
     series_mul,
-    series_reciprocal,
 )
 
 CLASS_TAGS = ("convex", "close-to-convex", "starlike", "convex-in-one-direction", "analytic")
@@ -46,7 +43,7 @@ class HarmonicMap:
     class_tags: frozenset = frozenset()
     qc_k: Optional[float] = None
     meta: dict = field(default_factory=dict)
-    # phi and Re h when g = h - phi exactly (make_shear's exact path):
+    # phi and Re h when g = h - phi exactly (every make_shear result):
     # f = h + conj(h - phi) = 2 Re h - conj(phi), so Im f is Im phi exactly
     slice_phi: Optional[AnalyticFunction] = field(default=None, init=False, repr=False)
     slice_re_h: Optional[Callable] = field(default=None, init=False, repr=False)
@@ -72,12 +69,9 @@ class HarmonicMap:
         return "analytic" in self.class_tags
 
     def circle_values(self, r: float, n: int) -> np.ndarray:
-        """f on the uniform n-point circle grid: an exact shear by its point
-        formula, in the blocks of ``pointwise_circle_values``; any other map
-        from its components' samples."""
-        if self.slice_phi is not None:
-            return pointwise_circle_values(self, r, n)
-        return circle_values(self.h, r, n) + np.conj(circle_values(self.g, r, n))
+        """f on the uniform n-point circle grid by its point formula, in the
+        blocks of ``pointwise_circle_values``."""
+        return pointwise_circle_values(self, r, n)
 
     def __repr__(self):
         return f"<HarmonicMap {self.uid}>"
@@ -177,33 +171,30 @@ def _exact_shear_h(phi_prime_terms, kappa: float, m: int):
 
 
 def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str] = None) -> HarmonicMap:
-    """Shear construction: h - g = phi, g' = omega h'.
+    """Shear construction: h - g = phi, g' = omega h', h' = phi'/(1 - omega).
 
-    Requires the usual normalization phi(0) = 0, phi'(0) = 1, omega(0) = 0 and
-    |omega| < 1 on the closed probe disk. The result is tagged
-    convex-in-one-direction and close-to-convex. When omega declares itself
-    ``monomial`` = (kappa, m), that is kappa z^m, qc_k is kappa, the exact sup
-    of |omega| over the disk; any other omega gets the sampled grid sup.
-
-    h and g are radial integrals of h' and g'. When phi is a named slice of
-    the catalog and omega is a monomial with kappa > 0, h is also known
-    exactly by partial fractions and g = h - phi, so both evaluate at any
-    point without quadrature, whole circles included; Taylor coefficients
-    come from the integrands either way. Any other omega keeps the radial
-    quadrature for pointwise values and the spectral pass for circles.
+    phi must be a named slice of the catalog (identity, half-plane,
+    strip-like) and omega must declare itself ``monomial`` = (kappa, m), that
+    is kappa z^m with 0 < kappa < 1; a declaration that |omega| contradicts
+    on a probe grid, or omega(0) != 0, is a DomainError. The result is tagged
+    convex-in-one-direction and close-to-convex, with qc_k = kappa, the
+    exact sup of |omega| over the disk. h is exact by partial fractions and
+    g = h - phi, both ``ClosedForm``s whose derivatives h' and g' carry
+    their own Taylor generators: phi' times the geometric series of
+    1/(1 - kappa z^m), and omega times that.
     """
+    terms = _SLICE_PARTIAL_FRACTIONS.get(phi.uid)
+    monomial = getattr(omega, "monomial", None)
+    if terms is None or monomial is None or not (0.0 < monomial[0] < 1.0):
+        raise DomainError("shear needs a named slice and omega = kappa z^m with 0 < kappa < 1")
+    kappa, m = monomial
     z0 = np.asarray(0.0, dtype=complex)
     if abs(phi(z0)) > 1e-12 or abs(phi.derivative(z0) - 1.0) > 1e-12:
         raise DomainError("shear needs phi(0) = 0 and phi'(0) = 1")
     if abs(omega(z0)) > 1e-12:
         raise DomainError("shear needs omega(0) = 0")
     grid = 0.99 * np.exp(2j * np.pi * np.arange(1024) / 1024)
-    sup_omega = float(np.max(np.abs(omega(grid))))
-    if sup_omega >= 1.0:
-        raise DomainError(f"|omega| reaches {sup_omega:.6f} >= 1 on the probe grid")
-    monomial = getattr(omega, "monomial", None)
-    qc = sup_omega if monomial is None else monomial[0]
-    if sup_omega > qc + 1e-10:
+    if float(np.max(np.abs(omega(grid)))) > kappa + 1e-10:
         raise DomainError("declared sup of |omega| contradicted on the probe grid")
 
     if uid is None:
@@ -216,32 +207,28 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     def hp_fn(z):
         return dphi(z) / (1.0 - omega_fn(z))
 
-    def hp_taylor(m: int) -> np.ndarray:
-        one_minus = -omega.taylor(m)
-        one_minus[0] += 1.0
-        return series_mul(phi_prime.taylor(m), series_reciprocal(one_minus, m), m)
+    def hp_taylor(n: int) -> np.ndarray:
+        geometric = np.zeros(n, dtype=complex)  # 1/(1 - kappa z^m)
+        geometric[::m] = geometric_coefficients(kappa, 1, -(-n // m))
+        return series_mul(phi_prime.taylor(n), geometric, n)
 
     hp = ClosedForm(uid + ":h'", hp_fn, taylor_fn=hp_taylor)
     gp = ClosedForm(
         uid + ":g'",
         lambda z: omega_fn(z) * hp_fn(z),
-        taylor_fn=lambda m: series_mul(omega.taylor(m), hp_taylor(m), m),
+        taylor_fn=lambda n: series_mul(omega.taylor(n), hp_taylor(n), n),
     )
-    h_exact = g_exact = None
-    terms = _SLICE_PARTIAL_FRACTIONS.get(phi.uid)
-    if monomial is not None and monomial[0] > 0.0 and terms is not None:
-        h_exact = _exact_shear_h(terms, *monomial)
-        g_exact = lambda z: h_exact(z) - phi(z)
+    h_exact = _exact_shear_h(terms, kappa, m)
+    integrate = lambda F: (lambda n: series_integrate(F.taylor(n), n))
     f = HarmonicMap(
-        h=RadialIntegral(hp, uid + ":h", h_exact),
-        g=RadialIntegral(gp, uid + ":g", g_exact),
+        h=ClosedForm(uid + ":h", h_exact, dfn=hp, taylor_fn=integrate(hp)),
+        g=ClosedForm(uid + ":g", lambda z: h_exact(z) - phi(z), dfn=gp, taylor_fn=integrate(gp)),
         uid=uid,
         class_tags=frozenset({"convex-in-one-direction", "close-to-convex"}),
-        qc_k=qc,
+        qc_k=kappa,
         meta={"phi": phi.uid, "omega": omega.uid},
     )
-    if h_exact is not None:
-        f.slice_phi, f.slice_re_h = phi, lambda z: h_exact(z, real=True)
+    f.slice_phi, f.slice_re_h = phi, lambda z: h_exact(z, real=True)
     return f
 
 

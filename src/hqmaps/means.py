@@ -413,13 +413,15 @@ def dyadic_means_curve(
 
 
 def _dyadic_means_curves(F: Evaluable, ps, depth: int, rel_tol: float = 1e-9) -> list:
-    """``dyadic_means_curve`` for every p in ps, from one batch for them all."""
+    """``dyadic_means_curve`` for every p in ps from one batch, scaled as in
+    ``_integral_means_grid``, so huge and tiny targets keep their precision."""
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    radii = 1.0 - 2.0 ** -np.arange(1, depth + 1)
-    by_p = zip(ps, zip(*_graded_mean_pows(F, ps, radii, rel_tol=rel_tol)))
+    radii, scales = 1.0 - 2.0 ** -np.arange(1, depth + 1), []  # s by p, a row per radius
+    results = _graded_mean_pows(F, ps, radii, rel_tol, scales)
+    by_p = zip(ps, zip(*results), zip(*scales))
     return [
-        MeansCurve(p, radii, [value ** (1.0 / p) for value, *_ in means], getattr(F, "uid", "?"),
-                   converged=np.array([converged for _, _, converged, _ in means]))
-        for p, means in by_p
+        MeansCurve(p, radii, [value ** (1.0 / p) * t for (value, *_), t in zip(means, st)],
+                   getattr(F, "uid", "?"), converged=np.array([converged for _, _, converged, _ in means]))
+        for p, means, st in by_p
     ]

@@ -14,6 +14,7 @@ from hqmaps.analytic import (
     ClosedForm,
     DomainError,
     NonConvergenceError,
+    RadialIntegral,
     catalog,
     circle_values,
     gauss_panels,
@@ -116,9 +117,11 @@ def test_radius_cap_enforced():
 
 def test_circle_values_matches_direct_evaluation():
     targets = [catalog(name, k) for name, k in (("H", 0.5), ("scrH", 0.25), ("G", 2 / 3))]
-    # shear components are radial integrals, sampled alone by the spectral pass
+    # shear components are closed forms, sampled pointwise
     for f in (corpus_shear("halfplane", 0.5, 1), corpus_shear("strip", 0.8, 2)):
         targets += [f.h, f.g]
+    # a radial integral is sampled by its spectral pass
+    targets.append(RadialIntegral(catalog("H", 0.5).derivative_function(), "int H'"))
     n = 4096
     theta = 2 * np.pi * np.arange(n) / n
     for F in targets:
@@ -129,22 +132,29 @@ def test_circle_values_matches_direct_evaluation():
             assert np.max(np.abs(sampled - direct)) < 1e-11 * scale, (F.uid, r)
 
 
+def _half_plane_integral():
+    """z/(1 - z) as the radial integral of its derivative."""
+    return RadialIntegral(catalog("half-plane").derivative_function(), "int half-plane'")
+
+
 def test_circle_values_match_pointwise_evaluation_near_boundary():
-    # at n = 2^12 and r = 0.9999 a plain whole-circle pass aliases by percents
-    g = corpus_shear("halfplane", 0.5, 1).g
+    # at n = 2^12 and r = 0.9999 a plain whole-circle pass aliases by percents;
+    # the pointwise values come from the radial quadrature
+    F = _half_plane_integral()
     n, r = 2**12, 0.9999
     idx = np.arange(0, n, 64)
-    direct = g(r * np.exp(2j * np.pi * idx / n))
-    points = circle_values(g, r, n)[idx]
+    direct = F(r * np.exp(2j * np.pi * idx / n))
+    points = circle_values(F, r, n)[idx]
     assert np.max(np.abs(points - direct)) < 1e-10 * np.max(np.abs(direct))
 
 
 def test_radial_integral_circle_values_are_point_values():
-    # the spectral pass oversamples, so it agrees with the exact antiderivative
-    h = corpus_shear("halfplane", 0.5, 1).h
+    # the spectral pass oversamples, so it agrees with the antiderivative z/(1 - z)
+    F = _half_plane_integral()
     n, r = 2**12, 0.9999
-    direct = h(r * np.exp(1j * (2 * np.pi / n) * np.arange(n)))
-    sampled = h.circle_values(r, n)
+    z = r * np.exp(1j * (2 * np.pi / n) * np.arange(n))
+    direct = z / (1.0 - z)
+    sampled = F.circle_values(r, n)
     assert np.max(np.abs(sampled - direct)) < 1e-10 * np.max(np.abs(direct))
 
 

@@ -35,7 +35,6 @@ from hqmaps.harmonic import (
     normalize_to_S0,
     shear_omega,
 )
-from hqmaps.means import dyadic_means_curve
 
 GRID = 0.6 * np.exp(1j * np.linspace(-3, 3, 17))
 
@@ -119,12 +118,6 @@ def test_exact_shear_samples_a_circle_by_its_point_formula(monkeypatch, corpus):
         for r in (0.5, 0.99):
             assert np.array_equal(f.circle_values(r, 2**10), f(r * unit_circle(2**10))), f.uid
     assert spectral == []
-    # an omega not declared a monomial leaves h inexact: its components
-    # keep their whole-circle spectral passes
-    omega = ClosedForm("0.5z", lambda z: 0.5 * z, dfn=lambda z: 0.5 + 0.0 * z)
-    f = make_shear(catalog("half-plane"), omega)
-    f.circle_values(0.9, 2**9)
-    assert spectral == [f.h.uid, f.g.uid]
 
 
 def _bits(z):
@@ -133,7 +126,7 @@ def _bits(z):
 
 def _exact_terms(f):
     """The (c, b) terms the closure of shear f's exact h holds, by name."""
-    h = f.h._antiderivative
+    h = f.h._fn
     return dict(zip(h.__code__.co_freevars, (cell.cell_contents for cell in h.__closure__)))
 
 
@@ -200,7 +193,7 @@ def test_exact_shear_re_h_keeps_an_angle_for_complex_coefficients():
     omega = ClosedForm("0.5z^3", lambda z: 0.5 * z**3, dfn=lambda z: 1.5 * z**2)
     omega.monomial = (0.5, 3)
     f = make_shear(catalog("half-plane"), omega)
-    h = f.h._antiderivative
+    h = f.h._fn
     z = 0.99 * unit_circle(2**9)
     assert np.max(np.abs(h(z, real=True) - h(z).real)) <= 1e-14 * np.max(np.abs(h(z)))
     assert np.array_equal(_bits(f.circle_values(0.99, 2**9)), _bits(_plain_exact_f(f, z)))
@@ -216,16 +209,40 @@ def test_shear_normalization_rejected():
         make_shear(catalog("half-plane"), shifted)
 
 
-def test_shear_with_undeclared_omega_declares_nothing():
-    # an omega not declared a monomial: no exact sup, no exact components,
-    # and h' the same function, so the same means
-    omega = ClosedForm("0.5z", lambda z: 0.5 * z, dfn=lambda z: 0.5 + 0.0 * z)
-    f = make_shear(catalog("half-plane"), omega)
-    assert abs(f.qc_k - 0.495) < 1e-12 and f.slice_phi is None
-    c = dyadic_means_curve(f.h_prime, 0.45, 13)
-    want = dyadic_means_curve(corpus_shear("halfplane", 0.5, 1).h_prime, 0.45, 13)
-    assert np.all(c.converged)
-    assert np.allclose(c.values, want.values, rtol=1e-12, atol=0.0)
+def _monomial(kappa, m):
+    omega = ClosedForm(f"{kappa}z^{m}", lambda z: kappa * z**m, dfn=lambda z: m * kappa * z ** (m - 1))
+    omega.monomial = (kappa, m)
+    return omega
+
+
+def test_shear_needs_a_named_slice_and_a_declared_monomial_omega():
+    half_plane = catalog("half-plane")
+    # an omega that declares no monomial, an unnamed phi, kappa outside (0, 1)
+    undeclared = ClosedForm("0.5z", lambda z: 0.5 * z, dfn=lambda z: 0.5 + 0.0 * z)
+    for phi, omega in [
+        (half_plane, undeclared),
+        (catalog("koebe"), _monomial(0.5, 1)),
+        (half_plane, _monomial(0.0, 1)),
+        (half_plane, _monomial(1.0, 1)),
+        (half_plane, _monomial(-0.5, 2)),
+    ]:
+        with pytest.raises(DomainError):
+            make_shear(phi, omega)
+    # a declared kappa that |omega| exceeds on the probe grid
+    understated = _monomial(0.5, 1)
+    understated.monomial = (0.25, 1)
+    with pytest.raises(DomainError, match="contradicted"):
+        make_shear(half_plane, understated)
+
+
+def test_every_shear_has_closed_form_components(corpus):
+    shears = [f for f in corpus if f.uid.startswith("shear[")]
+    assert len(shears) == 18
+    for f in shears + [make_shear(catalog("half-plane"), _monomial(0.5, 3))]:
+        assert isinstance(f.h, ClosedForm) and isinstance(f.g, ClosedForm), f.uid
+        # h' and g' are the shear's own closed forms, not differentiated series
+        assert f.h_prime is f.h._dfn and f.g_prime is f.g._dfn
+        assert f.slice_phi is not None, f.uid
 
 
 def test_shear_omega_sup_too_large():

@@ -13,7 +13,6 @@ from hqmaps.analytic import (
     ClosedForm,
     DomainError,
     NonConvergenceError,
-    RadialIntegral,
     catalog,
     taylor_coefficients,
 )
@@ -391,7 +390,7 @@ def test_hardy_norm_bound_evaluates_h_prime_once_per_radius_line_level(f, p, mon
         return graded_mean_pows(F, ps, rs, rel_tol)
 
     monkeypatch.setattr(means, "_graded_mean_pows", batch)
-    counted_h = RadialIntegral(ClosedForm(hp.uid, counted), f.h.uid, antiderivative=f.h)
+    counted_h = ClosedForm(f.h.uid, f.h, dfn=ClosedForm(hp.uid, counted))
     f = dataclasses.replace(f, h=counted_h)
     b = hardy_norm_bound(f, p)
     assert (b.value, b.tail_exponent, b.all_converged, len(calls)) == HARDY_PINS[f.uid, p]
@@ -414,9 +413,9 @@ def test_verdict_takes_only_the_tail_of_hardy_norm_bound(f, p, monkeypatch):
     batches = []
     graded_mean_pows = means._graded_mean_pows
 
-    def batch(F, ps, rs, rel_tol):
+    def batch(F, ps, rs, *args):
         batches.append((F.uid, len(rs)))
-        return graded_mean_pows(F, ps, rs, rel_tol)
+        return graded_mean_pows(F, ps, rs, *args)
 
     monkeypatch.setattr(means, "_graded_mean_pows", batch)
     v = hardy_membership_verdict(f, p)
@@ -451,6 +450,18 @@ def test_dyadic_curve_shape():
     rows = c.csv_rows()
     assert len(rows) == 8
     assert MeansCurve.csv_header() == "target_id,p,r,value"
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_dyadic_curve_keeps_its_precision_where_the_squares_leave_the_doubles(size):
+    # M_2(r, c (1 + z)) = c sqrt(1 + r^2); at p = 2 the raw mean c^2 (1 + r^2)
+    # overflows (or underflows to 0), the scaled mean does not
+    F = ClosedForm("scaled", lambda z: size * (1.0 + z))
+    c = dyadic_means_curve(F, 2.0, 6)
+    assert np.all(c.converged)
+    want = size * np.sqrt(1.0 + c.radii**2)
+    assert np.max(np.abs(c.values / want - 1.0)) <= 1e-12
+    assert np.array_equal(c.values, [integral_means(F, 2.0, r, 1e-7) for r in c.radii])
 
 
 def _trapezoid_mean_pow(F, p, r, rel_tol):
