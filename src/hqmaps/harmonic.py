@@ -175,7 +175,7 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
 
     phi must be a named slice of the catalog (identity, half-plane,
     strip-like) and omega must declare itself ``monomial`` = (kappa, m), that
-    is kappa z^m with 0 < kappa < 1; a declaration that |omega| contradicts
+    is kappa z^m with 0 < kappa < 1; a declaration that omega contradicts
     on a probe grid, or omega(0) != 0, is a DomainError. The result is tagged
     convex-in-one-direction and close-to-convex, with qc_k = kappa, the
     exact sup of |omega| over the disk. h is exact by partial fractions and
@@ -194,8 +194,8 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
     if abs(omega(z0)) > 1e-12:
         raise DomainError("shear needs omega(0) = 0")
     grid = 0.99 * np.exp(2j * np.pi * np.arange(1024) / 1024)
-    if float(np.max(np.abs(omega(grid)))) > kappa + 1e-10:
-        raise DomainError("declared sup of |omega| contradicted on the probe grid")
+    if float(np.max(np.abs(omega(grid) - kappa * grid**m))) > 1e-10:
+        raise DomainError("declared monomial kappa z^m contradicted on the probe grid")
 
     if uid is None:
         uid = f"shear[phi={phi.uid},omega={omega.uid}]"

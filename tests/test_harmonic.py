@@ -228,11 +228,13 @@ def test_shear_needs_a_named_slice_and_a_declared_monomial_omega():
     ]:
         with pytest.raises(DomainError):
             make_shear(phi, omega)
-    # a declared kappa that |omega| exceeds on the probe grid
-    understated = _monomial(0.5, 1)
-    understated.monomial = (0.25, 1)
-    with pytest.raises(DomainError, match="contradicted"):
-        make_shear(half_plane, understated)
+    # a declared kappa that |omega| exceeds on the probe grid, and a declared
+    # power that omega does not have, where h would not integrate h'
+    for declared in ((0.25, 1), (0.5, 2)):
+        omega = _monomial(0.5, 1)
+        omega.monomial = declared
+        with pytest.raises(DomainError, match="contradicted"):
+            make_shear(half_plane, omega)
 
 
 def test_every_shear_has_closed_form_components(corpus):
