@@ -159,11 +159,7 @@ class ClosedForm(AnalyticFunction):
         return self._fn(z)
 
     def derivative(self, z):
-        if self._dfn is None:
-            raise DomainError(f"{self.uid} carries no derivative formula")
-        z = np.asarray(z, dtype=complex)
-        _check_radius(z)
-        return self._dfn(z)
+        return self.derivative_function()(z)
 
     def derivative_function(self) -> "ClosedForm":
         if self._dfn is None:
