@@ -27,13 +27,11 @@ from .harmonic import (
     build_corpus,
     corpus_manifest,
     corpus_shear,
-    eval_harmonic,
     harmonic_koebe,
     jacobian,
     k_of_K,
     K_of_k,
     make_shear,
-    normalize_to_S0,
     shear_omega,
 )
 from .means import (
@@ -47,18 +45,14 @@ from .means import (
     integral_means,
     lemmaF_integral,
     lemmaF_ratio,
-    sup_mean,
 )
 from .probes import (
     ConvexityVerdict,
     ProbeGrid,
     QCVerdict,
-    SchwarzVerdict,
     SenseReversalError,
     convexity_probe,
-    cs_positivity_probe,
     qc_certify,
-    schwarz_check,
 )
 from .star import (
     DominationVerdict,
@@ -107,7 +101,6 @@ __all__ = [
     "RADIUS_CAP",
     "RadialIntegral",
     "SampledCircle",
-    "SchwarzVerdict",
     "SenseReversalError",
     "StarFunction",
     "VerificationReport",
@@ -122,10 +115,8 @@ __all__ = [
     "corollary_bound",
     "corpus_manifest",
     "corpus_shear",
-    "cs_positivity_probe",
     "dyadic_means_curve",
     "envelope_ratio",
-    "eval_harmonic",
     "growth_exponent",
     "hardy_membership_verdict",
     "hardy_norm_bound",
@@ -136,16 +127,13 @@ __all__ = [
     "lemmaF_integral",
     "lemmaF_ratio",
     "make_shear",
-    "normalize_to_S0",
     "phi_means_dominates",
     "qc_certify",
     "run_suite",
     "sample_log_modulus",
-    "schwarz_check",
     "shear_omega",
     "star_dominates",
     "star_function",
     "star_grid_size",
-    "sup_mean",
     "taylor_coefficients",
 ]

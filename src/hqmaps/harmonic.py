@@ -77,11 +77,6 @@ class HarmonicMap:
         return f"<HarmonicMap {self.uid}>"
 
 
-def eval_harmonic(f: HarmonicMap, z):
-    """h(z) + conj(g(z)); domain-checked by the underlying evaluators."""
-    return f(z)
-
-
 def jacobian(f: HarmonicMap, z):
     """|h'|^2 - |g'|^2, positive exactly where f is sense-preserving."""
     return np.abs(f.h.derivative(z)) ** 2 - np.abs(f.g.derivative(z)) ** 2
@@ -112,12 +107,13 @@ def K_of_k(k: float) -> float:
 # ---------------------------------------------------------------------------
 # shears
 
-# phi' = c + sum w (1 - z/b)^-2 over the double poles b of each named slice,
-# as (c, ((w, b), ...)); the strip-like slice has (1 + z^2)/(1 - z^2)^2
-_SLICE_PARTIAL_FRACTIONS = {
-    "identity": (1.0, ()),
-    "half-plane": (0.0, ((1.0, 1.0),)),
-    "strip-like": (0.0, ((0.5, 1.0), (0.5, -1.0))),
+# each named slice phi: its catalog uid, and phi' = c + sum w (1 - z/b)^-2
+# over its double poles b, as (c, ((w, b), ...)); the strip-like slice has
+# phi' = (1 + z^2)/(1 - z^2)^2
+_SLICES = {
+    "identity": ("identity", (1.0, ())),
+    "halfplane": ("half-plane", (0.0, ((1.0, 1.0),))),
+    "strip": ("strip-like", (0.0, ((0.5, 1.0), (0.5, -1.0)))),
 }
 
 
@@ -170,39 +166,35 @@ def _exact_shear_h(phi_prime_terms, kappa: float, m: int):
     return h
 
 
-def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str] = None) -> HarmonicMap:
-    """Shear construction: h - g = phi, g' = omega h', h' = phi'/(1 - omega).
+def _shear_parts(phi_name: str, kappa: float, m: int):
+    """(catalog uid of phi, its phi' partial fractions, omega = kappa z^m,
+    uid of the shear) for a named slice; kappa in [0, 1), m >= 1 an integer."""
+    if phi_name not in _SLICES:
+        raise DomainError(f"phi must be one of {sorted(_SLICES)}, got {phi_name!r}")
+    omega = shear_omega(kappa, m)
+    return (*_SLICES[phi_name], omega, f"shear[phi={phi_name},omega={omega.uid}]")
 
-    phi must be a named slice of the catalog (identity, half-plane,
-    strip-like) and omega must declare itself ``monomial`` = (kappa, m), that
-    is kappa z^m with 0 < kappa < 1; a declaration that omega contradicts
-    on a probe grid, or omega(0) != 0, is a DomainError. The result is tagged
-    convex-in-one-direction and close-to-convex, with qc_k = kappa, the
-    exact sup of |omega| over the disk. h is exact by partial fractions and
-    g = h - phi, both ``ClosedForm``s whose derivatives h' and g' carry
-    their own Taylor generators: phi' times the geometric series of
-    1/(1 - kappa z^m), and omega times that.
+
+def make_shear(phi_name: str, kappa: float, m: int) -> HarmonicMap:
+    """Shear of a named slice phi by omega = kappa z^m: h - g = phi,
+    g' = omega h', h' = phi'/(1 - omega).
+
+    phi_name is a key of ``_SLICES`` (identity, halfplane, strip),
+    0 < kappa < 1 and m >= 1 an integer; anything else is a DomainError. The
+    result is tagged convex-in-one-direction and close-to-convex, with
+    qc_k = kappa, the exact sup of |omega| over the disk. h is exact by
+    partial fractions and g = h - phi, both ``ClosedForm``s whose
+    derivatives h' and g' carry their own Taylor generators: phi' times the
+    geometric series of 1/(1 - kappa z^m), and omega times that.
     """
-    terms = _SLICE_PARTIAL_FRACTIONS.get(phi.uid)
-    monomial = getattr(omega, "monomial", None)
-    if terms is None or monomial is None or not (0.0 < monomial[0] < 1.0):
-        raise DomainError("shear needs a named slice and omega = kappa z^m with 0 < kappa < 1")
-    kappa, m = monomial
-    z0 = np.asarray(0.0, dtype=complex)
-    if abs(phi(z0)) > 1e-12 or abs(phi.derivative(z0) - 1.0) > 1e-12:
-        raise DomainError("shear needs phi(0) = 0 and phi'(0) = 1")
-    if abs(omega(z0)) > 1e-12:
-        raise DomainError("shear needs omega(0) = 0")
-    grid = 0.99 * np.exp(2j * np.pi * np.arange(1024) / 1024)
-    if float(np.max(np.abs(omega(grid) - kappa * grid**m))) > 1e-10:
-        raise DomainError("declared monomial kappa z^m contradicted on the probe grid")
-
-    if uid is None:
-        uid = f"shear[phi={phi.uid},omega={omega.uid}]"
+    name, terms, omega, uid = _shear_parts(phi_name, kappa, m)
+    if kappa == 0.0:
+        raise DomainError("a shear needs 0 < kappa < 1; kappa = 0 leaves the slice itself")
+    kappa, m = float(kappa), int(m)
+    phi = catalog(name)
     phi_prime = phi.derivative_function()
     # hp and gp check the radius; inside them phi' and omega need not again
-    dphi = phi._dfn if isinstance(phi, ClosedForm) else phi.derivative
-    omega_fn = omega._fn if isinstance(omega, ClosedForm) else omega
+    dphi, omega_fn = phi._dfn, omega._fn
 
     def hp_fn(z):
         return dphi(z) / (1.0 - omega_fn(z))
@@ -226,43 +218,10 @@ def make_shear(phi: AnalyticFunction, omega: AnalyticFunction, uid: Optional[str
         uid=uid,
         class_tags=frozenset({"convex-in-one-direction", "close-to-convex"}),
         qc_k=kappa,
-        meta={"phi": phi.uid, "omega": omega.uid},
+        meta={"phi": name, "omega": omega.uid},
     )
     f.slice_phi, f.slice_re_h = phi, lambda z: h_exact(z, real=True)
     return f
-
-
-def normalize_to_S0(f: HarmonicMap) -> HarmonicMap:
-    """Renormalize so that g'(0) = 0, keeping h(0) = g(0) = 0, h'(0) = 1.
-
-    h0 = (h - conj(alpha) g)/(1 - |alpha|^2), g0 = (g - alpha h)/(1 - |alpha|^2)
-    with alpha = g'(0); requires |alpha| < 1 (sense-preserving at 0).
-    """
-    z0 = np.asarray(0.0, dtype=complex)
-    alpha = complex(f.g.derivative(z0))
-    if abs(alpha) >= 1.0:
-        raise DomainError(f"|g'(0)| = {abs(alpha):.6f} >= 1: not sense-preserving at 0")
-    if alpha == 0:
-        return f
-    denom = 1.0 - abs(alpha) ** 2
-
-    def combine(suffix, a, b, c):  # (a - c b) / denom
-        return ClosedForm(
-            f.uid + suffix,
-            lambda z: (a(z) - c * b(z)) / denom,
-            dfn=lambda z: (a.derivative(z) - c * b.derivative(z)) / denom,
-            taylor_fn=lambda n: (a.taylor(n) - c * b.taylor(n)) / denom,
-        )
-
-    h0, g0 = combine(":h0", f.h, f.g, np.conj(alpha)), combine(":g0", f.g, f.h, alpha)
-    return HarmonicMap(
-        h=h0,
-        g=g0,
-        uid=f.uid + ":normalized",
-        class_tags=f.class_tags,
-        qc_k=f.qc_k,
-        meta=dict(f.meta, normalized=True),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +279,13 @@ def analytic_map(name: str) -> HarmonicMap:
     return HarmonicMap(h=F, g=zero, uid=name, class_tags=frozenset(tags), qc_k=0.0)
 
 
-_SHEAR_PHI = {"identity": "identity", "halfplane": "half-plane", "strip": "strip-like"}
-
-
 def shear_omega(kappa: float, power: int) -> AnalyticFunction:
-    """omega(z) = kappa z**power for power in {1, 2}, declared ``monomial``."""
-    if power not in (1, 2):
-        raise DomainError("omega power must be 1 or 2")
+    """omega(z) = kappa z**power, 0 <= kappa < 1 and power >= 1 an integer."""
+    if power != int(power) or power < 1:
+        raise DomainError(f"omega power must be an integer >= 1, got {power}")
     if not (0.0 <= kappa < 1.0):
         raise DomainError(f"omega coefficient must lie in [0, 1), got {kappa}")
+    power = int(power)
 
     def taylor(n: int) -> np.ndarray:
         out = np.zeros(n, dtype=complex)
@@ -339,29 +296,25 @@ def shear_omega(kappa: float, power: int) -> AnalyticFunction:
     # products, not numpy's general complex power: z**0 and z**1 cost 8x more
     if power == 1:
         fn, dfn = (lambda z: kappa * z), (lambda z: np.full_like(z, kappa))
-    else:
+    elif power == 2:
         fn, dfn = (lambda z: kappa * (z * z)), (lambda z: (2 * kappa) * z)
-    F = ClosedForm(
-        f"{float(kappa)!r}z" + ("^2" if power == 2 else ""), fn, dfn=dfn, taylor_fn=taylor
-    )
-    F.monomial = (float(kappa), power)
-    return F
+    else:
+        fn, dfn = (lambda z: kappa * z**power), (lambda z: (power * kappa) * z ** (power - 1))
+    uid = f"{float(kappa)!r}z" + (f"^{power}" if power > 1 else "")
+    return ClosedForm(uid, fn, dfn=dfn, taylor_fn=taylor)
 
 
 def corpus_shear(phi_name: str, kappa: float, power: int) -> HarmonicMap:
-    """Shear of a named slice by omega = kappa z**power."""
-    if phi_name not in _SHEAR_PHI:
-        raise DomainError(f"phi must be one of {sorted(_SHEAR_PHI)}, got {phi_name!r}")
-    phi = catalog(_SHEAR_PHI[phi_name])
-    omega = shear_omega(kappa, power)
-    uid = f"shear[phi={phi_name},omega={omega.uid}]"
-    if kappa == 0.0:
-        f = analytic_map(_SHEAR_PHI[phi_name])
-        return HarmonicMap(
-            h=f.h, g=f.g, uid=uid, class_tags=f.class_tags, qc_k=0.0,
-            meta={"phi": phi_name, "omega": omega.uid},
-        )
-    return make_shear(phi, omega, uid=uid)
+    """Shear of a named slice by omega = kappa z**power; at kappa = 0 the
+    slice itself, as an analytic map under the shear's uid."""
+    if kappa != 0.0:
+        return make_shear(phi_name, kappa, power)
+    name, _, omega, uid = _shear_parts(phi_name, kappa, power)
+    f = analytic_map(name)
+    return HarmonicMap(
+        h=f.h, g=f.g, uid=uid, class_tags=f.class_tags, qc_k=0.0,
+        meta={"phi": name, "omega": omega.uid},
+    )
 
 
 def build_corpus() -> list:

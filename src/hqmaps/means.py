@@ -1,4 +1,4 @@
-"""Integral means, sup-means, and the integral bounds built from them.
+"""Integral means and the integral bounds built from them.
 
 The p-mean M_p(r, F) = ((1/2pi) int |F(r e^{i theta})|^p dtheta)^{1/p} is
 taken by one globally adaptive Gauss-Legendre rule in theta, for every
@@ -95,36 +95,6 @@ def _integral_means_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9) -> list:
                 )
         out.append([value ** (1.0 / p) * t for p, t, (value, *_) in zip(ps, st, results)])
     return out
-
-
-def sup_mean(F: Evaluable, r: float) -> float:
-    """M_inf(r, F): grid max refined by golden-section on the best cell."""
-    if not (0 < r <= RADIUS_CAP):
-        raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
-    n = 2**12
-    vals = circle_modulus(F, r, n)
-    i = int(np.argmax(vals))
-    a = (2.0 * np.pi / n) * i - 2.0 * np.pi / n
-    b = (2.0 * np.pi / n) * i + 2.0 * np.pi / n
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def fval(t: float) -> float:
-        return float(np.abs(F(r * np.exp(1j * t))))
-
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fval(c), fval(d)
-    while b - a > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fval(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fval(d)
-    return max(float(vals[i]), fc, fd)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ plus these spot checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .analytic import AnalyticFunction, DomainError, circle_values
-from .harmonic import HarmonicMap, K_of_k
+from .analytic import DomainError, circle_values
+from .harmonic import HarmonicMap
 
 DEFAULT_RADII = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
 
@@ -81,31 +81,6 @@ def qc_certify(f: HarmonicMap, k: float, grid: Optional[ProbeGrid] = None) -> QC
 
 
 @dataclass
-class SchwarzVerdict:
-    ok: bool
-    max_excess: float
-    grid: ProbeGrid
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def schwarz_check(omega: AnalyticFunction, k: float, grid: Optional[ProbeGrid] = None) -> SchwarzVerdict:
-    """Check the Schwarz-type bound |omega(z)| <= k|z| on the grid.
-
-    Requires omega(0) = 0; without it the bound's hypothesis fails and the
-    call errors rather than reporting a vacuous verdict.
-    """
-    z0 = np.asarray(0.0, dtype=complex)
-    if abs(complex(omega(z0))) >= 1e-12:
-        raise DomainError(f"{omega.uid}: omega(0) != 0, the Schwarz hypothesis fails")
-    grid = grid or ProbeGrid()
-    z = grid.points()
-    excess = np.abs(omega(z)) - k * np.abs(z)
-    return SchwarzVerdict(ok=bool(np.max(excess) <= 1e-10), max_excess=float(np.max(excess)), grid=grid)
-
-
-@dataclass
 class ConvexityVerdict:
     ok: bool
     min_cross: float
@@ -138,28 +113,3 @@ def convexity_probe(f: HarmonicMap, r: float, n: int = 2**10) -> ConvexityVerdic
     return ConvexityVerdict(
         ok=ok, min_cross=float(np.min(cross)), total_turning=turning, n=n
     )
-
-
-def cs_positivity_probe(
-    f: HarmonicMap, r: float, angle_grid: int = 64
-) -> Optional[Tuple[float, float]]:
-    """Search for (alpha, beta) making Re{(e^{ia}h' + e^{-ia}g')(e^{ib} - e^{-ib}z^2)} > 0.
-
-    Samples z on 8 radii times 2^8 angles inside |z| <= r and scans an
-    angle_grid x angle_grid lattice in lexicographic order, returning the
-    first witness. No witness is a legitimate inconclusive outcome.
-    """
-    radii = r * (np.arange(1, 9) / 8.0)
-    theta = 2.0 * np.pi * np.arange(2**8) / 2**8
-    z = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    hp = np.asarray(f.h.derivative(z))
-    gp = np.asarray(f.g.derivative(z))
-    z2 = z**2
-    alphas = 2.0 * np.pi * np.arange(angle_grid) / angle_grid
-    for a in alphas:
-        base = np.exp(1j * a) * hp + np.exp(-1j * a) * gp
-        for b in alphas:
-            expr = base * (np.exp(1j * b) - np.exp(-1j * b) * z2)
-            if np.min(expr.real) > 0:
-                return (float(a), float(b))
-    return None

@@ -1,6 +1,8 @@
-"""Harmonic map construction: shears, corpus, tags, normalization."""
+"""Harmonic map construction: shears, corpus, tags."""
 
 import dataclasses
+import hashlib
+import inspect
 import json
 import math
 
@@ -27,13 +29,10 @@ from hqmaps.harmonic import (
     build_corpus,
     corpus_manifest,
     corpus_shear,
-    eval_harmonic,
     harmonic_koebe,
     jacobian,
     k_of_K,
     make_shear,
-    normalize_to_S0,
-    shear_omega,
 )
 
 GRID = 0.6 * np.exp(1j * np.linspace(-3, 3, 17))
@@ -72,7 +71,6 @@ def test_shear_evaluates_as_h_plus_conj_g():
     f = corpus_shear("halfplane", 0.25, 1)
     direct = f(GRID)
     assert np.allclose(direct, f.h(GRID) + np.conj(f.g(GRID)), atol=1e-12)
-    assert np.allclose(direct, eval_harmonic(f, GRID), atol=1e-14)
 
 
 def test_exact_shear_evaluates_h_once_per_call(monkeypatch, corpus):
@@ -190,9 +188,7 @@ def test_exact_shears_take_their_coefficients_real_and_im_f_from_phi(corpus):
 def test_exact_shear_re_h_keeps_an_angle_for_complex_coefficients():
     # m = 3 has complex roots, so some coefficients are complex: Re h needs
     # their -Im c angle(w), and equals the real part of the complex h
-    omega = ClosedForm("0.5z^3", lambda z: 0.5 * z**3, dfn=lambda z: 1.5 * z**2)
-    omega.monomial = (0.5, 3)
-    f = make_shear(catalog("half-plane"), omega)
+    f = make_shear("halfplane", 0.5, 3)
     h = f.h._fn
     z = 0.99 * unit_circle(2**9)
     assert np.max(np.abs(h(z, real=True) - h(z).real)) <= 1e-14 * np.max(np.abs(h(z)))
@@ -201,46 +197,30 @@ def test_exact_shear_re_h_keeps_an_angle_for_complex_coefficients():
     assert np.max(np.abs(f(z) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_shear_normalization_rejected():
-    # omega must vanish at the origin
-    bad = shear_omega(0.5, 1)
-    shifted = type(bad)("bad", lambda z: 0.5 * z + 0.1, None)
-    with pytest.raises((DomainError, TypeError)):
-        make_shear(catalog("half-plane"), shifted)
-
-
-def _monomial(kappa, m):
-    omega = ClosedForm(f"{kappa}z^{m}", lambda z: kappa * z**m, dfn=lambda z: m * kappa * z ** (m - 1))
-    omega.monomial = (kappa, m)
-    return omega
+@pytest.mark.parametrize(
+    "phi_name, kappa, m",
+    [("wedge", 0.5, 1), ("half-plane", 0.5, 1), ("halfplane", 0.0, 1), ("halfplane", 1.0, 1),
+     ("halfplane", -0.5, 2), ("halfplane", 0.5, 0), ("halfplane", 0.5, 1.5)],
+)
+def test_make_shear_rejects_a_bad_slice_kappa_or_m(phi_name, kappa, m):
+    # a slice key outside _SLICES (the catalog uid is not one), kappa outside
+    # (0, 1), m not an integer >= 1
+    with pytest.raises(DomainError):
+        make_shear(phi_name, kappa, m)
 
 
 def test_shear_needs_a_named_slice_and_a_declared_monomial_omega():
-    half_plane = catalog("half-plane")
-    # an omega that declares no monomial, an unnamed phi, kappa outside (0, 1)
-    undeclared = ClosedForm("0.5z", lambda z: 0.5 * z, dfn=lambda z: 0.5 + 0.0 * z)
-    for phi, omega in [
-        (half_plane, undeclared),
-        (catalog("koebe"), _monomial(0.5, 1)),
-        (half_plane, _monomial(0.0, 1)),
-        (half_plane, _monomial(1.0, 1)),
-        (half_plane, _monomial(-0.5, 2)),
-    ]:
-        with pytest.raises(DomainError):
-            make_shear(phi, omega)
-    # a declared kappa that |omega| exceeds on the probe grid, and a declared
-    # power that omega does not have, where h would not integrate h'
-    for declared in ((0.25, 1), (0.5, 2)):
-        omega = _monomial(0.5, 1)
-        omega.monomial = declared
-        with pytest.raises(DomainError, match="contradicted"):
-            make_shear(half_plane, omega)
+    # omega is declared by (kappa, m) alone: make_shear takes no omega or
+    # uid, and a phi object in place of a slice name is rejected
+    assert list(inspect.signature(make_shear).parameters) == ["phi_name", "kappa", "m"]
+    with pytest.raises(DomainError):
+        make_shear(catalog("half-plane"), 0.5, 1)
 
 
 def test_every_shear_has_closed_form_components(corpus):
     shears = [f for f in corpus if f.uid.startswith("shear[")]
     assert len(shears) == 18
-    for f in shears + [make_shear(catalog("half-plane"), _monomial(0.5, 3))]:
+    for f in shears + [make_shear("halfplane", 0.5, 3)]:
         assert isinstance(f.h, ClosedForm) and isinstance(f.g, ClosedForm), f.uid
         # h' and g' are the shear's own closed forms, not differentiated series
         assert f.h_prime is f.h._dfn and f.g_prime is f.g._dfn
@@ -345,16 +325,23 @@ def test_manifest_deterministic(corpus):
     assert len(doc) == len(corpus)
 
 
-def test_normalize_to_S0():
-    f = corpus_shear("halfplane", 0.5, 1)
-    g = normalize_to_S0(f)
-    z0 = np.asarray(0j)
-    assert abs(complex(g(z0))) < 1e-12
-    assert abs(complex(g.h.derivative(z0)) - 1.0) < 1e-12
-    assert abs(complex(g.g.derivative(z0))) < 1e-12
-
-
 def test_kappa_zero_shear_collapses():
     f = corpus_shear("halfplane", 0.0, 1)
     assert f.is_analytic()
     assert np.allclose(f(GRID), catalog("half-plane")(GRID), atol=1e-12)
+
+
+def test_kappa_zero_shear_records_the_slice_as_every_shear_does():
+    for phi_name, uid in (("identity", "identity"), ("halfplane", "half-plane"), ("strip", "strip-like")):
+        for power in (1, 2):
+            metas = [corpus_shear(phi_name, kappa, power).meta for kappa in (0.0, 0.5)]
+            assert [meta["phi"] for meta in metas] == [uid, uid]
+
+
+def test_corpus_manifest_hash_pinned():
+    # every corpus uid, tag, phi/omega parameter and qc_k, through any change
+    # to how the corpus is built
+    corpus = build_corpus()
+    assert len(corpus) == 23
+    digest = hashlib.sha256(corpus_manifest(corpus).encode()).hexdigest()
+    assert digest == "adc1236d07ab021317e250743826fa397b0e875b8946e53de77e56baceeee738"

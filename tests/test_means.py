@@ -29,7 +29,6 @@ from hqmaps.means import (
     integral_means,
     lemmaF_integral,
     lemmaF_ratio,
-    sup_mean,
 )
 from hqmaps.verify import hardy_membership_verdict, suite_membership
 
@@ -201,18 +200,6 @@ def test_means_monotone_in_p():
     r = 0.6
     vals = [integral_means(H, p, r) for p in (0.25, 0.5, 1.0, 2.0, 4.0)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_sup_mean_frozen():
-    assert abs(sup_mean(catalog("koebe"), 0.5) - 2.0) < 1e-9
-    assert abs(sup_mean(catalog("H", 0.0), 0.5) - 6.0) < 1e-8
-
-
-def test_sup_mean_dominates_all_p():
-    F = catalog("H", 0.5)
-    s = sup_mean(F, 0.7)
-    for p in (1.0, 4.0):
-        assert integral_means(F, p, 0.7) <= s + 1e-10
 
 
 def test_corollary_bound_requires_p_at_least_one():

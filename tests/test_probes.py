@@ -1,23 +1,20 @@
-"""Geometry probes: dilatation certificates, Schwarz bound, convexity."""
+"""Geometry probes: dilatation certificates, sense reversal, convexity."""
 
 import numpy as np
 import pytest
 
-from hqmaps.analytic import ClosedForm, DomainError
+from hqmaps.analytic import DomainError
 from hqmaps.harmonic import (
     HarmonicMap,
     analytic_map,
     corpus_shear,
     harmonic_koebe,
-    shear_omega,
 )
 from hqmaps.probes import (
     ProbeGrid,
     SenseReversalError,
     convexity_probe,
-    cs_positivity_probe,
     qc_certify,
-    schwarz_check,
 )
 
 
@@ -58,19 +55,6 @@ def test_sense_reversal_detected():
         qc_certify(flipped, 0.99)
 
 
-def test_schwarz_bound_monomials():
-    assert schwarz_check(shear_omega(0.5, 1), 0.5).ok
-    assert schwarz_check(shear_omega(0.8, 2), 0.8).ok
-    v = schwarz_check(shear_omega(0.5, 1), 0.4)
-    assert not v.ok
-    assert abs(v.max_excess - 0.099) < 1e-9  # (0.5 - 0.4) * max grid radius
-
-
-def test_schwarz_requires_vanishing_origin():
-    with pytest.raises(DomainError):
-        schwarz_check(ClosedForm("const", lambda z: 0.3 + 0.0 * z), 0.5)
-
-
 def test_convexity_probe_koebe_radius():
     # classical convexity radius 2 - sqrt(3) ~ 0.268
     koebe = analytic_map("koebe")
@@ -86,25 +70,6 @@ def test_convexity_probe_convex_maps():
 def test_convexity_probe_shears():
     assert convexity_probe(corpus_shear("identity", 0.25, 1), 0.9).ok
     assert not convexity_probe(corpus_shear("halfplane", 0.5, 1), 0.9).ok
-
-
-def test_cs_positivity_identity():
-    assert cs_positivity_probe(analytic_map("identity"), 0.9) == (0.0, 0.0)
-
-
-def test_cs_positivity_convex_shear():
-    assert cs_positivity_probe(corpus_shear("identity", 0.25, 1), 0.9) == (0.0, 0.0)
-
-
-def test_cs_positivity_nonconvex_range():
-    f = corpus_shear("halfplane", 0.5, 1)
-    # witness exists inside the convex range of the image, none beyond it
-    assert cs_positivity_probe(f, 0.3) == (0.0, 0.0)
-    assert cs_positivity_probe(f, 0.9) is None
-
-
-def test_cs_positivity_koebe_none():
-    assert cs_positivity_probe(analytic_map("koebe"), 0.95) is None
 
 
 def test_probe_grid_validation():

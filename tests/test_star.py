@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hqmaps.analytic import (
     ClosedForm,
     DomainError,
-    catalog,
     circle_values,
     radial_path_integral,
     unit_circle,
