@@ -180,12 +180,13 @@ def make_shear(phi_name: str, kappa: float, m: int) -> HarmonicMap:
     g' = omega h', h' = phi'/(1 - omega).
 
     phi_name is a key of ``_SLICES`` (identity, halfplane, strip),
-    0 < kappa < 1 and m >= 1 an integer; anything else is a DomainError. The
-    result is tagged convex-in-one-direction and close-to-convex, with
-    qc_k = kappa, the exact sup of |omega| over the disk. h is exact by
-    partial fractions and g = h - phi, both ``ClosedForm``s whose
-    derivatives h' and g' carry their own Taylor generators: phi' times the
-    geometric series of 1/(1 - kappa z^m), and omega times that.
+    0 < kappa < 1 and m >= 1 an integer; another name, kappa or m is a
+    DomainError. The result is tagged convex-in-one-direction and
+    close-to-convex, with qc_k = kappa, the exact sup of |omega| over the
+    disk. h is exact by partial fractions and g = h - phi, both
+    ``ClosedForm``s whose derivatives h' and g' carry their own Taylor
+    generators: phi' times the geometric series of 1/(1 - kappa z^m), and
+    omega times that.
     """
     name, terms, omega, uid = _shear_parts(phi_name, kappa, m)
     if kappa == 0.0:
