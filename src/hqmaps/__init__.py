@@ -22,13 +22,11 @@ from .analytic import (
 )
 from .harmonic import (
     HarmonicMap,
-    analytic_dilatation,
     analytic_map,
     build_corpus,
     corpus_manifest,
     corpus_shear,
     harmonic_koebe,
-    jacobian,
     k_of_K,
     K_of_k,
     make_shear,
@@ -48,7 +46,6 @@ from .means import (
 )
 from .probes import (
     ConvexityVerdict,
-    ProbeGrid,
     QCVerdict,
     SenseReversalError,
     convexity_probe,
@@ -96,7 +93,6 @@ __all__ = [
     "MembershipVerdict",
     "NonConvergenceError",
     "PowerSeries",
-    "ProbeGrid",
     "QCVerdict",
     "RADIUS_CAP",
     "RadialIntegral",
@@ -105,7 +101,6 @@ __all__ = [
     "StarFunction",
     "VerificationReport",
     "VerificationRow",
-    "analytic_dilatation",
     "analytic_map",
     "build_corpus",
     "catalog",
@@ -122,7 +117,6 @@ __all__ = [
     "hardy_norm_bound",
     "harmonic_koebe",
     "integral_means",
-    "jacobian",
     "k_of_K",
     "lemmaF_integral",
     "lemmaF_ratio",

@@ -115,15 +115,10 @@ def geometric_coefficients(a: complex, power: int, n: int) -> np.ndarray:
 class AnalyticFunction:
     """Evaluatable analytic map on the disk with derivative access."""
 
-    kind: str = "abstract"
-
     def __init__(self, uid: str):
         self.uid = uid
 
     def __call__(self, z):
-        raise NotImplementedError
-
-    def derivative(self, z):
         raise NotImplementedError
 
     def derivative_function(self) -> "AnalyticFunction":
@@ -139,8 +134,6 @@ class AnalyticFunction:
 
 
 class ClosedForm(AnalyticFunction):
-    kind = "rational-closed-form"
-
     def __init__(
         self,
         uid: str,
@@ -157,9 +150,6 @@ class ClosedForm(AnalyticFunction):
         z = np.asarray(z, dtype=complex)
         _check_radius(z)
         return self._fn(z)
-
-    def derivative(self, z):
-        return self.derivative_function()(z)
 
     def derivative_function(self) -> "ClosedForm":
         if self._dfn is None:
@@ -184,8 +174,6 @@ class ClosedForm(AnalyticFunction):
 
 
 class PowerSeries(AnalyticFunction):
-    kind = "power-series"
-
     def __init__(self, coeffs: Sequence[complex], uid: str = "series"):
         super().__init__(uid)
         self.coeffs = np.asarray(coeffs, dtype=complex)
@@ -196,11 +184,6 @@ class PowerSeries(AnalyticFunction):
         z = np.asarray(z, dtype=complex)
         _check_radius(z)
         return np.polynomial.polynomial.polyval(z, self.coeffs)
-
-    def derivative(self, z):
-        z = np.asarray(z, dtype=complex)
-        _check_radius(z)
-        return np.polynomial.polynomial.polyval(z, series_differentiate(self.coeffs))
 
     def derivative_function(self) -> "PowerSeries":
         return PowerSeries(series_differentiate(self.coeffs), self.uid + "'")
@@ -270,8 +253,6 @@ class RadialIntegral(AnalyticFunction):
     coefficients from the integrand's, integrated term by term.
     """
 
-    kind = "radial-path-integral"
-
     def __init__(self, integrand: AnalyticFunction, uid: str):
         super().__init__(uid)
         self.integrand = integrand
@@ -280,9 +261,6 @@ class RadialIntegral(AnalyticFunction):
         z = np.asarray(z, dtype=complex)
         _check_radius(z)
         return radial_path_integral(self.integrand, z)
-
-    def derivative(self, z):
-        return self.integrand(z)
 
     def circle_values(self, r: float, n: int) -> np.ndarray:
         """F at the n points of the uniform circle grid via spectral integration.
@@ -333,16 +311,13 @@ def pointwise_circle_values(fn, r: float, n: int) -> np.ndarray:
     return out
 
 
-def circle_values(F, r, n: int) -> np.ndarray:
-    """F at the n points theta_j = 2 pi j / n of the circle |z| = r; for an
-    array of radii, one row per radius.
+def circle_values(F, r: float, n: int) -> np.ndarray:
+    """F at the n points theta_j = 2 pi j / n of the circle |z| = r.
 
     Targets with a whole-circle ``circle_values`` method (radial integrals,
     harmonic maps) use it; any other target is evaluated pointwise, in
     blocks. Either way every sample is a point value, free of aliasing.
     """
-    if np.ndim(r):
-        return np.array([circle_values(F, float(s), n) for s in r])
     fast = getattr(F, "circle_values", None)
     return pointwise_circle_values(F, r, n) if fast is None else np.asarray(fast(r, n))
 
@@ -449,7 +424,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             dfn=lambda z: kk * E(z) + kk * z * dE(z),
             taylor_fn=_shift_up(Ef._taylor_fn, kk),
         )
-    raise DomainError(f"unknown catalog name {name!r}")
+    raise DomainError(f"unknown catalog name {name!r}; choose from " + ", ".join(CATALOG_NAMES))
 
 
 CATALOG_NAMES = ("identity", "koebe", "half-plane", "strip-like", "H", "G", "scrH", "scrG")

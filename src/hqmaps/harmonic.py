@@ -77,19 +77,6 @@ class HarmonicMap:
         return f"<HarmonicMap {self.uid}>"
 
 
-def jacobian(f: HarmonicMap, z):
-    """|h'|^2 - |g'|^2, positive exactly where f is sense-preserving."""
-    return np.abs(f.h.derivative(z)) ** 2 - np.abs(f.g.derivative(z)) ** 2
-
-
-def analytic_dilatation(f: HarmonicMap, z):
-    """omega = g'/h'; errors where h' underflows to an effective zero."""
-    hp = np.asarray(f.h.derivative(z))
-    if np.min(np.abs(hp)) < 1e-300:
-        raise DomainError("h' vanishes at an evaluation point")
-    return f.g.derivative(z) / hp
-
-
 def k_of_K(K: float) -> float:
     """Dilatation bound k = (K-1)/(K+1) of a K-quasiconformal map."""
     if K < 1:

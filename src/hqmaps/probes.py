@@ -1,42 +1,29 @@
 """Numerical certification of map hypotheses on finite grids.
 
-Probes certify, they never prove: each verdict records the grid it was
-computed on, and a passing verdict means "no counterexample at this
-resolution". Class membership of the corpus rests on construction theorems
-plus these spot checks.
+Probes certify, they never prove: a passing verdict means "no
+counterexample at this resolution". The quasiconformality certificate is
+taken on one fixed grid, ``PROBE_POINTS``. Class membership of the corpus
+rests on construction theorems plus these spot checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
 from .analytic import DomainError, circle_values
 from .harmonic import HarmonicMap
 
-DEFAULT_RADII = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
+# the one probe grid, built once: 2^10 angles on each radius, circle after circle
+PROBE_RADII = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
+_ANGLES = 2.0 * np.pi * np.arange(2**10) / 2**10
+PROBE_POINTS = (np.asarray(PROBE_RADII)[:, None] * np.exp(1j * _ANGLES)[None, :]).ravel()
+PROBE_POINTS.flags.writeable = False
 
 
 class SenseReversalError(DomainError):
     """The Jacobian failed to stay positive on the probe grid."""
-
-
-@dataclass(frozen=True)
-class ProbeGrid:
-    radii: Tuple[float, ...] = DEFAULT_RADII
-    angles_per_circle: int = 2**10
-
-    def __post_init__(self):
-        rr = self.radii
-        if any(r2 <= r1 for r1, r2 in zip(rr, rr[1:])) or rr[-1] >= 1.0 or rr[0] <= 0:
-            raise DomainError("probe radii must be strictly increasing inside (0, 1)")
-
-    def points(self) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(self.angles_per_circle) / self.angles_per_circle
-        ring = np.exp(1j * theta)
-        return (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
 
 
 @dataclass
@@ -44,25 +31,19 @@ class QCVerdict:
     ok: bool
     sup_dilatation: float
     max_distortion: float
-    implied_K: float
-    grid: ProbeGrid
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
-def qc_certify(f: HarmonicMap, k: float, grid: Optional[ProbeGrid] = None) -> QCVerdict:
-    """Certify |g'/h'| <= k on the grid; error out on sense reversal.
+def qc_certify(f: HarmonicMap, k: float) -> QCVerdict:
+    """Certify |g'/h'| <= k on ``PROBE_POINTS``; error out where the
+    Jacobian |h'|^2 - |g'|^2 is not positive (sense reversal).
 
-    Also reports the pointwise distortion (1 + |omega|)/(1 - |omega|) max and
-    the K it implies.
+    Also reports the pointwise distortion (1 + |omega|)/(1 - |omega|) max,
+    the K that the grid implies.
     """
     if not (0.0 <= k < 1.0):
         raise DomainError(f"k must lie in [0, 1), got {k}")
-    grid = grid or ProbeGrid()
-    z = grid.points()
-    hp = np.asarray(f.h.derivative(z))
-    gp = np.asarray(f.g.derivative(z))
+    z = PROBE_POINTS
+    hp, gp = f.h_prime(z), f.g_prime(z)
     jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
     if np.min(jac) <= 0:
         i = int(np.argmin(jac))
@@ -71,13 +52,7 @@ def qc_certify(f: HarmonicMap, k: float, grid: Optional[ProbeGrid] = None) -> QC
         )
     sup = float(np.max(np.abs(gp) / np.abs(hp)))
     distortion = (1.0 + sup) / (1.0 - sup) if sup < 1 else np.inf
-    return QCVerdict(
-        ok=bool(sup <= k + 1e-10),
-        sup_dilatation=sup,
-        max_distortion=float(distortion),
-        implied_K=float(distortion),
-        grid=grid,
-    )
+    return QCVerdict(ok=bool(sup <= k + 1e-10), sup_dilatation=sup, max_distortion=float(distortion))
 
 
 @dataclass
@@ -86,9 +61,6 @@ class ConvexityVerdict:
     min_cross: float
     total_turning: float
     n: int
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def convexity_probe(f: HarmonicMap, r: float, n: int = 2**10) -> ConvexityVerdict:

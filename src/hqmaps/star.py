@@ -87,11 +87,6 @@ class StarFunction:
         if self.thetas.shape != self.values.shape:
             raise DomainError("theta and value grids must align")
 
-    def at(self, theta: float) -> float:
-        """Linear interpolation; the marginal fractional cell contributes
-        proportionally at the current rearrangement value."""
-        return float(np.interp(theta, self.thetas, self.values))
-
     def csv_rows(self) -> list:
         rid = "" if self.radius is None else f"{self.radius:.12g}"
         return [
@@ -147,9 +142,6 @@ class DominationVerdict:
     max_violation: float
     theta_at_max: float
     detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def star_dominates(a: StarFunction, b: StarFunction, tol: float = 1e-9) -> DominationVerdict:

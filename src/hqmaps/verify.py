@@ -577,7 +577,7 @@ def run_suite(
         names = (name,)
     for nm in names:
         if nm not in SUITES:
-            raise DomainError(f"unknown suite {nm!r}; choose from {SUITES + ('all',)}")
+            raise DomainError(f"unknown suite {nm!r}; choose from " + ", ".join(SUITES + ("all",)))
     filters = {"convex": ("H",), "ctc": ("scrH",), "close-to-convex": ("scrH",)}
     if class_filter is not None and class_filter not in filters:
         raise DomainError(f"unknown class filter {class_filter!r}; use 'convex' or 'ctc'")

@@ -8,10 +8,12 @@ import sys
 import pytest
 
 import hqmaps
+from hqmaps.analytic import CATALOG_NAMES
 from hqmaps.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    UsageError,
     main,
     parse_shear_spec,
     read_csv,
@@ -66,8 +68,18 @@ def test_means_usage_errors(tmp_path, monkeypatch, capsys):
         assert "error" in err.lower()
 
 
+def test_unknown_catalog_entry_exits_2_listing_the_choices(tmp_path, monkeypatch, capsys):
+    code, _, err = run_main(
+        ["means", "--catalog", "nope", "--p", "1", "--r", "0.5"], tmp_path, monkeypatch, capsys
+    )
+    assert code == EXIT_USAGE
+    assert "'nope'" in err
+    for name in CATALOG_NAMES:
+        assert name in err, name
+
+
 def test_star_bad_sample_count_exits_2_before_sampling(tmp_path, monkeypatch, capsys):
-    for n in ("-4", "6", "1000"):
+    for n in ("0", "-4", "6", "1000"):
         code, _, err = run_main(
             ["star", "--catalog", "koebe", "--r", "0.5", "--n", n], tmp_path, monkeypatch, capsys
         )
@@ -204,9 +216,22 @@ def test_shear_spec_grammar():
         "phi=halfplane,omega=0.5z^3",
         "phi=halfplane,omega=0.5z,rho=1",
         "phi halfplane,omega=0.5z",
+        "phi=halfplane,omega=0.5e+z",
+        "phi=halfplane,omega=1..2z",
     ):
-        with pytest.raises(Exception):
+        with pytest.raises(UsageError):
             parse_shear_spec(bad)
+
+
+def test_malformed_shear_coefficient_exits_2(tmp_path, monkeypatch, capsys):
+    # the coefficient passes the omega pattern but is no number
+    for omega in ("0.5e+z", "1..2z"):
+        code, _, err = run_main(
+            ["means", "--shear", f"phi=halfplane,omega={omega}", "--p", "1", "--r", "0.5"],
+            tmp_path, monkeypatch, capsys,
+        )
+        assert code == EXIT_USAGE, omega
+        assert "omega" in err
 
 
 def test_growth_divergent_example(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,10 @@
 """Geometry probes: dilatation certificates, sense reversal, convexity."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from hqmaps.analytic import DomainError
 from hqmaps.harmonic import (
     HarmonicMap,
     analytic_map,
@@ -11,7 +12,8 @@ from hqmaps.harmonic import (
     harmonic_koebe,
 )
 from hqmaps.probes import (
-    ProbeGrid,
+    PROBE_POINTS,
+    PROBE_RADII,
     SenseReversalError,
     convexity_probe,
     qc_certify,
@@ -23,7 +25,7 @@ def test_qc_certify_at_declared_k():
     v = qc_certify(f, 0.5)
     assert v.ok
     assert v.sup_dilatation <= 0.5 + 1e-10
-    assert v.implied_K <= 3.0 + 1e-6
+    assert v.max_distortion <= 3.0 + 1e-6
 
 
 def test_qc_certify_fails_below_true_sup():
@@ -37,7 +39,7 @@ def test_qc_certify_analytic_map():
     v = qc_certify(analytic_map("koebe"), 0.0)
     assert v.ok
     assert v.sup_dilatation == 0.0
-    assert abs(v.implied_K - 1.0) < 1e-12
+    assert abs(v.max_distortion - 1.0) < 1e-12
 
 
 def test_harmonic_koebe_never_certifies():
@@ -72,9 +74,10 @@ def test_convexity_probe_shears():
     assert not convexity_probe(corpus_shear("halfplane", 0.5, 1), 0.9).ok
 
 
-def test_probe_grid_validation():
-    g = ProbeGrid()
-    assert g.points().ndim == 1
-    assert np.max(np.abs(g.points())) < 1.0
-    with pytest.raises(DomainError):
-        ProbeGrid(radii=(0.5, 1.0))
+def test_qc_certify_takes_a_map_and_k_on_one_fixed_grid():
+    assert list(inspect.signature(qc_certify).parameters) == ["f", "k"]
+    # 2^10 angles from theta = 0 on each of the 7 radii, circle after circle
+    rings = PROBE_POINTS.reshape(len(PROBE_RADII), 2**10)
+    assert np.allclose(np.abs(rings), np.array(PROBE_RADII)[:, None], rtol=1e-15, atol=0)
+    assert np.all(rings[:, 0].imag == 0)
+    assert not PROBE_POINTS.flags.writeable
