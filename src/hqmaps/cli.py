@@ -355,6 +355,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     for K in ns.K:
         if K < 1.0:
             raise UsageError(f"K must be >= 1, got {K:g}")
+    if not 0.0 <= ns.tol < float("inf"):
+        raise UsageError(f"tol must be finite and >= 0, got {ns.tol:g}")
     report = run_suite(
         ns.suite, K_grid=tuple(ns.K), tol=ns.tol, depth=ns.depth, class_filter=ns.cls
     )
@@ -417,7 +419,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     )
     _add_target_flags(growth, with_catalog=False)
     growth.add_argument("--p", type=_float_list, default="0.5", help="comma-separated exponents")
-    growth.add_argument("--depth", type=int, default=12, help="dyadic depth (>= 6)")
+    growth.add_argument("--depth", type=int, default=12, help="dyadic depth, 6..20")
     growth.set_defaults(func=cmd_growth)
 
     verify = sub.add_parser("verify", help="run the inequality suites", formatter_class=shown)
@@ -426,7 +428,7 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     verify.add_argument("--K", type=_float_list, default=K_GRID, help="comma-separated K grid")
     verify.add_argument("--tol", type=float, default=REL_TOL, help="relative inequality tolerance")
     verify.add_argument(
-        "--depth", type=int, default=DEFAULT_DEPTH, help="dyadic depth for membership rows"
+        "--depth", type=int, default=DEFAULT_DEPTH, help="dyadic depth of membership rows, 6..20"
     )
     verify.add_argument(
         "--stamp", action="store_const", const=True, default=False,

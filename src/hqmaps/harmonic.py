@@ -35,7 +35,12 @@ CLASS_TAGS = ("convex", "close-to-convex", "starlike", "convex-in-one-direction"
 
 @dataclass
 class HarmonicMap:
-    """f = h + conj(g) with class tags and an optional quasiconformal bound."""
+    """f = h + conj(g) with class tags and an optional quasiconformal bound.
+
+    ``dilatation`` is (kappa, m) when g' = kappa z^m h' exactly; only the
+    builders set it (so, like ``slice_phi``, ``dataclasses.replace`` drops
+    it), and None, as on maps built by hand, means g' must be sampled.
+    """
 
     h: AnalyticFunction
     g: AnalyticFunction
@@ -47,6 +52,7 @@ class HarmonicMap:
     # f = h + conj(h - phi) = 2 Re h - conj(phi), so Im f is Im phi exactly
     slice_phi: Optional[AnalyticFunction] = field(default=None, init=False, repr=False)
     slice_re_h: Optional[Callable] = field(default=None, init=False, repr=False)
+    dilatation: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __call__(self, z):
         if self.slice_phi is None:
@@ -209,6 +215,7 @@ def make_shear(phi_name: str, kappa: float, m: int) -> HarmonicMap:
         meta={"phi": name, "omega": omega.uid},
     )
     f.slice_phi, f.slice_re_h = phi, lambda z: h_exact(z, real=True)
+    f.dilatation = (kappa, m)
     return f
 
 
@@ -241,13 +248,11 @@ def harmonic_koebe() -> HarmonicMap:
             np.array([0, 0, 0.5, 1.0 / 6]), geometric_coefficients(1.0, 3, n), n
         ),
     )
-    return HarmonicMap(
-        h=h,
-        g=g,
-        uid="harmonic-koebe",
-        class_tags=frozenset({"close-to-convex", "starlike"}),
-        qc_k=None,
+    f = HarmonicMap(
+        h=h, g=g, uid="harmonic-koebe", class_tags=frozenset({"close-to-convex", "starlike"})
     )
+    f.dilatation = (1.0, 1)  # g' = z h'
+    return f
 
 
 def analytic_map(name: str) -> HarmonicMap:
@@ -264,7 +269,9 @@ def analytic_map(name: str) -> HarmonicMap:
         dfn=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
         taylor_fn=lambda n: np.zeros(n, dtype=complex),
     )
-    return HarmonicMap(h=F, g=zero, uid=name, class_tags=frozenset(tags), qc_k=0.0)
+    f = HarmonicMap(h=F, g=zero, uid=name, class_tags=frozenset(tags), qc_k=0.0)
+    f.dilatation = (0.0, 0)  # g' = 0 h'
+    return f
 
 
 def shear_omega(kappa: float, power: int) -> AnalyticFunction:
@@ -298,11 +305,9 @@ def corpus_shear(phi_name: str, kappa: float, power: int) -> HarmonicMap:
     if kappa != 0.0:
         return make_shear(phi_name, kappa, power)
     name, _, omega, uid = _shear_parts(phi_name, kappa, power)
-    f = analytic_map(name)
-    return HarmonicMap(
-        h=f.h, g=f.g, uid=uid, class_tags=f.class_tags, qc_k=0.0,
-        meta={"phi": name, "omega": omega.uid},
-    )
+    f = analytic_map(name)  # its dilatation too: kappa = 0
+    f.uid, f.meta = uid, {"phi": name, "omega": omega.uid}
+    return f
 
 
 def build_corpus() -> list:
@@ -336,15 +341,14 @@ def build_corpus() -> list:
 
 def corpus_manifest(maps: list) -> str:
     """Deterministic JSON manifest of corpus entries."""
-    entries = []
-    for f in maps:
-        entries.append(
-            {
-                "id": f.uid,
-                "kind": "analytic" if f.is_analytic() else "harmonic",
-                "parameters": {k: v for k, v in sorted(f.meta.items()) if k in ("phi", "omega")},
-                "class_tags": sorted(f.class_tags),
-                "qc_k": f.qc_k,
-            }
-        )
+    entries = [
+        {
+            "id": f.uid,
+            "kind": "analytic" if f.is_analytic() else "harmonic",
+            "parameters": {k: v for k, v in sorted(f.meta.items()) if k in ("phi", "omega")},
+            "class_tags": sorted(f.class_tags),
+            "qc_k": f.qc_k,
+        }
+        for f in maps
+    ]
     return json.dumps(entries, indent=2, sort_keys=True)

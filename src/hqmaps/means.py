@@ -385,8 +385,10 @@ def dyadic_means_curve(
 def _dyadic_means_curves(F: Evaluable, ps, depth: int, rel_tol: float = 1e-9) -> list:
     """``dyadic_means_curve`` for every p in ps from one batch, scaled as in
     ``_integral_means_grid``, so huge and tiny targets keep their precision."""
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
+    top = -int(math.log2(1.0 - RADIUS_CAP))  # 20
+    if not 1 <= depth <= top:
+        raise DomainError(f"depth must lie in 1..{top}, got {depth}: 1 - 2^-depth must "
+                          f"not exceed RADIUS_CAP = 1 - 2^-{top}")
     radii, scales = 1.0 - 2.0 ** -np.arange(1, depth + 1), []  # s by p, a row per radius
     results = _graded_mean_pows(F, ps, radii, rel_tol, scales)
     by_p = zip(ps, zip(*results), zip(*scales))

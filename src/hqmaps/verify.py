@@ -2,6 +2,9 @@
 
 Every check produces rows of a common shape (mapping, inequality, parameters,
 lhs, rhs, margin) so reports serialize uniformly and reruns are byte-stable.
+The means and star rows of g' and of the companions G_k = k z H_k, scrG_k =
+k z scrH_k come from those of h', H_k and scrH_k by the map's declared
+``dilatation``: only a map that declares none has g' sampled.
 """
 
 from __future__ import annotations
@@ -248,23 +251,33 @@ def check_means_domination(
 
 
 def _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means: dict) -> list:
-    """``check_means_domination`` for every (extremal, k) in pairs. Each
-    target takes one batch of the adaptive angular rule over r_grid for the
-    whole p grid; the means of h' and g' serve every pair, and those of the
-    extremal pair are kept in extremal_means under (name, k) for the maps
-    that share it."""
+    """``check_means_domination`` for every (extremal, k) in pairs. Only h'
+    and each extremal, kept in extremal_means under (name, k) for the maps
+    that share it, take the adaptive angular rule, in one batch over r_grid
+    and p_grid; g' = kappa z^m h' and G_k = k z H_k have kappa r^m and k r
+    times their means (g' is integrated when f declares no dilatation)."""
     checked = _checked_pairs(f, pairs)
+    lhs_h = _integral_means_grid(f.h_prime, p_grid, r_grid, 1e-8)
+    lhs_g = (
+        _integral_means_grid(f.g_prime, p_grid, r_grid, 1e-8) if f.dilatation is None
+        else _times_monomial(lhs_h, r_grid, *f.dilatation)
+    )
     rows = []
-    for side, F in (("hprime", f.h_prime), ("gprime", f.g_prime)):
-        lhs = _integral_means_grid(F, p_grid, r_grid, 1e-8)
+    for side, lhs in (("hprime", lhs_h), ("gprime", lhs_g)):
         for prefix, extremal, k in checked:
-            name = extremal if side == "hprime" else _FAMILIES[extremal].companion
-            if (name, k) not in extremal_means:
-                E = catalog(name, k)
-                extremal_means[name, k] = _integral_means_grid(E, p_grid, r_grid, 1e-8)
-            rhs = extremal_means[name, k]
+            if (extremal, k) not in extremal_means:
+                E = catalog(extremal, k)
+                extremal_means[extremal, k] = _integral_means_grid(E, p_grid, r_grid, 1e-8)
+            rhs = extremal_means[extremal, k]
+            if side == "gprime":
+                rhs = _times_monomial(rhs, r_grid, k, 1)
             rows += _grid_rows(f.uid, f"means-{prefix}-{side}", k, p_grid, r_grid, lhs, rhs, tol)
     return rows
+
+
+def _times_monomial(means, r_grid, kappa: float, m: int) -> list:
+    """The means of kappa z^m F, per radius a list by p, from those of F."""
+    return [[kappa * r**m * v for v in means_r] for r, means_r in zip(r_grid, means)]
 
 
 def check_star_chain(
@@ -288,26 +301,35 @@ def check_star_chain(
 
 def _star_rows(f, checked, r, tol, extremal_stars: dict) -> list:
     """``check_star_chain`` at radius r for every (prefix, extremal, k) in
-    checked, whose tags and certificates have passed. The star functions of
-    log|h'| and log|g'| serve every pair; the values of each extremal's are
-    kept in extremal_stars under (name, k) for the maps that share it at r."""
+    checked, whose tags and certificates have passed. Only h' and each
+    extremal, kept in extremal_stars under (name, k) for the maps that share
+    it at r, are sampled: log|g'| and log|G_k| differ from log|h'| and
+    log|H_k| by constants (g' is sampled when f declares no dilatation)."""
+    if not checked:
+        return []
     n = star_grid_size(r)
-    map_stars = {}
+    star_h = star_function(sample_log_modulus(f.h_prime, r, n))
+    star_g = None
     rows = []
     for prefix, extremal, k in checked:
-        sides = [("hprime", f.h_prime, extremal)]
+        if (extremal, k) not in extremal_stars:
+            E = catalog(extremal, k)
+            extremal_stars[extremal, k] = star_function(sample_log_modulus(E, r, n))
+        sides = [("hprime", star_h, extremal)]
         # the companion row needs log|g'|; skip it when g vanishes identically
         if k > 0 and not f.is_analytic():
-            sides.append(("gprime", f.g_prime, _FAMILIES[extremal].companion))
-        for side, target, name in sides:
-            if side not in map_stars:
-                map_stars[side] = star_function(sample_log_modulus(target, r, n))
-            star_f = map_stars[side]
-            if (name, k) not in extremal_stars:
-                E = catalog(name, k)
-                extremal_stars[name, k] = star_function(sample_log_modulus(E, r, n)).values
+            if star_g is None:
+                star_g = (
+                    star_function(sample_log_modulus(f.g_prime, r, n)) if f.dilatation is None
+                    else _plus_log_monomial(star_h, *f.dilatation)
+                )
+            companion = _FAMILIES[extremal].companion
+            if (companion, k) not in extremal_stars:
+                extremal_stars[companion, k] = _plus_log_monomial(extremal_stars[extremal, k], k, 1)
+            sides.append(("gprime", star_g, companion))
+        for side, star_f, name in sides:
             # every star function on this n-point grid shares its thetas
-            star_E = StarFunction(star_f.thetas, extremal_stars[name, k])
+            star_E = StarFunction(star_f.thetas, extremal_stars[name, k].values)
             scale = max(1.0, float(np.max(np.abs(star_E.values))))
             v = star_dominates(star_f, star_E, tol=tol * scale)
             rows.append(
@@ -318,6 +340,13 @@ def _star_rows(f, checked, r, tol, extremal_stars: dict) -> list:
                 )
             )
     return rows
+
+
+def _plus_log_monomial(star: StarFunction, kappa: float, m: int) -> StarFunction:
+    """The star function of log|kappa z^m F| from that of log|F|: each sample gains
+    c = log(kappa rho^m), rho = star.radius, so j cells (theta_j) gain 2 theta_j c."""
+    c = math.log(kappa * star.radius**m)
+    return StarFunction(star.thetas, star.values + (2.0 * c) * star.thetas, radius=star.radius)
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,21 @@ def test_growth_depth_floor(tmp_path, monkeypatch, capsys):
     assert "depth" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["growth", "--corpus", "identity", "--p", "0.5", "--depth", "21"],
+        ["verify", "--suite", "membership", "--depth", "21"],
+    ],
+)
+def test_depth_past_the_radius_cap_exits_2_naming_the_depth(args, tmp_path, monkeypatch, capsys):
+    # 1 - 2^-21 lies past RADIUS_CAP = 1 - 2^-20
+    code, _, err = run_main(args, tmp_path, monkeypatch, capsys)
+    assert code == EXIT_USAGE
+    assert "depth must lie in 1..20, got 21" in err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_star_csv_round_trip(tmp_path, monkeypatch, capsys):
     code, _, _ = run_main(
         ["star", "--catalog", "koebe", "--r", "0.5,0.7", "--formats", "csv,json"],
@@ -372,6 +387,23 @@ def test_verify_rejects_bad_suite_and_K(tmp_path, monkeypatch, capsys):
         ["verify", "--suite", "classic", "--K", "0.5"], tmp_path, monkeypatch, capsys
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_rejects_a_negative_or_non_finite_tol(tol, tmp_path, monkeypatch, capsys):
+    code, out, err = run_main(
+        ["verify", "--suite", "classic", "--tol", tol], tmp_path, monkeypatch, capsys
+    )
+    assert code == EXIT_USAGE
+    assert "tol must be finite and >= 0" in err and "FAIL" not in out
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_depth_help_gives_the_range(capsys):
+    for command in ("growth", "verify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "6..20" in capsys.readouterr().out
 
 
 def test_cli_entry_point_runs():

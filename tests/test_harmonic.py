@@ -49,6 +49,19 @@ def test_shear_dilatation():
     assert np.allclose(w, 0.8 * GRID**2, atol=1e-10)
 
 
+def test_every_builder_declares_the_dilatation_it_builds(corpus):
+    # g' = kappa z^m h' exactly, at points inside and near the rim
+    z = np.concatenate([GRID, 0.999 * np.exp(1j * np.linspace(-3, 3, 17))])
+    for f in corpus + [corpus_shear("strip", 0.0, 2), make_shear("halfplane", 0.3, 3)]:
+        kappa, m = f.dilatation
+        assert np.allclose(f.g_prime(z), kappa * z**m * f.h_prime(z), rtol=1e-13, atol=0.0)
+    assert make_shear("strip", 0.8, 2).dilatation == (0.8, 2)
+    assert analytic_map("koebe").dilatation == corpus_shear("strip", 0.0, 2).dilatation == (0.0, 0)
+    assert harmonic_koebe().dilatation == (1.0, 1)
+    # a copy may carry another h or g, so it declares nothing
+    assert dataclasses.replace(make_shear("strip", 0.8, 2)).dilatation is None
+
+
 def test_shear_value_frozen():
     # phi = z, omega = 0.5 z: h' = 1/(1 - z/2), so h(1/2) = -2 log(3/4)
     f = corpus_shear("identity", 0.5, 1)

@@ -439,6 +439,16 @@ def test_dyadic_curve_shape():
     assert MeansCurve.csv_header() == "target_id,p,r,value"
 
 
+def test_dyadic_curve_depth_lies_in_1_to_20():
+    # the deepest radius 1 - 2^-depth may reach RADIUS_CAP = 1 - 2^-20, not pass it
+    assert analytic.RADIUS_CAP == 1.0 - 2.0**-20
+    c = dyadic_means_curve(catalog("identity"), 1.0, 20)
+    assert c.radii[-1] == analytic.RADIUS_CAP
+    for depth in (0, 21):
+        with pytest.raises(DomainError, match=rf"depth must lie in 1\.\.20, got {depth}"):
+            dyadic_means_curve(catalog("identity"), 1.0, depth)
+
+
 @pytest.mark.parametrize("size", [1e200, 1e-200])
 def test_dyadic_curve_keeps_its_precision_where_the_squares_leave_the_doubles(size):
     # M_2(r, c (1 + z)) = c sqrt(1 + r^2); at p = 2 the raw mean c^2 (1 + r^2)

@@ -1,5 +1,6 @@
 """Verification layer: rows, reports, growth fits, membership verdicts."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hqmaps import analytic, verify
 from hqmaps.analytic import DomainError, catalog
 from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
-from hqmaps.means import MeansCurve, dyadic_means_curve
+from hqmaps.means import MeansCurve, _integral_means_grid, dyadic_means_curve
+from hqmaps.star import sample_log_modulus, star_function
 from hqmaps.verify import (
     CertificationError,
     ClassTagError,
@@ -93,7 +95,7 @@ def test_suite_star_matches_check_star_chain_and_samples_each_target_once(
     sample = verify.sample_log_modulus
     certify = verify.qc_certify
     monkeypatch.setattr(
-        verify, "sample_log_modulus", lambda F, r, n: sampled.append(F.uid) or sample(F, r, n)
+        verify, "sample_log_modulus", lambda F, r, n: sampled.append((F.uid, r)) or sample(F, r, n)
     )
     monkeypatch.setattr(
         verify, "qc_certify", lambda f, k: certified.append((f.uid, k)) or certify(f, k)
@@ -121,14 +123,80 @@ def test_suite_star_matches_check_star_chain_and_samples_each_target_once(
         row.as_dict() for row in sorted(want, key=key)
     ]
 
-    companion = {"convex": ("H", "G"), "ctc": ("scrH", "scrG")}
+    # each map's h' once per radius and each extremal H or scrH once per
+    # (k, r); g' and the companions G and scrG follow from those samples
+    by_uid, extremal = {f.uid: f for f in corpus}, {"convex": "H", "ctc": "scrH"}
     distinct = set()
     for row in rows:
-        _, prefix, side = row.inequality_id.split("-")
-        name = companion[prefix][side == "gprime"]
-        distinct |= {(row.mapping_id, side, row.r), (name, row.k, row.r)}
-    assert len(sampled) == len(distinct)
+        prefix = row.inequality_id.split("-")[1]
+        E = catalog(extremal[prefix], row.k)
+        distinct |= {(by_uid[row.mapping_id].h_prime.uid, row.r), (E.uid, row.r)}
+    assert sorted(sampled) == sorted(distinct)
     assert sorted(certified) == sorted({(f.uid, k) for f, _, k in targets})
+
+
+def _suite_k_grid(corpus) -> list:
+    return sorted({k for f in corpus for k in verify._k_values(f)})
+
+
+def test_derived_gprime_star_functions_match_the_sampled_ones(corpus):
+    # log|g'| = log|h'| + log(kappa r^m) on the circle, so its star function
+    # is h''s plus 2 theta log(kappa r^m); likewise G_k = k z H_k
+    declared = [f for f in corpus if f.dilatation is not None]
+    assert len(declared) == len(corpus)
+    pairs = [(f.h_prime, f.g_prime, f.dilatation) for f in declared if f.dilatation[0] > 0]
+    pairs += [
+        (catalog(E, k), catalog(G, k), (k, 1))
+        for E, G in (("H", "G"), ("scrH", "scrG")) for k in _suite_k_grid(corpus) if k > 0
+    ]
+    assert len(pairs) == 19 + 2 * 6
+    for r in R_GRID:
+        n = verify.star_grid_size(r)
+        for F, G, (kappa, m) in pairs:
+            derived = verify._plus_log_monomial(star_function(sample_log_modulus(F, r, n)), kappa, m)
+            sampled = star_function(sample_log_modulus(G, r, n)).values
+            scale = max(1.0, float(np.max(np.abs(sampled))))
+            assert np.max(np.abs(derived.values - sampled)) <= 1e-12 * scale, (G.uid, r)
+
+
+def test_derived_gprime_means_match_the_integrated_ones(corpus):
+    pairs = [(f.h_prime, f.g_prime, f.dilatation) for f in corpus]
+    pairs += [
+        (catalog(E, k), catalog(G, k), (k, 1))
+        for E, G in (("H", "G"), ("scrH", "scrG")) for k in _suite_k_grid(corpus)
+    ]
+    for F, G, (kappa, m) in pairs:
+        means = _integral_means_grid(F, P_GRID, R_GRID, 1e-8)
+        derived = np.array(verify._times_monomial(means, R_GRID, kappa, m))
+        sampled = np.array(_integral_means_grid(G, P_GRID, R_GRID, 1e-8))
+        assert np.all(np.abs(derived - sampled) <= 1e-13 * np.abs(sampled)), G.uid
+
+
+def test_a_map_without_a_declared_dilatation_samples_g_prime(corpus_by_uid, monkeypatch):
+    f = corpus_by_uid["shear[phi=strip,omega=0.5z^2]"]
+    bare = dataclasses.replace(f)  # a rebuilt map declares no dilatation
+    assert f.dilatation == (0.5, 2) and bare.dilatation is None
+    rows, seen = {}, []
+    sample, integrate = verify.sample_log_modulus, verify._integral_means_grid
+    monkeypatch.setattr(
+        verify, "sample_log_modulus", lambda F, r, n: seen.append(F.uid) or sample(F, r, n)
+    )
+    monkeypatch.setattr(
+        verify, "_integral_means_grid", lambda F, *a: seen.append(F.uid) or integrate(F, *a)
+    )
+    for g in (f, bare):
+        seen.clear()
+        rows[g is f] = check_means_domination(g, "scrH", 0.5) + [
+            row for r in (0.5, 0.99) for row in check_star_chain(g, 0.5, r, "scrH")
+        ]
+        assert (f.g_prime.uid in seen) == (g is bare)
+        assert not {"G[k=0.5]", "scrG[k=0.5]"} & set(seen)
+    monkeypatch.undo()
+    assert len(rows[True]) == len(rows[False]) == 2 * 5 * 7 + 2 * 2
+    for a, b in zip(rows[True], rows[False]):
+        assert a.sort_key() == b.sort_key() and a.verdict == b.verdict
+        assert abs(a.lhs - b.lhs) <= 1e-5 * a.tol and abs(a.rhs - b.rhs) <= 1e-5 * a.tol
+        assert a.tol == pytest.approx(b.tol, rel=1e-12)
 
 
 def test_growth_exponent_synthetic():
