@@ -344,7 +344,7 @@ def _star_rows(f, checked, r, tol, extremal_stars: dict) -> list:
 
 def _plus_log_monomial(star: StarFunction, kappa: float, m: int) -> StarFunction:
     """The star function of log|kappa z^m F| from that of log|F|: each sample gains
-    c = log(kappa rho^m), rho = star.radius, so j cells (theta_j) gain 2 theta_j c."""
+    c = log(kappa rho^m), rho = star.radius, so node theta_j, j cells, gains 2 theta_j c."""
     c = math.log(kappa * star.radius**m)
     return StarFunction(star.thetas, star.values + (2.0 * c) * star.thetas, radius=star.radius)
 

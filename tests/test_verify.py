@@ -153,7 +153,8 @@ def test_derived_gprime_star_functions_match_the_sampled_ones(corpus):
     for r in R_GRID:
         n = verify.star_grid_size(r)
         for F, G, (kappa, m) in pairs:
-            derived = verify._plus_log_monomial(star_function(sample_log_modulus(F, r, n)), kappa, m)
+            star_F = star_function(sample_log_modulus(F, r, n))
+            derived = verify._plus_log_monomial(star_F, kappa, m)
             sampled = star_function(sample_log_modulus(G, r, n)).values
             scale = max(1.0, float(np.max(np.abs(sampled))))
             assert np.max(np.abs(derived.values - sampled)) <= 1e-12 * scale, (G.uid, r)

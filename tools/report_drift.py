@@ -57,7 +57,8 @@ def drift(old: dict, new: dict) -> tuple:
         scaled = [d / tol if tol > 0 else (0.0 if d == 0 else float("inf")) for d in deltas]
         entry["lhs"], entry["rhs"] = max(entry["lhs"], scaled[0]), max(entry["rhs"], scaled[1])
         entry["beyond_tol"] += not all(d <= tol for d in deltas)
-    return dict(sorted(table.items())), sorted(old.keys() - new.keys()), sorted(new.keys() - old.keys())
+    missing, extra = sorted(old.keys() - new.keys()), sorted(new.keys() - old.keys())
+    return dict(sorted(table.items())), missing, extra
 
 
 def main(argv=None) -> int:
