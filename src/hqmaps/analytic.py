@@ -22,9 +22,10 @@ the adaptive angular rule in ``means``.
 whole-circle method when it has one and evaluates pointwise otherwise. Every
 sample it returns is a point value; a spectral pass oversamples until its
 aliasing is below double precision, so grids at any level nest. Pointwise
-targets take ``CIRCLE_BLOCK`` points a call into one output, so a block's
-temporaries stay under glibc's 128 KiB mmap threshold and reuse heap pages,
-where a 2^16-point circle's (1 MiB each) fault in fresh ones; no bit changes.
+targets take ``CIRCLE_BLOCK`` points a call, so temporaries stay under
+glibc's 128 KiB mmap threshold and reuse heap pages (no bit changes), and a
+target that declares ``real_coefficients`` only the upper half of the grid,
+which ``unit_circle`` makes conjugate-symmetric: the rest is mirrored.
 
 Evaluation is capped at |z| <= 1 - 2**-20; all the closed forms of interest
 blow up at z = 1 and double precision carries no information beyond that.
@@ -40,9 +41,6 @@ RADIUS_CAP = 1.0 - 2.0**-20
 SERIES_CAP = 4096
 # building a rule costs a fraction of a millisecond, so rules are tabled
 _GAUSS = {m: np.polynomial.legendre.leggauss(m) for m in (8, 16)}
-# exp(2 pi i j / 2^16), 1 MiB: every grid of n | 2^16 points is a stride of it
-_UNIT_CIRCLE = np.exp(1j * ((2.0 * np.pi / 2**16) * np.arange(2**16)))
-_UNIT_CIRCLE.flags.writeable = False
 # points per call of a pointwise target on a circle: 64 KiB a complex array
 CIRCLE_BLOCK = 2**12
 
@@ -113,7 +111,10 @@ def geometric_coefficients(a: complex, power: int, n: int) -> np.ndarray:
 
 
 class AnalyticFunction:
-    """Evaluatable analytic map on the disk with derivative access."""
+    """Evaluatable analytic map on the disk with derivative access;
+    ``real_coefficients`` declares real Taylor coefficients, F(conj z) = conj F(z)."""
+
+    real_coefficients = False
 
     def __init__(self, uid: str):
         self.uid = uid
@@ -140,11 +141,13 @@ class ClosedForm(AnalyticFunction):
         fn: Callable,
         dfn: Optional[Callable] = None,
         taylor_fn: Optional[Callable[[int], np.ndarray]] = None,
+        real_coefficients: bool = False,
     ):
         super().__init__(uid)
         self._fn = fn
         self._dfn = dfn
         self._taylor_fn = taylor_fn
+        self.real_coefficients = real_coefficients
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -160,7 +163,8 @@ class ClosedForm(AnalyticFunction):
         if self._taylor_fn is not None:
             base = self._taylor_fn
             dtaylor = lambda n: series_differentiate(base(n + 1))[:n]
-        return ClosedForm(self.uid + "'", self._dfn, taylor_fn=dtaylor)
+        return ClosedForm(self.uid + "'", self._dfn, taylor_fn=dtaylor,
+                          real_coefficients=self.real_coefficients)
 
     def taylor(self, n: int) -> np.ndarray:
         if n < 1:
@@ -179,6 +183,7 @@ class PowerSeries(AnalyticFunction):
         self.coeffs = np.asarray(coeffs, dtype=complex)
         if self.coeffs.size > SERIES_CAP:
             raise DomainError(f"series truncation exceeds hard cap {SERIES_CAP}")
+        self.real_coefficients = not np.any(self.coeffs.imag)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -256,6 +261,7 @@ class RadialIntegral(AnalyticFunction):
     def __init__(self, integrand: AnalyticFunction, uid: str):
         super().__init__(uid)
         self.integrand = integrand
+        self.real_coefficients = integrand.real_coefficients
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -294,20 +300,36 @@ class RadialIntegral(AnalyticFunction):
 
 
 def unit_circle(n: int) -> np.ndarray:
-    """exp(2 pi i j / n) for j = 0 .. n - 1: a view of a constant table when
-    n divides 2^16, bitwise what the expression gives, since 2 pi / n and
-    2 pi / 2^16 differ by an exact power of two."""
+    """e^{2 pi i j / n}, j < n: exp below n/2, -1 at n/2, the mirror's conjugate
+    above; a view of a table when n divides 2^16, bitwise this rule at n, as
+    2 pi / n and 2 pi / 2^16 differ by an exact power of two."""
     if 2**16 % n == 0:
         return _UNIT_CIRCLE[:: 2**16 // n]
-    return np.exp(1j * ((2.0 * np.pi / n) * np.arange(n)))
+    half, out = n // 2, np.empty(n, dtype=complex)
+    out[: half + 1] = np.exp(1j * ((2.0 * np.pi / n) * np.arange(half + 1)))
+    if n % 2 == 0:
+        out[half] = -1.0
+    out[half + 1 :] = np.conj(out[n - half - 1 : 0 : -1])
+    return out
+
+
+# 1 MiB: the rule at 2^16, taken as every other point of the rule at 2^17,
+# which needs no table; every grid of n | 2^16 points is a stride of it
+_UNIT_CIRCLE = unit_circle(2**17)[::2].copy()
+_UNIT_CIRCLE.flags.writeable = False
 
 
 def pointwise_circle_values(fn, r: float, n: int) -> np.ndarray:
     """fn at the n circle grid points r e^{i theta_j}, CIRCLE_BLOCK points a
-    call into one output: bitwise one call on the whole grid."""
+    call into one output: bitwise one call on the whole grid. A target with
+    real coefficients is taken at j <= n/2 alone, every other point being
+    its mirror's conjugate (imaginary part 0.0 - y, so zeros stay +0)."""
     unit, out = unit_circle(n), np.empty(n, dtype=complex)
-    for j in range(0, n, CIRCLE_BLOCK):
-        out[j : j + CIRCLE_BLOCK] = fn(r * unit[j : j + CIRCLE_BLOCK])
+    stop = n // 2 + 1 if getattr(fn, "real_coefficients", False) else n
+    for j in range(0, stop, CIRCLE_BLOCK):
+        out[j : min(j + CIRCLE_BLOCK, stop)] = fn(r * unit[j : min(j + CIRCLE_BLOCK, stop)])
+    mirror = out[n - stop : 0 : -1]
+    out.real[stop:], out.imag[stop:] = mirror.real, 0.0 - mirror.imag
     return out
 
 
@@ -351,7 +373,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
 
     Parametrized entries (H, G, scrH, scrG) require 0 <= k < 1; the classical
     entries ignore k. Returned objects carry exact derivatives and exact
-    coefficient generators.
+    coefficient generators, and all have real coefficients.
     """
     if name in ("H", "G", "scrH", "scrG") and not (0.0 <= k < 1.0):
         raise DomainError(f"catalog({name!r}) needs k in [0, 1), got {k}")
@@ -362,20 +384,20 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             "identity",
             lambda z: z,
             dfn=lambda z: np.ones_like(z),
-            taylor_fn=lambda n: np.array([0.0, 1.0][:n], dtype=complex),
+            taylor_fn=lambda n: np.array([0.0, 1.0][:n], dtype=complex), real_coefficients=True,
         )
     if name == "koebe":
         return ClosedForm(
             "koebe",
             lambda z: z / (1 - z) ** 2,
             dfn=lambda z: (1 + z) / (1 - z) ** 3,
-            taylor_fn=lambda n: np.arange(n, dtype=complex),
+            taylor_fn=lambda n: np.arange(n, dtype=complex), real_coefficients=True,
         )
     if name == "half-plane":
         return ClosedForm(
             "half-plane",
             lambda z: z / (1 - z),
-            dfn=lambda z: 1 / (1 - z) ** 2,
+            dfn=lambda z: 1 / (1 - z) ** 2, real_coefficients=True,
             taylor_fn=lambda n: np.concatenate([[0.0], np.ones(n - 1)]).astype(complex),
         )
     if name == "strip-like":
@@ -388,7 +410,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             "strip-like",
             lambda z: z / (1 - z**2),
             dfn=lambda z: (1 + z**2) / (1 - z**2) ** 2,
-            taylor_fn=strip_taylor,
+            taylor_fn=strip_taylor, real_coefficients=True,
         )
     if name == "H":
         def H(z):
@@ -398,8 +420,8 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             num = (1 - z) * (1 - kk * z) + 2 * (1 + z) * (1 - kk * z) + kk * (1 - z**2)
             return num / ((1 - z) ** 3 * (1 - kk * z) ** 2)
 
-        taylor = lambda n: _extremal_taylor([1.0, 1.0], 2, kk, n)
-        return ClosedForm(f"H[k={kk!r}]", H, dfn=dH, taylor_fn=taylor)
+        tf = lambda n: _extremal_taylor([1.0, 1.0], 2, kk, n)
+        return ClosedForm(f"H[k={kk!r}]", H, dfn=dH, taylor_fn=tf, real_coefficients=True)
     if name == "scrH":
         def scrH(z):
             return (1 + z) ** 2 / ((1 - z) ** 3 * (1 - kk * z))
@@ -412,8 +434,8 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             )
             return (1 + z) * num / ((1 - z) ** 4 * (1 - kk * z) ** 2)
 
-        taylor = lambda n: _extremal_taylor([1.0, 2.0, 1.0], 3, kk, n)
-        return ClosedForm(f"scrH[k={kk!r}]", scrH, dfn=dscrH, taylor_fn=taylor)
+        tf = lambda n: _extremal_taylor([1.0, 2.0, 1.0], 3, kk, n)
+        return ClosedForm(f"scrH[k={kk!r}]", scrH, dfn=dscrH, taylor_fn=tf, real_coefficients=True)
     if name in ("G", "scrG"):
         # k z E(z), with E the H entry for G and the scrH entry for scrG
         Ef = catalog(name.replace("G", "H"), kk)
@@ -422,7 +444,7 @@ def catalog(name: str, k: float = 0.0) -> AnalyticFunction:
             f"{name}[k={kk!r}]",
             lambda z: kk * z * E(z),
             dfn=lambda z: kk * E(z) + kk * z * dE(z),
-            taylor_fn=_shift_up(Ef._taylor_fn, kk),
+            taylor_fn=_shift_up(Ef._taylor_fn, kk), real_coefficients=True,
         )
     raise DomainError(f"unknown catalog name {name!r}; choose from " + ", ".join(CATALOG_NAMES))
 

@@ -71,6 +71,9 @@ class HarmonicMap:
     def g_prime(self) -> AnalyticFunction:
         return self.g.derivative_function()
 
+    # h and g both declare real coefficients: then |f| is even in the angle
+    real_coefficients = property(lambda self: self.h.real_coefficients and self.g.real_coefficients)
+
     def is_analytic(self) -> bool:
         return "analytic" in self.class_tags
 
@@ -198,17 +201,18 @@ def make_shear(phi_name: str, kappa: float, m: int) -> HarmonicMap:
         geometric[::m] = geometric_coefficients(kappa, 1, -(-n // m))
         return series_mul(phi_prime.taylor(n), geometric, n)
 
-    hp = ClosedForm(uid + ":h'", hp_fn, taylor_fn=hp_taylor)
+    hp = ClosedForm(uid + ":h'", hp_fn, taylor_fn=hp_taylor, real_coefficients=True)
     gp = ClosedForm(
         uid + ":g'",
-        lambda z: omega_fn(z) * hp_fn(z),
+        lambda z: omega_fn(z) * hp_fn(z), real_coefficients=True,
         taylor_fn=lambda n: series_mul(omega.taylor(n), hp_taylor(n), n),
     )
     h_exact = _exact_shear_h(terms, kappa, m)
     integrate = lambda F: (lambda n: series_integrate(F.taylor(n), n))
     f = HarmonicMap(
-        h=ClosedForm(uid + ":h", h_exact, dfn=hp, taylor_fn=integrate(hp)),
-        g=ClosedForm(uid + ":g", lambda z: h_exact(z) - phi(z), dfn=gp, taylor_fn=integrate(gp)),
+        h=ClosedForm(uid + ":h", h_exact, dfn=hp, taylor_fn=integrate(hp), real_coefficients=True),
+        g=ClosedForm(uid + ":g", lambda z: h_exact(z) - phi(z), dfn=gp, taylor_fn=integrate(gp),
+                     real_coefficients=True),
         uid=uid,
         class_tags=frozenset({"convex-in-one-direction", "close-to-convex"}),
         qc_k=kappa,
@@ -235,7 +239,7 @@ def harmonic_koebe() -> HarmonicMap:
     h = ClosedForm(
         "harmonic-koebe:h",
         lambda z: (z - z**2 / 2 + z**3 / 6) / (1 - z) ** 3,
-        dfn=lambda z: (1 + z) / (1 - z) ** 4,
+        dfn=lambda z: (1 + z) / (1 - z) ** 4, real_coefficients=True,
         taylor_fn=lambda n: series_mul(
             np.array([0, 1.0, -0.5, 1.0 / 6]), geometric_coefficients(1.0, 3, n), n
         ),
@@ -243,7 +247,7 @@ def harmonic_koebe() -> HarmonicMap:
     g = ClosedForm(
         "harmonic-koebe:g",
         lambda z: (z**2 / 2 + z**3 / 6) / (1 - z) ** 3,
-        dfn=lambda z: z * (1 + z) / (1 - z) ** 4,
+        dfn=lambda z: z * (1 + z) / (1 - z) ** 4, real_coefficients=True,
         taylor_fn=lambda n: series_mul(
             np.array([0, 0, 0.5, 1.0 / 6]), geometric_coefficients(1.0, 3, n), n
         ),
@@ -267,7 +271,7 @@ def analytic_map(name: str) -> HarmonicMap:
         "zero",
         lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
         dfn=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-        taylor_fn=lambda n: np.zeros(n, dtype=complex),
+        taylor_fn=lambda n: np.zeros(n, dtype=complex), real_coefficients=True,
     )
     f = HarmonicMap(h=F, g=zero, uid=name, class_tags=frozenset(tags), qc_k=0.0)
     f.dilatation = (0.0, 0)  # g' = 0 h'
@@ -296,7 +300,7 @@ def shear_omega(kappa: float, power: int) -> AnalyticFunction:
     else:
         fn, dfn = (lambda z: kappa * z**power), (lambda z: (power * kappa) * z ** (power - 1))
     uid = f"{float(kappa)!r}z" + (f"^{power}" if power > 1 else "")
-    return ClosedForm(uid, fn, dfn=dfn, taylor_fn=taylor)
+    return ClosedForm(uid, fn, dfn=dfn, taylor_fn=taylor, real_coefficients=True)
 
 
 def corpus_shear(phi_name: str, kappa: float, power: int) -> HarmonicMap:

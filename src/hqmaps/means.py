@@ -7,12 +7,13 @@ certificate, the boundary-kernel integral and the dyadic means curves. The
 integrand is smooth and periodic for r < 1, but near the boundary it is
 hard only in a few directions, about 1 - r wide, that no target declares:
 the rule finds them by itself, since panels split where halving them
-changes their value, until the summed change is within the tolerance. A
-radius takes a few thousand nodes where a uniform grid would need about
-1/(1 - r). Nothing is kept between calls; a caller asks for its whole p
-grid and all its radii at once, and each step of the rule takes the target
-once on the active panels of every radius, each p only raising |F| to its
-power.
+changes their value, until the summed change is within the tolerance: a
+few thousand nodes a radius, where a uniform grid would need about
+1/(1 - r). A target that declares real coefficients has |F| even in theta
+and is taken on [0, pi] alone. Nothing is kept between calls; a caller
+asks for its whole p grid and all its radii at once, and each step of the
+rule takes the target once on the active panels of every radius, each p
+only raising |F| to its power.
 """
 
 from __future__ import annotations
@@ -140,6 +141,9 @@ def _graded_mean_pows(F: Evaluable, ps, rs, rel_tol: float, scales: Optional[lis
     would take past N_MAX nodes, stops unconverged. |F| is taken once per
     step on the active panels of all radii, in pieces of 2^20 points, and
     each p only raises it to its power; no radius depends on the others.
+    A target declaring real coefficients takes the first 4 start panels,
+    [0, pi], at twice the weight: each panel, node and decision is the whole
+    circle's, as a half panel's error doubles where the active count halves.
 
     Where a radius's largest |F|^p at the first step's nodes is out of
     2^-960 .. 2^960, that p averages |F/s|^p, s a power of two near that
@@ -150,19 +154,20 @@ def _graded_mean_pows(F: Evaluable, ps, rs, rel_tol: float, scales: Optional[lis
     2^-1022: rel_tol is raised to |p| 2^-1022 / max |F| there.
 
     Returns, per radius, (value, nodes, converged, last_two) by p: nodes
-    counts the points F was taken at, last_two are the totals of the last
+    counts the whole circle's points, last_two are the totals of the last
     two steps. p may be < 0.
     """
     ps, rs = np.asarray(ps, dtype=float), np.asarray(rs, dtype=float)
     if not rs.size:
         return []
-    out = [None] * rs.size
-    live, count, nodes = np.arange(rs.size), np.full(rs.size, 8), np.zeros(rs.size, dtype=int)
-    breaks = np.tile(_START_BREAKS, (rs.size, 1))
+    mirror = 2 if getattr(F, "real_coefficients", False) else 1
+    out, breaks = [None] * rs.size, np.tile(_START_BREAKS[: 8 // mirror], (rs.size, 1))
+    live, count, nodes = np.arange(rs.size), np.full(rs.size, 8 // mirror), np.zeros(rs.size, dtype=int)
     acc = np.zeros((3, ps.size, rs.size))  # retired value and error, last total: by p and live radius
     step = 0
     while live.size:
-        unit, w = (np.tile(x, live.size) for x in _START_NODES[step]) if step < 2 else _rule_nodes(breaks)
+        unit, w = ((np.tile(x[: x.size // mirror], live.size) for x in _START_NODES[step])
+                   if step < 2 else _rule_nodes(breaks))
         step += 1
         z = np.repeat(rs[live], 32 * count) * unit
         mods = np.concatenate([np.abs(F(z[i : i + 2**20])) for i in range(0, z.size, 2**20)])
@@ -172,11 +177,12 @@ def _graded_mean_pows(F: Evaluable, ps, rs, rel_tol: float, scales: Optional[lis
             plain = bool(np.all(s == 1.0))
             tol = np.maximum(rel_tol, np.abs(ps)[:, None] * 2.0 ** (-1022 - e))
         pows = (mods if plain else mods / np.repeat(s[:, live], 32 * count, axis=1)) ** ps[:, None]
-        halves = np.multiply(pows, w, out=pows).reshape(ps.size, -1, 2, 16).sum(axis=3) / (2.0 * np.pi)
+        halves = np.multiply(pows, w, out=pows).reshape(ps.size, -1, 2, 16).sum(axis=3)
+        halves /= 2.0 * np.pi / mirror
         fine = halves.sum(axis=2)
         first = count.cumsum() - count  # each live radius's first panel
         total = acc[0] + np.add.reduceat(fine, first, axis=1)
-        nodes += 32 * count
+        nodes += 32 * mirror * count
         if step == 1:  # the start panels: nothing to judge, all split
             acc[2], coarse, breaks, count = total, halves.reshape(ps.size, -1), _halves(breaks), 2 * count
             continue
@@ -185,7 +191,7 @@ def _graded_mean_pows(F: Evaluable, ps, rs, rel_tol: float, scales: Optional[lis
         done = (acc[1] + np.add.reduceat(err, first, axis=1) <= bound).all(axis=0)
         retire = (err <= (0.1 * bound / count).repeat(count, axis=1)).all(axis=0)
         splits = np.add.reduceat(~retire, first, dtype=int)
-        stop = done | (splits == 0) | (nodes + 64 * splits > N_MAX)
+        stop = done | (splits == 0) | (nodes + 64 * mirror * splits > N_MAX)
         acc[:2] += np.add.reduceat(np.where(retire, (fine, err), 0.0), first, axis=2)
         split = ~retire
         if stop.any():
@@ -245,7 +251,7 @@ def lemmaF_integral(p: float, r: float) -> float:
         raise DomainError(f"r must lie in [0, 1 - 2^-20), got {r}")
     if r == 0:
         return 2.0 * math.pi
-    one_minus = ClosedForm("one-minus-z", lambda z: 1.0 - z)
+    one_minus = ClosedForm("one-minus-z", lambda z: 1.0 - z, real_coefficients=True)
     value, _, converged, last_two = _mean_pow(one_minus, -p, r, 1e-10)
     if not converged:
         raise NonConvergenceError(
@@ -382,14 +388,18 @@ def dyadic_means_curve(
     return _dyadic_means_curves(F, (p,), depth, rel_tol)[0]
 
 
-def _dyadic_means_curves(F: Evaluable, ps, depth: int, rel_tol: float = 1e-9) -> list:
-    """``dyadic_means_curve`` for every p in ps from one batch, scaled as in
-    ``_integral_means_grid``, so huge and tiny targets keep their precision."""
+def _dyadic_radii(depth: int) -> np.ndarray:
     top = -int(math.log2(1.0 - RADIUS_CAP))  # 20
     if not 1 <= depth <= top:
         raise DomainError(f"depth must lie in 1..{top}, got {depth}: 1 - 2^-depth must "
                           f"not exceed RADIUS_CAP = 1 - 2^-{top}")
-    radii, scales = 1.0 - 2.0 ** -np.arange(1, depth + 1), []  # s by p, a row per radius
+    return 1.0 - 2.0 ** -np.arange(1, depth + 1)
+
+
+def _dyadic_means_curves(F: Evaluable, ps, depth: int, rel_tol: float = 1e-9) -> list:
+    """``dyadic_means_curve`` for every p in ps from one batch, scaled as in
+    ``_integral_means_grid``, so huge and tiny targets keep their precision."""
+    radii, scales = _dyadic_radii(depth), []  # s by p, a row per radius
     results = _graded_mean_pows(F, ps, radii, rel_tol, scales)
     by_p = zip(ps, zip(*results), zip(*scales))
     return [

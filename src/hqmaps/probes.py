@@ -2,8 +2,9 @@
 
 Probes certify, they never prove: a passing verdict means "no
 counterexample at this resolution". The quasiconformality certificate is
-taken on one fixed grid, ``PROBE_POINTS``. Class membership of the corpus
-rests on construction theorems plus these spot checks.
+taken on one fixed grid, ``PROBE_POINTS``, a map with real coefficients on
+its upper half circles. Class membership of the corpus rests on
+construction theorems plus these spot checks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ def qc_certify(f: HarmonicMap, k: float) -> QCVerdict:
     """
     if not (0.0 <= k < 1.0):
         raise DomainError(f"k must lie in [0, 1), got {k}")
-    z = PROBE_POINTS
+    # |h'| and |g'| of a map with real coefficients are even: angles j = 0..512 of each circle
+    z = PROBE_POINTS.reshape(-1, 2**10)[:, : 2**9 + 1].ravel() if f.real_coefficients else PROBE_POINTS
     hp, gp = f.h_prime(z), f.g_prime(z)
     jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
     if np.min(jac) <= 0:

@@ -25,6 +25,7 @@ from .means import (
     MeansCurve,
     _corollary_bounds,
     _dyadic_means_curves,
+    _dyadic_radii,
     _integral_means_grid,
     dyadic_means_curve,
     hardy_tail,
@@ -611,6 +612,7 @@ def run_suite(
     if class_filter is not None and class_filter not in filters:
         raise DomainError(f"unknown class filter {class_filter!r}; use 'convex' or 'ctc'")
     families = filters.get(class_filter, tuple(_FAMILIES))
+    _dyadic_radii(depth)  # checked for every suite, since the metadata records it
     if corpus is None:
         corpus = build_corpus()
     if class_filter is not None:

@@ -24,7 +24,9 @@ from hqmaps.analytic import (
     taylor_coefficients,
     unit_circle,
 )
-from hqmaps.harmonic import corpus_shear
+from hqmaps.harmonic import HarmonicMap, corpus_shear
+from hqmaps.means import integral_means
+from hqmaps.probes import PROBE_POINTS
 
 
 def test_catalog_names_complete():
@@ -174,14 +176,20 @@ def test_circle_values_evaluate_a_pointwise_target_once_per_point():
         evaluated.append(np.size(z))
         return koebe(z)
 
-    F = ClosedForm("counted-koebe", counted)
-    for n in (2**12, 2**16):
-        theta = 2 * np.pi * np.arange(n) / n
+    # declaring real coefficients, it is taken at j = 0 .. n/2 alone
+    blocks = {
+        (False, 2**12): [CIRCLE_BLOCK],
+        (False, 2**16): [CIRCLE_BLOCK] * 16,
+        (True, 2**12): [2**11 + 1],
+        (True, 2**16): [CIRCLE_BLOCK] * 8 + [1],
+    }
+    for (real, n), want in blocks.items():
+        F = ClosedForm("counted-koebe", counted, real_coefficients=real)
         for r in (0.999, 0.9999):
             evaluated.clear()
             points = circle_values(F, r, n)
-            assert evaluated == [CIRCLE_BLOCK] * (n // CIRCLE_BLOCK), (n, r)
-            assert np.array_equal(points, koebe(r * np.exp(1j * theta)))
+            assert evaluated == want, (real, n, r)
+            assert np.array_equal(_bits(points), _bits(koebe(r * unit_circle(n)))), (real, n, r)
 
 
 def test_blocked_circle_values_are_bitwise_one_evaluation_of_the_grid(corpus):
@@ -203,11 +211,52 @@ def _bits(z):
     return np.ascontiguousarray(z).view(np.int64)
 
 
+def test_declared_targets_have_real_coefficients(corpus):
+    # what a declaration promises: real Taylor coefficients, so
+    # F(conj z) = conj F(z) and |F| is even in the angle
+    targets = [catalog(name, k) for name in CATALOG_NAMES for k in (0.0, 0.2, 0.5, 0.8)]
+    for f in corpus:
+        targets += [f, f.h, f.g, f.h_prime, f.g_prime]
+    assert len(targets) == 32 + 5 * 23
+    for F in targets:
+        assert F.real_coefficients, F.uid
+        if not isinstance(F, HarmonicMap):
+            assert np.all(F.taylor(64).imag == 0), F.uid
+        want = np.conj(F(PROBE_POINTS))
+        assert np.all(np.abs(F(np.conj(PROBE_POINTS)) - want) <= 1e-15 * np.abs(want)), F.uid
+
+
+def test_a_complex_coefficient_target_takes_the_whole_circle():
+    # (1 - iz)^-2 = sum (n + 1) (iz)^n declares nothing, so every grid point
+    # is evaluated, bitwise; its pole lies below the real axis, at z = -i,
+    # so a mirrored upper half would miss it. Parseval:
+    # M_2^2 = sum (n + 1)^2 r^2n = (1 + r^2)/(1 - r^2)^3
+    evaluated = []
+    F = ClosedForm("tilted-pole", lambda z: evaluated.append(z.size) or (1 - 1j * z) ** -2)
+    assert not F.real_coefficients
+    for n in (2**9, 2**16):
+        evaluated.clear()
+        got = circle_values(F, 0.99, n)
+        assert sum(evaluated) == n
+        assert np.array_equal(_bits(got), _bits((1 - 1j * (0.99 * unit_circle(n))) ** -2)), n
+    for r in (0.5, 0.9, 0.99):
+        want = (1.0 + r * r) / (1.0 - r * r) ** 3
+        assert abs(integral_means(F, 2.0, r) ** 2 / want - 1.0) <= 1e-12, r
+
+
 def test_unit_circle_is_bitwise_the_grid_computed_in_place():
-    # tabled up to 2^16 points, computed beyond
-    for n in [2**k for k in range(21)] + [3, 96, 1000]:
-        grid = np.exp(1j * ((2.0 * np.pi / n) * np.arange(n)))
-        assert np.array_equal(_bits(unit_circle(n)), _bits(grid)), n
+    # tabled up to 2^16 points, computed beyond; the expression up to n/2,
+    # exactly -1 at n/2 and the conjugate of the mirror point above, so
+    # the grid is conjugate-symmetric bit for bit
+    for n in [2**k for k in range(21)] + [3, 96, 1000, 1001]:
+        half, grid = n // 2, np.exp(1j * ((2.0 * np.pi / n) * np.arange(n)))
+        if n % 2 == 0:
+            grid[half] = -1.0
+        grid[half + 1 :] = np.conj(grid[1 : n - half][::-1])
+        unit = unit_circle(n)
+        assert np.array_equal(_bits(unit), _bits(grid)), n
+        j = np.arange(1, n - half)
+        assert np.array_equal(_bits(unit[n - j]), _bits(np.conj(unit[j]))), n
 
 
 def test_graded_integral_resolves_a_near_endpoint_singularity():

@@ -95,12 +95,14 @@ def test_unknown_flag_exits_2(tmp_path, monkeypatch):
 
 
 def test_nonconvergence_exits_3(tmp_path, monkeypatch, capsys):
-    # means asks for 1e-9, so the angular rule for 1e-11: there the summed
-    # panel errors of koebe's p = 4 mean at r = 0.999999 reach their roundoff
-    # floor (its last two iterates are 4e-14 apart) and the rule stops at its
-    # node cap
+    # means asks for 1e-9, so the angular rule for 1e-11: strip-like's p = 4
+    # mean at r = 0.999999 peaks at theta = pi as well as at 0, and near pi
+    # the angle keeps only the absolute precision of pi, so the summed panel
+    # errors there reach their roundoff floor and the rule stops unconverged
+    # (at 705,152 nodes). Koebe's peak lies at theta = 0 alone, and its mean
+    # converges (test_oracles)
     code, _, err = run_main(
-        ["means", "--catalog", "koebe", "--p", "4", "--r", "0.999999"],
+        ["means", "--catalog", "strip-like", "--p", "4", "--r", "0.999999"],
         tmp_path, monkeypatch, capsys,
     )
     assert code == EXIT_NUMERIC
@@ -282,6 +284,8 @@ def test_growth_depth_floor(tmp_path, monkeypatch, capsys):
     [
         ["growth", "--corpus", "identity", "--p", "0.5", "--depth", "21"],
         ["verify", "--suite", "membership", "--depth", "21"],
+        # the report records the depth, so every suite checks it
+        ["verify", "--suite", "classic", "--depth", "21"],
     ],
 )
 def test_depth_past_the_radius_cap_exits_2_naming_the_depth(args, tmp_path, monkeypatch, capsys):

@@ -30,7 +30,8 @@ from hqmaps.means import (
     lemmaF_integral,
     lemmaF_ratio,
 )
-from hqmaps.verify import hardy_membership_verdict, suite_membership
+from hqmaps.harmonic import k_of_K
+from hqmaps.verify import K_GRID, P_GRID, R_GRID, hardy_membership_verdict, suite_membership
 
 
 def coefficient_M2(F, r, n=2048):
@@ -129,6 +130,21 @@ def test_integral_means_evaluate_a_pointwise_target_once_per_step():
     assert sum(sizes) == sum(nodes) and len(sizes) > 2
 
 
+def test_declared_targets_take_the_whole_circles_nodes_and_decisions(corpus):
+    # a target with real coefficients is integrated on [0, pi]; undeclared,
+    # the same function takes the whole circle. Both take the same steps,
+    # report the same node counts and agree to roundoff
+    targets = [f for f in corpus] + [f.h_prime for f in corpus]
+    targets += [catalog(name, k_of_K(K)) for name in ("H", "scrH") for K in K_GRID]
+    for F in targets:
+        half = _graded_mean_pows(F, P_GRID, R_GRID, 1e-10)
+        whole = _graded_mean_pows(ClosedForm(F.uid, F), P_GRID, R_GRID, 1e-10)
+        for r, by_p, want_by_p in zip(R_GRID, half, whole):
+            for p, (value, nodes, converged, _), (want, n, c, _) in zip(P_GRID, by_p, want_by_p):
+                assert (nodes, converged) == (n, c), (F.uid, r, p)
+                assert abs(value / want - 1.0) <= 1e-12, (F.uid, r, p)
+
+
 def test_cumulative_bound_takes_each_depths_new_nodes_in_one_batch(monkeypatch):
     ps, k, r = (1.0, 2.0, 4.0), 0.5, 0.99
     # the radius-line integrand with one call of the angular rule per node
@@ -141,7 +157,8 @@ def test_cumulative_bound_takes_each_depths_new_nodes_in_one_batch(monkeypatch):
 
     def counted(name, k):
         E = catalog(name, k)
-        return ClosedForm(E.uid, lambda z: calls.append(z.size) or E(z))
+        return ClosedForm(E.uid, lambda z: calls.append(z.size) or E(z),
+                          real_coefficients=E.real_coefficients)
 
     def recorded(F, ps, rs, *args):
         out = graded(F, ps, rs, *args)
@@ -153,9 +170,10 @@ def test_cumulative_bound_takes_each_depths_new_nodes_in_one_batch(monkeypatch):
     monkeypatch.setattr(means, "_graded_mean_pows", recorded)
     got = means._corollary_bounds(k, ps, r, "H")
     assert np.array_equal(got, one_by_one)
-    # one batch per grading depth, E run on each node of each once
+    # one batch per grading depth, E run on each node of each once: on the
+    # upper half circle, while the node counts are the whole circle's
     assert 2 <= len(batches) <= 5
-    assert sum(calls) == sum(batches)
+    assert 2 * sum(calls) == sum(batches)
 
 
 def test_one_radius_line_integral_serves_every_p():
@@ -525,22 +543,23 @@ class _Counted:
 
 
 # M_0.45 at r = 1 - 2^-13 and the points of each evaluation of the map by a
-# depth-13 curve: the 16 start panels at 13 radii, then 32 nodes per active
-# panel
+# depth-13 curve: every corpus map has real coefficients, so the 8 start
+# panels on [0, pi] at 13 radii, then 32 nodes per active panel. Each value
+# is within 1.6e-14 of the whole circle's, and each count half of its
 _CURVE_PINS = {
-    "koebe": (7.26937473575774, [3328, 6656, 1152, 1024, 896, 768, 640, 512, 384, 256, 128]),
+    "koebe": (7.269374735757855, [1664, 3328, 576, 512, 448, 384, 320, 256, 192, 128, 64]),
     "half-plane": (
-        1.3178226144251257, [3328, 6656, 1152, 1024, 896, 768, 640, 512, 384, 256, 128]
+        1.3178226144251293, [1664, 3328, 576, 512, 448, 384, 320, 256, 192, 128, 64]
     ),
     "strip-like": (
-        1.3152087770624552, [3328, 6656, 2304, 2048, 1792, 1536, 1280, 1024, 768, 512, 256]
+        1.315208777062454, [1664, 3328, 1152, 1024, 896, 768, 640, 512, 384, 256, 128]
     ),
-    "shear[phi=identity,omega=0.8z^2]": (1.0007659199739172, [3328, 6656]),
+    "shear[phi=identity,omega=0.8z^2]": (1.0007659199739172, [1664, 3328]),
     "shear[phi=halfplane,omega=0.8z]": (
-        2.0265793721047807, [3328, 6656, 1408, 1280, 1152, 896, 640, 512, 384, 256, 128]
+        2.026579372104781, [1664, 3328, 704, 640, 576, 448, 320, 256, 192, 128, 64]
     ),
     "shear[phi=strip,omega=0.8z^2]": (
-        2.061503552707861, [3328, 6656, 2816, 2560, 2304, 2048, 1536, 1024, 768, 512, 256]
+        2.0615035527078476, [1664, 3328, 1408, 1280, 1152, 1024, 768, 512, 384, 256, 128]
     ),
 }
 
@@ -551,7 +570,8 @@ def test_corpus_curves_converge_with_one_evaluation_per_refinement_step(corpus):
         c = dyadic_means_curve(F, 0.45, 13)
         assert np.all(c.converged), f.uid
         nodes = [res[0][1] for res in _graded_mean_pows(f, (0.45,), c.radii, 1e-9)]
-        assert F.calls[0] == 13 * 256 and sum(F.calls) == sum(nodes), f.uid
+        # nodes count the whole circle, F is taken on its upper half
+        assert F.calls[0] == 13 * 128 and 2 * sum(F.calls) == sum(nodes), f.uid
         if f.uid in _CURVE_PINS:
             assert (c.values[-1], F.calls) == _CURVE_PINS[f.uid], f.uid
 

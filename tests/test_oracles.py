@@ -151,6 +151,15 @@ def test_graded_rule_matches_hypergeometric_means_on_a_whole_p_grid():
         assert abs(value / hyp(p, DEEP) - 1.0) <= 1e-10, p
 
 
+def test_koebe_p4_mean_converges_next_to_the_pole():
+    # koebe's peak lies at theta = 0, where the angle keeps its full relative
+    # precision, so the rule on [0, pi] reaches the 1e-11 that integral_means
+    # asks of it at r = 0.999999; M_4 = r 2F1(4, 4; 1; r^2)^(1/4)
+    r = 0.999999
+    got = integral_means(catalog("koebe"), 4.0, r)
+    assert abs(got / (r * hyp(4.0, r) ** 0.25) - 1.0) <= 1e-9
+
+
 @pytest.mark.parametrize("p", [0.45, 2.0])
 def test_adaptive_rule_is_never_wrong_about_a_pole_just_outside_the_circle(p):
     # a double pole at rho e^{i alpha}, 2^-20 outside the circle: M_p^p is

@@ -77,3 +77,20 @@ def test_report_drift_fails_on_a_missing_or_extra_key(tmp_path, capsys):
     assert "missing from NEW: ('means-convex-hprime', 'a'" in capsys.readouterr().out
     assert report_drift.main([_write(tmp_path / "fewer.json", _rows()[1:]), old]) == 1
     assert "extra in NEW: ('means-convex-hprime', 'a'" in capsys.readouterr().out
+
+
+def test_report_drift_counts_changed_details_by_key_between_full_reports(tmp_path, capsys):
+    old_rows, rows = _rows(), _rows()
+    old_rows[3].detail["beta"], rows[3].detail["beta"] = 0.05, 0.06
+    old = _write(tmp_path / "old.json", old_rows)
+    # a moved detail is reported, and changes neither the table nor the exit
+    assert report_drift.main([old, _write(tmp_path / "new.json", rows)]) == 0
+    out = capsys.readouterr().out
+    assert "detail changed: membership-hardy: 1 rows (beta 1)" in out
+    assert out.count("detail changed") == 1
+    line = next(l for l in out.splitlines() if l.startswith("membership-hardy"))
+    assert line.split()[1:] == ["1", "0", "0", "0", "0"]
+    # the reduced reference keeps no detail: nothing to compare
+    reduced = _write_reduced(tmp_path / "old.json.gz", old_rows)
+    assert report_drift.main([reduced, _write(tmp_path / "new.json", rows)]) == 0
+    assert "detail changed" not in capsys.readouterr().out

@@ -11,9 +11,12 @@ gzip. Rows are matched by (inequality_id, mapping_id, k, p, r).
 For each inequality id it prints the rows it holds, how many changed (lhs,
 rhs, tol, verdict or membership verdict), the largest |new lhs - old lhs|
 and |new rhs - old rhs| in units of the old row's ``tol``, and the verdict
-flips. The exit status is 1 when a key is missing from either report, a
-verdict flips, or lhs or rhs moves by more than ``tol``; else 0. Nothing is
-written.
+flips. Between two full reports it also prints, for each inequality id
+with a changed ``detail``, how many rows' detail changed and, per detail
+key, on how many rows; the reduced reference keeps no detail, so against it
+none is compared. The exit status is 1 when a key is missing from either
+report, a verdict flips, or lhs or rhs moves by more than ``tol``; else 0,
+whatever the details. Nothing is written.
 """
 
 from __future__ import annotations
@@ -22,35 +25,42 @@ import argparse
 import gzip
 import json
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 
 def load_rows(path: str) -> dict:
-    """key -> (verdict, lhs, rhs, tol, actual) of every row of a report."""
+    """key -> (verdict, lhs, rhs, tol, actual, detail) of every row of a
+    report; detail is None in the reduced reference."""
     with (gzip.open(path, "rt") if path.endswith(".gz") else open(path)) as fh:
         rows = json.load(fh)["rows"]
     out = {}
     for row in rows:
         if isinstance(row, dict):
             key = tuple(row[name] for name in ("inequality_id", "mapping_id", "k", "p", "r"))
-            fields = (row["verdict"], row["lhs"], row["rhs"], row["tol"],
-                      row.get("detail", {}).get("actual"))
+            detail = row.get("detail", {})
+            fields = (row["verdict"], row["lhs"], row["rhs"], row["tol"], detail.get("actual"), detail)
         else:  # the reduced reference: key, then verdict, lhs, rhs, tol, actual
-            key, fields = tuple(row[:5]), tuple(row[5:])
+            key, fields = tuple(row[:5]), tuple(row[5:]) + (None,)
         out[key] = fields
     return out
 
 
 def drift(old: dict, new: dict) -> tuple:
     """(per inequality id: rows, changed, max |dlhs|/tol, max |drhs|/tol,
-    flips, rows beyond tol; keys only in old; keys only in new)."""
+    flips, rows beyond tol, rows whose detail changed and a count of rows
+    per changed detail key; keys only in old; keys only in new)."""
     table = defaultdict(lambda: {"rows": 0, "changed": 0, "lhs": 0.0, "rhs": 0.0,
-                                 "flips": 0, "beyond_tol": 0})
+                                 "flips": 0, "beyond_tol": 0, "details": 0, "keys": Counter()})
     for key in old.keys() & new.keys():
-        (verdict, lhs, rhs, tol, actual), now = old[key], new[key]
+        (verdict, lhs, rhs, tol, actual, detail), now = old[key], new[key]
         entry = table[key[0]]
         entry["rows"] += 1
-        entry["changed"] += now != old[key]
+        entry["changed"] += now[:5] != old[key][:5]
+        if detail is not None and now[5] is not None:
+            moved = [name for name in detail.keys() | now[5].keys()
+                     if detail.get(name) != now[5].get(name)]
+            entry["details"] += bool(moved)
+            entry["keys"].update(moved)
         entry["flips"] += (now[0], now[4]) != (verdict, actual)
         deltas = [abs(now[1] - lhs), abs(now[2] - rhs)]
         # a zero tol makes any move infinite; NaN counts as beyond tol
@@ -73,6 +83,10 @@ def main(argv=None) -> int:
     for name, e in table.items():
         print(f"{name:<{width}}  {e['rows']:>5}  {e['changed']:>7}  "
               f"{e['lhs']:>13.3g}  {e['rhs']:>13.3g}  {e['flips']:>5}")
+    for name, e in table.items():
+        if e["details"]:
+            keys = ", ".join(f"{k} {n}" for k, n in sorted(e["keys"].items()))
+            print(f"detail changed: {name}: {e['details']} rows ({keys})")
     for label, keys in (("missing from NEW", missing), ("extra in NEW", extra)):
         for key in keys:
             print(f"{label}: {key}")
