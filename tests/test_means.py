@@ -134,7 +134,7 @@ def test_declared_targets_take_the_whole_circles_nodes_and_decisions(corpus):
     # a target with real coefficients is integrated on [0, pi]; undeclared,
     # the same function takes the whole circle. Both take the same steps,
     # report the same node counts and agree to roundoff
-    targets = [f for f in corpus] + [f.h_prime for f in corpus]
+    targets = list(corpus) + [f.h_prime for f in corpus]
     targets += [catalog(name, k_of_K(K)) for name in ("H", "scrH") for K in K_GRID]
     for F in targets:
         half = _graded_mean_pows(F, P_GRID, R_GRID, 1e-10)
@@ -545,7 +545,7 @@ class _Counted:
 # M_0.45 at r = 1 - 2^-13 and the points of each evaluation of the map by a
 # depth-13 curve: every corpus map has real coefficients, so the 8 start
 # panels on [0, pi] at 13 radii, then 32 nodes per active panel. Each value
-# is within 1.6e-14 of the whole circle's, and each count half of its
+# is within 1.6e-14 of the whole circle's, and each count is half of its
 _CURVE_PINS = {
     "koebe": (7.269374735757855, [1664, 3328, 576, 512, 448, 384, 320, 256, 192, 128, 64]),
     "half-plane": (
