@@ -23,12 +23,12 @@ from typing import Optional
 import numpy as np
 
 from .analytic import DomainError, NonConvergenceError, catalog
-from .csvio import join_row, parse_rows
+from .csvio import csv_lines, parse_rows
 from .harmonic import build_corpus, corpus_shear
 from .means import MeansCurve, _integral_means_grid
 from .star import StarFunction, sample_log_modulus, star_function, star_grid_size
 from .svgplot import polyline_svg
-from .verify import DEFAULT_DEPTH, K_GRID, REL_TOL, SUITES, hardy_membership_verdict, run_suite
+from .verify import DEFAULT_DEPTH, K_GRID, MIN_DEPTH, REL_TOL, SUITES, hardy_membership_verdict, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -296,28 +296,26 @@ def _fmt_threshold(value) -> str:
 
 
 def cmd_growth(ns: argparse.Namespace) -> int:
-    if ns.depth < 6:
-        raise UsageError(f"growth needs dyadic depth >= 6, got {ns.depth}")
+    if ns.depth < MIN_DEPTH:
+        raise UsageError(f"growth needs dyadic depth >= {MIN_DEPTH}, got {ns.depth}")
     f = _resolve_target(ns, allow_catalog=False)
-    lines = [GROWTH_CSV_HEADER]
+    fields = []
     doc = []
     series = []
     for p in ns.p:
         v = hardy_membership_verdict(f, p, ns.depth)
         thr = v.thresholds
-        lines.append(
-            join_row(
-                [
-                    v.mapping_id,
-                    f"{p:.12g}",
-                    f"{v.beta:.12g}",
-                    f"{v.beta_pp:.12g}",
-                    v.verdict,
-                    _fmt_threshold(thr["theorem"]),
-                    _fmt_threshold(thr["nowak"]),
-                    _fmt_threshold(thr["astala_koskela"]),
-                ]
-            )
+        fields.append(
+            [
+                v.mapping_id,
+                f"{p:.12g}",
+                f"{v.beta:.12g}",
+                f"{v.beta_pp:.12g}",
+                v.verdict,
+                _fmt_threshold(thr["theorem"]),
+                _fmt_threshold(thr["nowak"]),
+                _fmt_threshold(thr["astala_koskela"]),
+            ]
         )
         doc.append(
             {
@@ -344,7 +342,8 @@ def cmd_growth(ns: argparse.Namespace) -> int:
             f"distortion-only {_fmt_threshold(thr['astala_koskela']) or 'n/a'})"
         )
     _emit(
-        ns, f"growth_{_slug(f.uid)}", lines, {"target": f.uid, "rows": doc}, series,
+        ns, f"growth_{_slug(f.uid)}", [GROWTH_CSV_HEADER] + csv_lines(fields),
+        {"target": f.uid, "rows": doc}, series,
         title=f"dyadic means growth of {f.uid}", xlabel="1/(1-r)", ylabel="M_p(r)",
         logx=True, logy=True,
     )
@@ -369,8 +368,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     print(
         f"{len(report.rows)} rows, {len(failures)} violations -> {base}.json, {base}.csv"
     )
-    for row in failures[:20]:
-        print("FAIL " + row.csv_line())
+    for line in csv_lines(row.csv_fields() for row in failures[:20]):
+        print("FAIL " + line)
     return report.exit_status()
 
 

@@ -8,14 +8,15 @@ Numeric fields are formatted by the callers; this module never reformats.
 from __future__ import annotations
 
 import csv
-import io
-from typing import Iterable, List
+from types import SimpleNamespace
+from typing import Iterable, List, Sequence
 
 
-def join_row(fields: Iterable[str]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(list(fields))
-    return buf.getvalue()
+def csv_lines(rows: Iterable[Sequence[str]]) -> List[str]:
+    """Each row as one CSV line without its terminator, all from one writer."""
+    lines: List[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="").writerows(rows)
+    return lines
 
 
 def parse_rows(text: str) -> List[List[str]]:

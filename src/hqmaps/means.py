@@ -35,7 +35,7 @@ from .analytic import (
     gauss_panels,
     graded_integral,
 )
-from .csvio import join_row
+from .csvio import csv_lines
 from .harmonic import HarmonicMap
 
 Evaluable = Union[AnalyticFunction, HarmonicMap]
@@ -365,10 +365,11 @@ class MeansCurve:
             raise DomainError(f"curve radii capped at {RADIUS_CAP}")
 
     def csv_rows(self) -> list:
-        return [
-            join_row([self.target, f"{self.p:.12g}", f"{r:.12g}", f"{v:.12g}"])
-            for r, v in zip(self.radii, self.values)
-        ]
+        p = f"{self.p:.12g}"
+        return csv_lines(
+            (self.target, p, f"{r:.12g}", f"{v:.12g}")
+            for r, v in zip(self.radii.tolist(), self.values.tolist())
+        )
 
     @staticmethod
     def csv_header() -> str:

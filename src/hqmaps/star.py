@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .analytic import RADIUS_CAP, AnalyticFunction, DomainError, circle_values
-from .csvio import join_row
+from .csvio import csv_lines
 
 MIN_CIRCLE_SAMPLES = 2**9
 
@@ -89,10 +89,10 @@ class StarFunction:
 
     def csv_rows(self) -> list:
         rid = "" if self.radius is None else f"{self.radius:.12g}"
-        return [
-            join_row([f"{t:.12g}", f"{v:.12g}", self.source_id, rid])
-            for t, v in zip(self.thetas, self.values)
-        ]
+        return csv_lines(
+            (f"{t:.12g}", f"{v:.12g}", self.source_id, rid)
+            for t, v in zip(self.thetas.tolist(), self.values.tolist())
+        )
 
     @staticmethod
     def csv_header() -> str:

@@ -13,12 +13,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .analytic import DomainError, catalog
-from .csvio import join_row
+from .csvio import csv_lines
 from .harmonic import HarmonicMap, K_of_k, build_corpus, corpus_manifest, k_of_K
 from .means import (
     HardyTail,
@@ -52,6 +53,7 @@ MEMBER_BETA = 0.02
 DIVERGENT_BETA = 0.05
 CERT_TAIL = -0.95
 DEFAULT_DEPTH = 13
+MIN_DEPTH = 6  # a membership fit takes six converged dyadic radii
 
 
 class _Family(NamedTuple):
@@ -134,21 +136,20 @@ class VerificationRow:
             "detail": self.detail,
         }
 
-    def csv_line(self) -> str:
-        return join_row(
-            [
-                self.inequality_id,
-                self.mapping_id,
-                f"{self.k:.12g}",
-                f"{self.p:.12g}",
-                f"{self.r:.12g}",
-                f"{self.lhs:.12g}",
-                f"{self.rhs:.12g}",
-                f"{self.margin:.12g}",
-                f"{self.tol:.12g}",
-                self.verdict,
-            ]
-        )
+    def csv_fields(self) -> list:
+        """The row's fields in ``CSV_HEADER`` order, numbers to 12 digits."""
+        return [
+            self.inequality_id,
+            self.mapping_id,
+            f"{self.k:.12g}",
+            f"{self.p:.12g}",
+            f"{self.r:.12g}",
+            f"{self.lhs:.12g}",
+            f"{self.rhs:.12g}",
+            f"{self.margin:.12g}",
+            f"{self.tol:.12g}",
+            self.verdict,
+        ]
 
 
 def _grid_rows(uid, inequality_id, k, ps, rs, lhs, rhs, tol, relative=True) -> list:
@@ -160,6 +161,71 @@ def _grid_rows(uid, inequality_id, k, ps, rs, lhs, rhs, tol, relative=True) -> l
         )
         for r, lhs_r, rhs_r in zip(rs, lhs, rhs) for p, a, b in zip(ps, lhs_r, rhs_r)
     ]
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+_JSON_SCALARS = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: int.__repr__,
+    float: _json_float,
+    str: encode_basestring_ascii,
+}
+
+
+def _json_nested(value, level: int) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` placed at indent level
+    ``level`` of the report (JSON strings hold no raw newline)."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _json_value(value) -> str:
+    encode = _JSON_SCALARS.get(type(value))
+    return encode(value) if encode is not None else _json_nested(value, 4)
+
+
+def _json_detail(detail: dict) -> str:
+    if not detail:
+        return "{}"
+    try:
+        items = [
+            f"        {encode_basestring_ascii(key)}: {_json_value(value)}"
+            for key, value in sorted(detail.items())
+        ]
+    except TypeError:  # a key that is no str: json converts or rejects it
+        return _json_nested(detail, 3)
+    return "{\n" + ",\n".join(items) + "\n      }"
+
+
+def _json_row(row: VerificationRow) -> str:
+    """One element of the report's "rows", keys sorted, at indent level 2."""
+    margin = row.margin
+    # float.__repr__ is json's spelling of a finite float; the sum is finite
+    # only if all seven are (one that overflows takes the slower exact path)
+    finite = math.isfinite(row.k + row.p + row.r + row.lhs + row.rhs + margin + row.tol)
+    num = float.__repr__ if finite else _json_float
+    return (
+        "    {\n"
+        f'      "detail": {_json_detail(row.detail)},\n'
+        f'      "inequality_id": {encode_basestring_ascii(row.inequality_id)},\n'
+        f'      "k": {num(row.k)},\n'
+        f'      "lhs": {num(row.lhs)},\n'
+        f'      "mapping_id": {encode_basestring_ascii(row.mapping_id)},\n'
+        f'      "margin": {num(margin)},\n'
+        f'      "p": {num(row.p)},\n'
+        f'      "r": {num(row.r)},\n'
+        f'      "rhs": {num(row.rhs)},\n'
+        f'      "tol": {num(row.tol)},\n'
+        f'      "verdict": "{row.verdict}"\n'
+        "    }"
+    )
 
 
 @dataclass
@@ -175,14 +241,18 @@ class VerificationReport:
         return [row for row in self.rows if row.verdict != "pass"]
 
     def to_json(self) -> str:
-        doc = {
-            "metadata": self.metadata,
-            "rows": [row.as_dict() for row in self.rows],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        """The report as ``json.dumps({"metadata": ..., "rows": [row.as_dict()
+        ...]}, sort_keys=True, indent=2) + "\\n"`` writes it, byte for byte,
+        NaN and infinities included, with each row filled into a template."""
+        rows = ",\n".join(map(_json_row, self.rows))
+        return (
+            f'{{\n  "metadata": {_json_nested(self.metadata, 1)},\n  "rows": '
+            + (f"[\n{rows}\n  ]" if rows else "[]")
+            + "\n}\n"
+        )
 
     def to_csv(self) -> str:
-        return "\n".join([CSV_HEADER] + [row.csv_line() for row in self.rows]) + "\n"
+        return "\n".join([CSV_HEADER] + csv_lines(row.csv_fields() for row in self.rows)) + "\n"
 
     def exit_status(self) -> int:
         return 0 if not self.failures else 1
@@ -407,7 +477,7 @@ def hardy_membership_verdict(
         curve = dyadic_means_curve(f, p, depth)
     radii = curve.radii[curve.converged]
     vals = curve.values[curve.converged]
-    if vals.size < 6:
+    if vals.size < MIN_DEPTH:
         raise DomainError(
             f"{f.uid}: only {vals.size} converged dyadic radii at p = {p}; "
             "increase depth"
@@ -612,7 +682,10 @@ def run_suite(
     if class_filter is not None and class_filter not in filters:
         raise DomainError(f"unknown class filter {class_filter!r}; use 'convex' or 'ctc'")
     families = filters.get(class_filter, tuple(_FAMILIES))
-    _dyadic_radii(depth)  # checked for every suite, since the metadata records it
+    # checked for every suite, since the metadata records it
+    if depth < MIN_DEPTH:
+        raise DomainError(f"verify takes a dyadic depth in {MIN_DEPTH}..20, got {depth}")
+    _dyadic_radii(depth)  # names its own range past 20
     if corpus is None:
         corpus = build_corpus()
     if class_filter is not None:

@@ -9,10 +9,12 @@ import pytest
 
 import hqmaps
 from hqmaps.analytic import CATALOG_NAMES
+from hqmaps.verify import VerificationReport, VerificationRow
 from hqmaps.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VIOLATIONS,
     UsageError,
     main,
     parse_shear_spec,
@@ -294,6 +296,34 @@ def test_depth_past_the_radius_cap_exits_2_naming_the_depth(args, tmp_path, monk
     assert code == EXIT_USAGE
     assert "depth must lie in 1..20, got 21" in err
     assert not (tmp_path / "verify_report.json").exists()
+
+
+@pytest.mark.parametrize("depth, expected", [("3", EXIT_USAGE), ("6", EXIT_OK)])
+def test_verify_depth_lies_in_6_to_20_for_every_suite(depth, expected, tmp_path, monkeypatch, capsys):
+    code, _, err = run_main(
+        ["verify", "--suite", "classic", "--depth", depth], tmp_path, monkeypatch, capsys
+    )
+    assert code == expected
+    if expected == EXIT_USAGE:
+        assert "6..20, got 3" in err
+        assert not (tmp_path / "verify_report.json").exists()
+    else:
+        meta = json.loads((tmp_path / "verify_report.json").read_text())["metadata"]
+        assert meta["depth"] == 6
+
+
+def test_verify_fail_lines_are_the_report_csv_lines(tmp_path, monkeypatch, capsys):
+    rows = [
+        VerificationRow('shear[phi=a,"b"]', "i", 0.5, 1.0, 0.9, 2.0, 1.0, 1e-6),
+        VerificationRow("m", "i", 0.5, 1.0, 0.9, 0.0, 1.0, 1e-6),
+    ]
+    monkeypatch.setattr("hqmaps.cli.run_suite", lambda *a, **kw: VerificationReport(rows))
+    code, out, _ = run_main(["verify"], tmp_path, monkeypatch, capsys)
+    assert code == EXIT_VIOLATIONS
+    fails = [line[len("FAIL "):] for line in out.splitlines() if line.startswith("FAIL ")]
+    lines = (tmp_path / "verify_report.csv").read_text().splitlines()
+    assert fails == [line for line in lines if line.endswith(",fail")]
+    assert fails[0].startswith('i,"shear[phi=a,""b""]",0.5,')
 
 
 def test_star_csv_round_trip(tmp_path, monkeypatch, capsys):

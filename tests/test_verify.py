@@ -1,6 +1,8 @@
 """Verification layer: rows, reports, growth fits, membership verdicts."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -350,6 +352,41 @@ def test_rows_of_numpy_scalars_serialize_as_rows_of_floats():
     reports = [VerificationReport(rows=[row], metadata={}) for row in (plain, scalars)]
     assert reports[0].to_json() == reports[1].to_json()
     assert reports[0].to_csv() == reports[1].to_csv()
+
+
+def test_report_writers_match_json_dumps_and_a_csv_writer_per_row():
+    nan, inf = float("nan"), float("inf")
+    detail = {
+        "none": None, "yes": True, "no": False, "n": -7, "zero": 0.0, "neg_zero": -0.0,
+        "tiny": 1e-300, "nan": nan, "inf": inf, "neg_inf": -inf, "np": np.float64(0.1),
+        "text": 'a "quote", a back\\slash,\na newline and na\u00efve \u03b8',
+        "list": [1, 2.5, [None, "x"], {}, []], "dict": {"b": [nan], "a": {"c": -inf}},
+    }
+    rows = [
+        VerificationRow('shear[phi=a,"b"],x', 'id-"q"', 0.5, 1.0, 0.9, nan, inf, 1e-6, detail),
+        VerificationRow("plain", "ineq", 1.5, 2.0, 0.99, -0.0, 1e-300, 0.0),  # empty detail
+        VerificationRow("m", "ineq", 1.0, 4.0, 0.5, -inf, -1.0, inf, {"k\u00e9y": 3}),
+        VerificationRow("m", "keys", 1.0, 4.0, 0.5, 1.0, 2.0, 0.0, {2: "two", 0.5: None}),
+        VerificationRow("m", "overflow", 1.0, 4.0, 0.5, -1e308, 1e308, 1e-6),  # margin inf
+    ]
+    metadata = {"grid": {"p": [0.25, 4.0], "nested": {"z": None, "a": [[]]}}, "name": "\u00fc\n"}
+
+    def csv_line(row):
+        numbers = (row.k, row.p, row.r, row.lhs, row.rhs, row.rhs - row.lhs, row.tol)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(
+            [row.inequality_id, row.mapping_id, *(f"{x:.12g}" for x in numbers), row.verdict]
+        )
+        return buf.getvalue()
+
+    for rep in (VerificationReport(rows, metadata), VerificationReport([], {}),
+                VerificationReport([], metadata), VerificationReport(rows[1:2], {})):
+        doc = {"metadata": rep.metadata, "rows": [row.as_dict() for row in rep.rows]}
+        assert rep.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert rep.to_csv() == (
+            "inequality_id,mapping_id,k,p,r,lhs,rhs,margin,tol,verdict\n"
+            + "".join(map(csv_line, rep.rows))
+        )
 
 
 def test_membership_rows_and_thresholds_follow_the_family_table():
