@@ -9,7 +9,6 @@ import pytest
 
 import hqmaps
 from hqmaps.analytic import CATALOG_NAMES
-from hqmaps.verify import VerificationReport, VerificationRow
 from hqmaps.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -20,6 +19,7 @@ from hqmaps.cli import (
     parse_shear_spec,
     read_csv,
 )
+from hqmaps.verify import VerificationReport, VerificationRow
 
 
 def run_main(args, tmp_path, monkeypatch, capsys):
