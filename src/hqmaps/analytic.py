@@ -454,6 +454,4 @@ CATALOG_NAMES = ("identity", "koebe", "half-plane", "strip-like", "H", "G", "scr
 
 def taylor_coefficients(F: AnalyticFunction, n: int) -> np.ndarray:
     """First n Taylor coefficients of F at the origin."""
-    if n < 1:
-        raise DomainError("need n >= 1")
     return F.taylor(n)

@@ -28,7 +28,10 @@ from .harmonic import build_corpus, corpus_shear
 from .means import MeansCurve, _integral_means_grid
 from .star import StarFunction, sample_log_modulus, star_function, star_grid_size
 from .svgplot import polyline_svg
-from .verify import DEFAULT_DEPTH, K_GRID, MIN_DEPTH, REL_TOL, SUITES, hardy_membership_verdict, run_suite
+from .verify import (
+    DEFAULT_DEPTH, K_GRID, MAX_DEPTH, MIN_DEPTH, REL_TOL, SUITES, hardy_membership_verdict,
+    run_suite,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -202,18 +205,17 @@ def parse_shear_spec(spec: str):
     return corpus_shear(fields["phi"], kappa, 2 if m.group(2) else 1)
 
 
-def _resolve_target(ns: argparse.Namespace, allow_catalog: bool = True):
+def _resolve_target(ns: argparse.Namespace):
     picked = [
         name
         for name in ("catalog", "corpus", "shear")
         if getattr(ns, name, None) is not None
     ]
     if len(picked) != 1:
-        wanted = "--catalog, --corpus, or --shear" if allow_catalog else "--corpus or --shear"
+        # only a command with --catalog has the attribute
+        wanted = "--catalog, --corpus, or --shear" if "catalog" in ns else "--corpus or --shear"
         raise UsageError(f"choose exactly one target: {wanted}")
     if picked[0] == "catalog":
-        if not allow_catalog:
-            raise UsageError("this command takes --corpus or --shear targets")
         return catalog(ns.catalog, ns.k)
     if picked[0] == "shear":
         return parse_shear_spec(ns.shear)
@@ -225,13 +227,6 @@ def _resolve_target(ns: argparse.Namespace, allow_catalog: bool = True):
     return members[ns.corpus]
 
 
-def _check_r(r_list) -> list:
-    for r in r_list:
-        if not (0.0 < r < 1.0):
-            raise UsageError(f"r must lie in (0, 1), got {r:g}")
-    return sorted(set(r_list))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -239,7 +234,7 @@ def _check_r(r_list) -> list:
 def cmd_means(ns: argparse.Namespace) -> int:
     if ns.r is None:
         raise UsageError("means needs --r (comma-separated radii)")
-    r_list = _check_r(ns.r)
+    r_list = sorted(set(ns.r))
     target = _resolve_target(ns)
     uid = target.uid
     lines = [MeansCurve.csv_header()]
@@ -265,7 +260,7 @@ def cmd_means(ns: argparse.Namespace) -> int:
 def cmd_star(ns: argparse.Namespace) -> int:
     if ns.r is None:
         raise UsageError("star needs --r (comma-separated radii)")
-    r_list = _check_r(ns.r)
+    r_list = sorted(set(ns.r))
     target = _resolve_target(ns)
     uid = target.uid
     lines = [StarFunction.csv_header()]
@@ -296,9 +291,7 @@ def _fmt_threshold(value) -> str:
 
 
 def cmd_growth(ns: argparse.Namespace) -> int:
-    if ns.depth < MIN_DEPTH:
-        raise UsageError(f"growth needs dyadic depth >= {MIN_DEPTH}, got {ns.depth}")
-    f = _resolve_target(ns, allow_catalog=False)
+    f = _resolve_target(ns)
     fields = []
     doc = []
     series = []
@@ -351,11 +344,6 @@ def cmd_growth(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    for K in ns.K:
-        if K < 1.0:
-            raise UsageError(f"K must be >= 1, got {K:g}")
-    if not 0.0 <= ns.tol < float("inf"):
-        raise UsageError(f"tol must be finite and >= 0, got {ns.tol:g}")
     report = run_suite(
         ns.suite, K_grid=tuple(ns.K), tol=ns.tol, depth=ns.depth, class_filter=ns.cls
     )
@@ -418,7 +406,9 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     )
     _add_target_flags(growth, with_catalog=False)
     growth.add_argument("--p", type=_float_list, default="0.5", help="comma-separated exponents")
-    growth.add_argument("--depth", type=int, default=12, help="dyadic depth, 6..20")
+    growth.add_argument(
+        "--depth", type=int, default=12, help=f"dyadic depth, {MIN_DEPTH}..{MAX_DEPTH}"
+    )
     growth.set_defaults(func=cmd_growth)
 
     verify = sub.add_parser("verify", help="run the inequality suites", formatter_class=shown)
@@ -427,7 +417,8 @@ def build_parser(config: Optional[dict] = None) -> argparse.ArgumentParser:
     verify.add_argument("--K", type=_float_list, default=K_GRID, help="comma-separated K grid")
     verify.add_argument("--tol", type=float, default=REL_TOL, help="relative inequality tolerance")
     verify.add_argument(
-        "--depth", type=int, default=DEFAULT_DEPTH, help="dyadic depth of membership rows, 6..20"
+        "--depth", type=int, default=DEFAULT_DEPTH,
+        help=f"dyadic depth of membership rows, {MIN_DEPTH}..{MAX_DEPTH}",
     )
     verify.add_argument(
         "--stamp", action="store_const", const=True, default=False,

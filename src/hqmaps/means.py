@@ -42,6 +42,7 @@ Evaluable = Union[AnalyticFunction, HarmonicMap]
 
 N_MAX = 2**20
 HARDY_CUTOFF_EXP = 16  # improper r-integrals stop at 1 - 2**-16
+MAX_DEPTH = -int(math.log2(1.0 - RADIUS_CAP))  # 20: the dyadic radius 1 - 2**-20 is RADIUS_CAP
 
 
 def circle_modulus(F: Evaluable, r: float, n: int) -> np.ndarray:
@@ -228,8 +229,6 @@ def _corollary_bounds(k: float, ps, r: float, extremal: str = "H") -> np.ndarray
     radius line; each depth's new nodes take one batch of the angular rule."""
     if min(ps) < 1:
         raise DomainError(f"cumulative bound requires p >= 1, got {min(ps)}")
-    if not (0.0 <= k < 1.0):
-        raise DomainError(f"k must lie in [0, 1), got {k}")
     if extremal not in ("H", "scrH"):
         raise DomainError(f"extremal must be 'H' or 'scrH', got {extremal!r}")
     if not (0 < r <= RADIUS_CAP):
@@ -376,32 +375,29 @@ class MeansCurve:
         return "target_id,p,r,value"
 
 
-def dyadic_means_curve(
-    F: Evaluable, p: float, depth: int, rel_tol: float = 1e-9
-) -> MeansCurve:
+def dyadic_means_curve(F: Evaluable, p: float, depth: int) -> MeansCurve:
     """M_p at radii 1 - 2^-j, j = 1..depth, from one batch of
-    ``_graded_mean_pows``: ``_dyadic_means_curves`` at the one p.
+    ``_graded_mean_pows`` at rel_tol 1e-9: ``_dyadic_means_curves`` at the one p.
 
     Every target takes the adaptive angular rule, which converges at all 13
     default radii for every corpus map. The per-radius convergence mask lets
     downstream fits discard radii where the rule failed its check.
     """
-    return _dyadic_means_curves(F, (p,), depth, rel_tol)[0]
+    return _dyadic_means_curves(F, (p,), depth)[0]
 
 
 def _dyadic_radii(depth: int) -> np.ndarray:
-    top = -int(math.log2(1.0 - RADIUS_CAP))  # 20
-    if not 1 <= depth <= top:
-        raise DomainError(f"depth must lie in 1..{top}, got {depth}: 1 - 2^-depth must "
-                          f"not exceed RADIUS_CAP = 1 - 2^-{top}")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise DomainError(f"depth must lie in 1..{MAX_DEPTH}, got {depth}: 1 - 2^-depth must "
+                          f"not exceed RADIUS_CAP = 1 - 2^-{MAX_DEPTH}")
     return 1.0 - 2.0 ** -np.arange(1, depth + 1)
 
 
-def _dyadic_means_curves(F: Evaluable, ps, depth: int, rel_tol: float = 1e-9) -> list:
+def _dyadic_means_curves(F: Evaluable, ps, depth: int) -> list:
     """``dyadic_means_curve`` for every p in ps from one batch, scaled as in
     ``_integral_means_grid``, so huge and tiny targets keep their precision."""
     radii, scales = _dyadic_radii(depth), []  # s by p, a row per radius
-    results = _graded_mean_pows(F, ps, radii, rel_tol, scales)
+    results = _graded_mean_pows(F, ps, radii, 1e-9, scales)
     by_p = zip(ps, zip(*results), zip(*scales))
     return [
         MeansCurve(p, radii, [value ** (1.0 / p) * t for (value, *_), t in zip(means, st)],

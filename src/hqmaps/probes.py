@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import DomainError, circle_values
+from .analytic import DomainError, circle_values, unit_circle
 from .harmonic import HarmonicMap
 
-# the one probe grid, built once: 2^10 angles on each radius, circle after circle
+# the one probe grid, built once: PROBE_N angles on each radius, circle after circle
 PROBE_RADII = (0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
-_ANGLES = 2.0 * np.pi * np.arange(2**10) / 2**10
-PROBE_POINTS = (np.asarray(PROBE_RADII)[:, None] * np.exp(1j * _ANGLES)[None, :]).ravel()
+PROBE_N = 2**10
+PROBE_POINTS = (np.asarray(PROBE_RADII)[:, None] * unit_circle(PROBE_N)[None, :]).ravel()
 PROBE_POINTS.flags.writeable = False
 
 
@@ -43,8 +43,9 @@ def qc_certify(f: HarmonicMap, k: float) -> QCVerdict:
     """
     if not (0.0 <= k < 1.0):
         raise DomainError(f"k must lie in [0, 1), got {k}")
-    # |h'| and |g'| of a map with real coefficients are even: angles j = 0..512 of each circle
-    z = PROBE_POINTS.reshape(-1, 2**10)[:, : 2**9 + 1].ravel() if f.real_coefficients else PROBE_POINTS
+    z = PROBE_POINTS
+    if f.real_coefficients:  # |h'| and |g'| are even: angles j = 0..512 of each circle
+        z = z.reshape(-1, PROBE_N)[:, : PROBE_N // 2 + 1].ravel()
     hp, gp = f.h_prime(z), f.g_prime(z)
     jac = np.abs(hp) ** 2 - np.abs(gp) ** 2
     if np.min(jac) <= 0:
@@ -65,15 +66,15 @@ class ConvexityVerdict:
     n: int
 
 
-def convexity_probe(f: HarmonicMap, r: float, n: int = 2**10) -> ConvexityVerdict:
+def convexity_probe(f: HarmonicMap, r: float) -> ConvexityVerdict:
     """Certify convexity of the image curve f(r e^{i theta}).
 
-    Traces the closed curve, requires every cross product of successive
-    secants to be >= -1e-9 on the curve's own scale and the total turning to
-    be 2 pi within 1e-6. Coincident consecutive points are a degeneracy
-    error.
+    Traces the closed curve at PROBE_N angles, requires every cross product
+    of successive secants to be >= -1e-9 on the curve's own scale and the
+    total turning to be 2 pi within 1e-6. Coincident consecutive points are
+    a degeneracy error.
     """
-    gamma = circle_values(f, r, n)
+    gamma = circle_values(f, r, PROBE_N)
     sec = np.roll(gamma, -1) - gamma
     norms = np.abs(sec)
     if np.min(norms) < 1e-14:
@@ -85,5 +86,5 @@ def convexity_probe(f: HarmonicMap, r: float, n: int = 2**10) -> ConvexityVerdic
     turning = float(np.sum(np.angle(sec / prev)))
     ok = bool(np.min(cross) >= -1e-9) and abs(turning - 2.0 * np.pi) <= 1e-6
     return ConvexityVerdict(
-        ok=ok, min_cross=float(np.min(cross)), total_turning=turning, n=n
+        ok=ok, min_cross=float(np.min(cross)), total_turning=turning, n=PROBE_N
     )

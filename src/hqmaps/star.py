@@ -51,25 +51,23 @@ class SampledCircle:
 
 
 def sample_log_modulus(F: AnalyticFunction, r: float, n: int) -> SampledCircle:
-    """log|F| on the n-point circle grid, nudging r off zeros of F.
+    """log|F| on the n-point circle grid at radius r itself.
 
-    A sample with |F| < 1e-8 counts as a zero collision; the radius is
-    perturbed by 1e-7 up to three times before giving up. The circle grid
-    starts at theta = 0; rolling it by n/2 puts the samples on [-pi, pi).
-    |F| is written rolled into one array and its log taken in place.
+    A sample where F is exactly 0 or not finite is a DomainError: log|F|
+    has no finite value there (``SampledCircle`` rejects an infinite one).
+    The circle grid starts at theta = 0; rolling it by n/2 puts the samples
+    on [-pi, pi). |F| is written rolled into one array and its log taken in
+    place.
     """
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
     _check_count(n)
-    rr, half, mod = r, n // 2, np.empty(n)
-    for _ in range(3):
-        values = circle_values(F, rr, n)
-        np.abs(values[n - half :], out=mod[:half])
-        np.abs(values[: n - half], out=mod[half:])
-        if np.min(mod) >= 1e-8:
-            return SampledCircle(radius=rr, values=np.log(mod, out=mod), source_id=F.uid)
-        rr += 1e-7
-    raise DomainError(f"{F.uid} vanishes on the sampled circle at r ~ {r}")
+    values, half, mod = circle_values(F, r, n), n // 2, np.empty(n)
+    np.abs(values[n - half :], out=mod[:half])
+    np.abs(values[: n - half], out=mod[half:])
+    if not np.min(mod) > 0.0:  # a zero or a NaN
+        raise DomainError(f"{F.uid} vanishes or is not finite on the sampled circle at r = {r}")
+    return SampledCircle(radius=r, values=np.log(mod, out=mod), source_id=F.uid)
 
 
 @dataclass
@@ -163,12 +161,11 @@ def phi_means_dominates(
     b: SampledCircle,
     p_grid: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
     t_grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-9,
 ) -> DominationVerdict:
     """Domination of Phi-means for the exponential and hinge families.
 
-    Checks mean(e^{p a}) <= mean(e^{p b}) + tol for each p and
-    mean(max(a - t, 0)) <= mean(max(b - t, 0)) + tol for each hinge level t.
+    Checks mean(e^{p a}) <= mean(e^{p b}) + 1e-9 for each p and
+    mean(max(a - t, 0)) <= mean(max(b - t, 0)) + 1e-9 for each hinge level t.
     Exponentials are max-shifted before evaluation, so the comparison is
     overflow-safe; the tolerance then applies on the shifted scale.
     """
@@ -189,7 +186,7 @@ def phi_means_dominates(
         gap = float(np.mean(np.maximum(av - t, 0.0)) - np.mean(np.maximum(bv - t, 0.0)))
         if gap > worst.max_violation:
             worst = DominationVerdict(False, gap, 0.0, detail=f"hinge family t={t:g}")
-    if worst.max_violation <= tol:
+    if worst.max_violation <= 1e-9:
         return DominationVerdict(ok=True, max_violation=worst.max_violation, theta_at_max=0.0, detail=worst.detail)
     return worst
 

@@ -22,11 +22,11 @@ from .analytic import DomainError, catalog
 from .csvio import csv_lines
 from .harmonic import HarmonicMap, K_of_k, build_corpus, corpus_manifest, k_of_K
 from .means import (
+    MAX_DEPTH,
     HardyTail,
     MeansCurve,
     _corollary_bounds,
     _dyadic_means_curves,
-    _dyadic_radii,
     _integral_means_grid,
     dyadic_means_curve,
     hardy_tail,
@@ -290,11 +290,17 @@ def _require_certificate(f: HarmonicMap, k: float):
 
 def _checked_pairs(f: HarmonicMap, pairs) -> list:
     """(prefix, extremal, k) for every (extremal, k) in pairs, once the tags
-    and each distinct k's certificate have passed."""
+    and the certificate at the least k have passed: its sup|g'/h'| does not
+    depend on k, so it passes at every larger k too."""
     checked = [(_require_tags(f, extremal), extremal, k) for extremal, k in pairs]
-    for k in dict.fromkeys(k for _, _, k in checked):
-        _require_certificate(f, k)
+    if checked:
+        _require_certificate(f, min(k for _, _, k in checked))
     return checked
+
+
+def _check_depth(depth: int) -> None:
+    if not MIN_DEPTH <= depth <= MAX_DEPTH:
+        raise DomainError(f"depth must lie in {MIN_DEPTH}..{MAX_DEPTH}, got {depth}")
 
 
 def _k_values(f: HarmonicMap, K_grid: Sequence[float] = K_GRID) -> list:
@@ -315,10 +321,9 @@ def check_means_domination(
     k: float,
     p_grid: Sequence[float] = P_GRID,
     r_grid: Sequence[float] = R_GRID,
-    tol: float = REL_TOL,
 ) -> list:
     """Rows for M_p(r, h') vs the extremal and M_p(r, g') vs its companion."""
-    return _means_rows(f, [(extremal, k)], p_grid, r_grid, tol, {})
+    return _means_rows(f, [(extremal, k)], p_grid, r_grid, REL_TOL, {})
 
 
 def _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means: dict) -> list:
@@ -356,7 +361,6 @@ def check_star_chain(
     k: float,
     r: float,
     extremal: Optional[str] = None,
-    tol: float = STAR_TOL,
 ) -> list:
     """Star-function domination of log|h'| (and log|g'|) by the extremal pair.
 
@@ -367,10 +371,10 @@ def check_star_chain(
     if extremal is None:
         # the tightest family f's tags allow; an untagged map fails on scrH's
         extremal = (_families_of(f, _FAMILIES) or ["scrH"])[0]
-    return _star_rows(f, _checked_pairs(f, [(extremal, k)]), r, tol, {})
+    return _star_rows(f, _checked_pairs(f, [(extremal, k)]), r, {})
 
 
-def _star_rows(f, checked, r, tol, extremal_stars: dict) -> list:
+def _star_rows(f, checked, r, extremal_stars: dict) -> list:
     """``check_star_chain`` at radius r for every (prefix, extremal, k) in
     checked, whose tags and certificates have passed. Only h' and each
     extremal, kept in extremal_stars under (name, k) for the maps that share
@@ -402,11 +406,11 @@ def _star_rows(f, checked, r, tol, extremal_stars: dict) -> list:
             # every star function on this n-point grid shares its thetas
             star_E = StarFunction(star_f.thetas, extremal_stars[name, k].values)
             scale = max(1.0, float(np.max(np.abs(star_E.values))))
-            v = star_dominates(star_f, star_E, tol=tol * scale)
+            v = star_dominates(star_f, star_E, tol=STAR_TOL * scale)
             rows.append(
                 VerificationRow(
                     f.uid, f"star-{prefix}-{side}", k, 0.0, r,
-                    v.max_violation, 0.0, tol * scale,
+                    v.max_violation, 0.0, STAR_TOL * scale,
                     detail={"n": n, "at_theta": float(v.theta_at_max)},
                 )
             )
@@ -473,6 +477,7 @@ def hardy_membership_verdict(
     """
     if not (0.0 < p < math.inf):
         raise DomainError(f"p must lie in (0, inf), got {p}")
+    _check_depth(depth)
     if curve is None:
         curve = dyadic_means_curve(f, p, depth)
     radii = curve.radii[curve.converged]
@@ -546,27 +551,18 @@ def membership_row(
 # suites
 
 
-def suite_means(
-    corpus,
-    p_grid=P_GRID,
-    r_grid=R_GRID,
-    K_grid=K_GRID,
-    tol=REL_TOL,
-    families=tuple(_FAMILIES),
-):
+def suite_means(corpus, K_grid=K_GRID, tol=REL_TOL, families=tuple(_FAMILIES)):
     """Means domination rows for every tagged map, extremal means shared."""
     extremal_means = {}
     rows = []
     for f in corpus:
         pairs = [(e, k) for e in _families_of(f, families) for k in _k_values(f, K_grid)]
-        rows += _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means)
+        rows += _means_rows(f, pairs, P_GRID, R_GRID, tol, extremal_means)
     return rows
 
 
-def suite_star(
-    corpus, r_grid=R_GRID, K_grid=K_GRID, tol=STAR_TOL, families=tuple(_FAMILIES)
-):
-    """Star-chain rows for every tagged map, each (map, k) certified once.
+def suite_star(corpus, r_grid=R_GRID, K_grid=K_GRID, families=tuple(_FAMILIES)):
+    """Star-chain rows for every tagged map, each map certified once.
     Radii run outermost: at each radius a map's star functions serve all its
     (extremal, k) pairs, and each extremal's is computed once per (name, k)
     and dropped when the radius moves on."""
@@ -578,17 +574,11 @@ def suite_star(
     for r in r_grid:
         extremal_stars = {}
         for f, checked in groups:
-            rows += _star_rows(f, checked, r, tol, extremal_stars)
+            rows += _star_rows(f, checked, r, extremal_stars)
     return rows
 
 
-def suite_cumulative(
-    corpus,
-    p_grid=CUMULATIVE_P_GRID,
-    r_grid=CUMULATIVE_R_GRID,
-    tol=REL_TOL,
-    families=tuple(_FAMILIES),
-):
+def suite_cumulative(corpus, tol=REL_TOL, families=tuple(_FAMILIES)):
     """M_p(r, f) against (1+k) int_0^r M_p(s, extremal) ds at the map's own k.
 
     Each member is held to the first family in families whose tags it
@@ -598,6 +588,7 @@ def suite_cumulative(
     computed once; one batch of the adaptive angular rule over r_grid, and
     one radius-line integral per bound, serves the whole p grid.
     """
+    p_grid, r_grid = CUMULATIVE_P_GRID, CUMULATIVE_R_GRID
     bounds = {}
     rows = []
     for f in corpus:
@@ -614,7 +605,7 @@ def suite_cumulative(
     return rows
 
 
-def suite_classic(corpus, p_grid=P_GRID, r_grid=R_GRID, tol=CLASSIC_TOL):
+def suite_classic(corpus):
     """Analytic starlike members against the slit-plane extremal and its
     derivative; tolerance is absolute by contract."""
     K = catalog("koebe")
@@ -625,10 +616,12 @@ def suite_classic(corpus, p_grid=P_GRID, r_grid=R_GRID, tol=CLASSIC_TOL):
     members = [f for f in corpus if {"analytic", "starlike"} <= f.class_tags]
     rows = []
     for inequality, target, koebe in sides if members else ():
-        rhs = _integral_means_grid(koebe, p_grid, r_grid, 1e-9)
+        rhs = _integral_means_grid(koebe, P_GRID, R_GRID, 1e-9)
         for f in members:
-            lhs = _integral_means_grid(target(f), p_grid, r_grid, 1e-9)
-            rows += _grid_rows(f.uid, inequality, 0, p_grid, r_grid, lhs, rhs, tol, relative=False)
+            lhs = _integral_means_grid(target(f), P_GRID, R_GRID, 1e-9)
+            rows += _grid_rows(
+                f.uid, inequality, 0, P_GRID, R_GRID, lhs, rhs, CLASSIC_TOL, relative=False
+            )
     return rows
 
 
@@ -655,8 +648,6 @@ SUITES = ("means", "star", "cumulative", "classic", "membership")
 def run_suite(
     name: str = "all",
     corpus: Optional[list] = None,
-    p_grid: Sequence[float] = P_GRID,
-    r_grid: Sequence[float] = R_GRID,
     K_grid: Sequence[float] = K_GRID,
     tol: float = REL_TOL,
     depth: int = DEFAULT_DEPTH,
@@ -682,29 +673,31 @@ def run_suite(
     if class_filter is not None and class_filter not in filters:
         raise DomainError(f"unknown class filter {class_filter!r}; use 'convex' or 'ctc'")
     families = filters.get(class_filter, tuple(_FAMILIES))
-    # checked for every suite, since the metadata records it
-    if depth < MIN_DEPTH:
-        raise DomainError(f"verify takes a dyadic depth in {MIN_DEPTH}..20, got {depth}")
-    _dyadic_radii(depth)  # names its own range past 20
+    # checked for every suite, since the metadata records them
+    _check_depth(depth)
+    for K in K_grid:
+        k_of_K(K)
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol:g}")
     if corpus is None:
         corpus = build_corpus()
     if class_filter is not None:
         corpus = [f for f in corpus if _families_of(f, families)]
     rows = []
     if "means" in names:
-        rows += suite_means(corpus, p_grid, r_grid, K_grid, tol, families=families)
+        rows += suite_means(corpus, K_grid, tol, families=families)
     if "star" in names:
-        rows += suite_star(corpus, r_grid, K_grid, families=families)
+        rows += suite_star(corpus, K_grid=K_grid, families=families)
     if "cumulative" in names:
         rows += suite_cumulative(corpus, tol=tol, families=families)
     if "classic" in names and class_filter is None:
-        rows += suite_classic(corpus, p_grid, r_grid)
+        rows += suite_classic(corpus)
     if "membership" in names and class_filter is None:
         rows += suite_membership(corpus, depth)
     metadata = {
         "corpus_hash": hashlib.sha256(corpus_manifest(corpus).encode()).hexdigest(),
         "corpus_size": len(corpus),
-        "grid": {"p": list(p_grid), "r": list(r_grid), "K": list(K_grid)},
+        "grid": {"p": list(P_GRID), "r": list(R_GRID), "K": list(K_grid)},
         "tolerances": {
             "inequality_rel": tol,
             "star_rel": STAR_TOL,

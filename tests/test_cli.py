@@ -1,6 +1,7 @@
 """Command line behavior: exits, files, config precedence, round trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +88,18 @@ def test_star_bad_sample_count_exits_2_before_sampling(tmp_path, monkeypatch, ca
         )
         assert code == EXIT_USAGE, n
         assert "power-of-two" in err
+
+
+def test_star_near_the_boundary_keeps_a_tiny_modulus(tmp_path, monkeypatch, capsys):
+    # |scrH_k| is about 1e-9 at theta = pi on r = 0.9999, but not zero
+    code, out, _ = run_main(
+        ["star", "--catalog", "scrH", "--k", "0.5", "--r", "0.9999"], tmp_path, monkeypatch, capsys
+    )
+    assert code == EXIT_OK
+    _, rows = read_csv(str(tmp_path / "star_scrH_k_0.5.csv"))
+    assert len(rows) == 2**16 + 1
+    assert all(math.isfinite(row[1]) and row[3] == 0.9999 for row in rows)
+    assert "r=0.9999:" in out
 
 
 def test_unknown_flag_exits_2(tmp_path, monkeypatch):
@@ -294,7 +307,7 @@ def test_depth_past_the_radius_cap_exits_2_naming_the_depth(args, tmp_path, monk
     # 1 - 2^-21 lies past RADIUS_CAP = 1 - 2^-20
     code, _, err = run_main(args, tmp_path, monkeypatch, capsys)
     assert code == EXIT_USAGE
-    assert "depth must lie in 1..20, got 21" in err
+    assert "depth must lie in 6..20, got 21" in err
     assert not (tmp_path / "verify_report.json").exists()
 
 

@@ -210,13 +210,15 @@ def test_sampled_circle_validation():
         SampledCircle(radius=0.5, values=np.full(MIN_CIRCLE_SAMPLES, np.inf))
 
 
-def test_sample_log_modulus_nudges_off_zero():
-    # z - 1/2 vanishes exactly on the r = 0.5 grid at theta = 0
+def test_sample_log_modulus_raises_on_an_exact_zero():
+    # z - 1/2 vanishes exactly on the r = 0.5 grid at theta = 0; the radius
+    # is never moved, so no finite log|F| exists there
     F = ClosedForm("z-minus-half", lambda z: z - 0.5)
-    sc = sample_log_modulus(F, 0.5, 2**9)
-    assert sc.radius != 0.5
-    assert abs(sc.radius - 0.5) < 1e-5
-    assert np.all(np.isfinite(sc.values))
+    with pytest.raises(DomainError, match="vanishes or is not finite .* at r = 0.5"):
+        sample_log_modulus(F, 0.5, 2**9)
+    for value in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            sample_log_modulus(ClosedForm("const", lambda z: np.full_like(z, value)), 0.5, 2**9)
 
 
 def test_sample_log_modulus_of_a_shear_keeps_its_digits_at_the_modulus_minimum():

@@ -134,7 +134,8 @@ def test_suite_star_matches_check_star_chain_and_samples_each_target_once(
         E = catalog(extremal[prefix], row.k)
         distinct |= {(by_uid[row.mapping_id].h_prime.uid, row.r), (E.uid, row.r)}
     assert sorted(sampled) == sorted(distinct)
-    assert sorted(certified) == sorted({(f.uid, k) for f, _, k in targets})
+    # one certificate per map, at its least k: sup|g'/h'| does not depend on k
+    assert sorted(certified) == sorted({(f.uid, min(verify._k_values(f, K_grid))) for f in corpus})
 
 
 def _suite_k_grid(corpus) -> list:
@@ -309,6 +310,12 @@ def test_membership_needs_valid_p():
         hardy_membership_verdict(analytic_map("identity"), 0.0)
 
 
+@pytest.mark.parametrize("depth", [5, 21])
+def test_membership_depth_lies_in_6_to_20(depth):
+    with pytest.raises(DomainError, match=rf"^depth must lie in 6\.\.20, got {depth}$"):
+        hardy_membership_verdict(analytic_map("identity"), 0.5, depth)
+
+
 def test_row_margin_and_verdict():
     row = VerificationRow(
         mapping_id="m", inequality_id="i", k=0.0, p=1.0, r=0.5,
@@ -418,7 +425,7 @@ def test_report_exit_status_on_failure():
 
 def test_run_suite_star_small():
     f = corpus_shear("halfplane", 0.5, 1)
-    rep = run_suite("star", corpus=[f], r_grid=(0.5,), K_grid=(1.0, 3.0))
+    rep = run_suite("star", corpus=[f], K_grid=(1.0, 3.0))
     # rows at own k = 0.5 only (grid k values 0 and 0.5; 0 < own sup)
     ks = sorted({r.k for r in rep.rows})
     assert ks == [0.5]
@@ -460,6 +467,38 @@ def test_run_suite_unknown_name():
         run_suite("everything")
     with pytest.raises(DomainError):
         run_suite("means", class_filter="starlike")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": -1.0}, "tol must be finite and >= 0, got -1"),
+        ({"tol": float("nan")}, "tol must be finite and >= 0, got nan"),
+        ({"K_grid": (0.5,)}, "K must be >= 1, got 0.5"),
+        ({"depth": 21}, "depth must lie in 6..20, got 21"),
+        ({"depth": 5}, "depth must lie in 6..20, got 5"),
+    ],
+)
+def test_run_suite_checks_its_ranges_on_a_suite_without_qc_rows(kwargs, message, monkeypatch):
+    # classic builds no QC row and no membership fit, yet the metadata
+    # records tol, K and depth; the checks come before the corpus is built
+    monkeypatch.setattr(verify, "build_corpus", lambda: pytest.fail("corpus built"))
+    with pytest.raises(DomainError) as info:
+        run_suite("classic", **kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["means", "star", "cumulative"])
+def test_each_suite_certifies_each_map_once(name, corpus, monkeypatch):
+    certified = []
+    certify = verify.qc_certify
+    monkeypatch.setattr(
+        verify, "qc_certify", lambda f, k: certified.append(f.uid) or certify(f, k)
+    )
+    assert not run_suite(name, corpus=corpus).failures
+    qc_maps = [f.uid for f in corpus if verify._k_values(f) and verify._families_of(f, ("H", "scrH"))]
+    assert len(qc_maps) == 22
+    assert sorted(certified) == sorted(qc_maps)
 
 
 def test_run_suite_grid_defaults():
