@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification violations, 2 usage errors,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -29,8 +28,8 @@ from .means import MeansCurve, _integral_means_grid
 from .star import StarFunction, sample_log_modulus, star_function, star_grid_size
 from .svgplot import polyline_svg
 from .verify import (
-    DEFAULT_DEPTH, K_GRID, MAX_DEPTH, MIN_DEPTH, REL_TOL, SUITES, hardy_membership_verdict,
-    run_suite,
+    DEFAULT_DEPTH, K_GRID, MAX_DEPTH, MIN_DEPTH, REL_TOL, SUITES, _json_nested,
+    hardy_membership_verdict, run_suite,
 )
 
 EXIT_OK = 0
@@ -147,7 +146,7 @@ def _emit(ns: argparse.Namespace, stem: str, lines: list, doc: dict, series: lis
     if "csv" in ns.formats:
         _write_atomic(base + ".csv", "\n".join(lines) + "\n")
     if "json" in ns.formats:
-        _write_atomic(base + ".json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_atomic(base + ".json", _json_nested(doc, 0) + "\n")
     if "svg" in ns.formats:
         _write_atomic(base + ".svg", polyline_svg(series, **plot))
 
@@ -240,7 +239,7 @@ def cmd_means(ns: argparse.Namespace) -> int:
     lines = [MeansCurve.csv_header()]
     curves_doc = []
     series = []
-    by_r = _integral_means_grid(target, ns.p, r_list)  # one batch of the angular rule
+    (by_r,) = _integral_means_grid([target], ns.p, r_list)  # one batch of the angular rule
     for p, values in zip(ns.p, map(list, zip(*by_r))):
         curve = MeansCurve(
             p=p, radii=np.array(r_list), values=np.array(values), target=uid

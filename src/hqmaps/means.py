@@ -11,9 +11,9 @@ changes their value, until the summed change is within the tolerance: a
 few thousand nodes a radius, where a uniform grid would need about
 1/(1 - r). A target that declares real coefficients has |F| even in theta
 and is taken on [0, pi] alone. Nothing is kept between calls; a caller
-asks for its whole p grid and all its radii at once, and each step of the
-rule takes the target once on the active panels of every radius, each p
-only raising |F| to its power.
+asks for its whole p grid, all its radii and all its targets at once, and
+each step of the rule takes each target once on the active panels of its
+radii, each p only raising |F| to its power.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _mean_pow(F: Evaluable, p: float, r: float, rel_tol: float = 1e-9):
     Returns (value, nodes, converged, last_two); last_two are the totals of
     the rule's last two steps.
     """
-    return _graded_mean_pows(F, (p,), (r,), rel_tol)[0][0]
+    return _graded_mean_pows([F], (p,), (r,), rel_tol)[0][0][0]
 
 
 def integral_means(F: Evaluable, p: float, r: float, rel_tol: float = 1e-9) -> float:
@@ -66,12 +66,12 @@ def integral_means(F: Evaluable, p: float, r: float, rel_tol: float = 1e-9) -> f
     Raises NonConvergenceError with the last two iterates of M_p where the
     rule stops unconverged at its node cap.
     """
-    return _integral_means_grid(F, (p,), (r,), rel_tol)[0][0]
+    return _integral_means_grid([F], (p,), (r,), rel_tol)[0][0][0]
 
 
-def _integral_means_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9) -> list:
-    """``integral_means`` for every p in ps at every r in rs, per radius a
-    list by p, from one batch of ``_graded_mean_pows``.
+def _integral_means_grid(Fs, ps, rs, rel_tol: float = 1e-9) -> list:
+    """``integral_means`` for every target in Fs, p in ps and r in rs, per
+    target and radius a list by p, from one batch of ``_graded_mean_pows``.
 
     The rule runs at rel_tol / 100. Its check bounds the change that halving
     the panels makes, an estimate of the coarser total's error; the finer
@@ -87,15 +87,17 @@ def _integral_means_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9) -> list:
     for r in rs:
         if not (0 < r <= RADIUS_CAP):
             raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
-    out, scales = [], []  # the rule fills scales, s by p, a row per radius
-    for r, results, st in zip(rs, _graded_mean_pows(F, ps, rs, rel_tol / 100, scales), scales):
-        for p, t, (value, n, converged, last_two) in zip(ps, st, results):
-            if not converged:
-                raise NonConvergenceError(
-                    f"angular means for {F.uid} at p={p}, r={r} stopped at n={n} nodes",
-                    last_two=tuple(v ** (1.0 / p) * t for v in last_two),
-                )
-        out.append([value ** (1.0 / p) * t for p, t, (value, *_) in zip(ps, st, results)])
+    out, scales = [], []  # the rule fills scales: per target, s by p, a row per radius
+    for F, by_r, scales_F in zip(Fs, _graded_mean_pows(Fs, ps, rs, rel_tol / 100, scales), scales):
+        out.append([])
+        for r, results, st in zip(rs, by_r, scales_F):
+            for p, t, (value, n, converged, last_two) in zip(ps, st, results):
+                if not converged:
+                    raise NonConvergenceError(
+                        f"angular means for {F.uid} at p={p}, r={r} stopped at n={n} nodes",
+                        last_two=tuple(v ** (1.0 / p) * t for v in last_two),
+                    )
+            out[-1].append([value ** (1.0 / p) * t for p, t, (value, *_) in zip(ps, st, results)])
     return out
 
 
@@ -107,7 +109,7 @@ def _integral_means_grid(F: Evaluable, ps, rs, rel_tol: float = 1e-9) -> list:
 
 def _halves(breaks: np.ndarray) -> np.ndarray:
     """The rows of breaks of both halves of each panel."""
-    halves = breaks[:, (0, 1, 1, 1, 1, 2)].reshape(-1, 3)
+    halves = breaks.repeat((1, 4, 1), axis=1).reshape(-1, 3)  # columns 0, 1, 1, 1, 1, 2
     halves[:, 1] = 0.5 * (halves[:, 0] + halves[:, 2])
     return halves
 
@@ -127,92 +129,106 @@ _START_BREAKS = np.stack((_START[:-1], 0.5 * (_START[:-1] + _START[1:]), _START[
 _START_NODES = (_rule_nodes(_START_BREAKS), _rule_nodes(_halves(_START_BREAKS)))
 
 
-def _graded_mean_pows(F: Evaluable, ps, rs, rel_tol: float, scales: Optional[list] = None) -> list:
-    """Raw power means (1/2pi) int |F(r e^{i theta})|^p dtheta for every p in
-    ps at every r in rs, by one globally adaptive Gauss-Legendre rule.
+def _graded_mean_pows(Fs, ps, rs, rel_tol: float, scales: Optional[list] = None) -> list:
+    """Raw power means (1/2pi) int |F(r e^{i theta})|^p dtheta for every
+    target F in Fs, p in ps and r in rs, by one globally adaptive
+    Gauss-Legendre rule on a panel tree per (target, radius) row.
 
     A step takes the 16-node rule on both halves of every active panel. The
-    first step takes it on the 16 uniform start panels of each radius, and
+    first step takes it on the 16 uniform start panels of each row, and
     all of them split. From then on a panel's error is
-    |Q(left) + Q(right) - Q(panel)|, for each p. A radius converges when its
+    |Q(left) + Q(right) - Q(panel)|, for each p. A row converges when its
     retired and active errors sum to at most rel_tol |total| for every p;
     otherwise the panels whose error is at most 0.1 rel_tol |total| over
     the number of active panels, for every p, retire, and the rest split in
-    halves. A radius with no panel left to split, or that the next step
-    would take past N_MAX nodes, stops unconverged. |F| is taken once per
-    step on the active panels of all radii, in pieces of 2^20 points, and
-    each p only raises it to its power; no radius depends on the others.
-    A target declaring real coefficients takes the first 4 start panels,
-    [0, pi], at twice the weight: each panel, node and decision is the whole
-    circle's, as a half panel's error doubles where the active count halves.
+    halves. A row with no panel left to split, or that the next step would
+    take past N_MAX nodes, stops unconverged. Each step takes each target
+    once on the active panels of its live rows, in pieces of 2^20 points,
+    and raises |F| to each p by a scalar exponent; no row depends on the
+    others, so each is bitwise what a call for its target and radius alone
+    returns. A target declaring real coefficients takes the first 4 start
+    panels, [0, pi], at twice the weight: each panel, node and decision is
+    the whole circle's, as a half panel's error doubles where the active
+    count halves.
 
-    Where a radius's largest |F|^p at the first step's nodes is out of
+    Where a row's largest |F|^p at the first step's nodes is out of
     2^-960 .. 2^960, that p averages |F/s|^p, s a power of two near that
     |F|, so tiny and huge targets keep their relative precision; handed a
-    list ``scales``, the call appends a row of s by p per radius and returns
-    the scaled means, else it returns raw ones. M_p is at most that largest
-    |F|, and where it comes near the least normal double it is exact only to
-    2^-1022: rel_tol is raised to |p| 2^-1022 / max |F| there.
+    list ``scales``, the call appends per target a row of s by p per radius
+    and returns the scaled means, else it returns raw ones. M_p is at most
+    that largest |F|, and where it comes near the least normal double it is
+    exact only to 2^-1022: rel_tol is raised to |p| 2^-1022 / max |F| there.
 
-    Returns, per radius, (value, nodes, converged, last_two) by p: nodes
-    counts the whole circle's points, last_two are the totals of the last
-    two steps. p may be < 0.
+    Returns, per target and radius, (value, nodes, converged, last_two) by
+    p: nodes counts the whole circle's points, last_two are the totals of
+    the last two steps. p may be < 0.
     """
-    ps, rs = np.asarray(ps, dtype=float), np.asarray(rs, dtype=float)
-    if not rs.size:
-        return []
-    mirror = 2 if getattr(F, "real_coefficients", False) else 1
-    out, breaks = [None] * rs.size, np.tile(_START_BREAKS[: 8 // mirror], (rs.size, 1))
-    live, count, nodes = np.arange(rs.size), np.full(rs.size, 8 // mirror), np.zeros(rs.size, dtype=int)
-    acc = np.zeros((3, ps.size, rs.size))  # retired value and error, last total: by p and live radius
+    Fs, ps, rs = list(Fs), np.asarray(ps, dtype=float), np.asarray(rs, dtype=float)
+    by_target = lambda rows: [rows[i : i + rs.size] for i in range(0, len(rows), rs.size)]
+    if not (rs.size and Fs):
+        return [[] for _ in Fs]
+    halved = [2 if getattr(F, "real_coefficients", False) else 1 for F in Fs for _ in rs]  # by row
+    mirror, radius = np.array(halved), np.concatenate([rs] * len(Fs))  # by live row
+    out = [None] * radius.size
+    breaks = np.concatenate([_START_BREAKS[: 8 // m] for m in halved])
+    live, count, nodes = np.arange(radius.size), 8 // mirror, np.zeros(radius.size, dtype=int)
+    acc = np.zeros((3, ps.size, radius.size))  # retired value and error, last total: by p, live row
+    bounds = np.arange(len(Fs) + 1) * rs.size  # each target's first row
     step = 0
     while live.size:
-        unit, w = ((np.tile(x[: x.size // mirror], live.size) for x in _START_NODES[step])
+        unit, w = ((np.concatenate([x[: x.size // m] for m in halved]) for x in _START_NODES[step])
                    if step < 2 else _rule_nodes(breaks))
         step += 1
-        z = np.repeat(rs[live], 32 * count) * unit
-        mods = np.concatenate([np.abs(F(z[i : i + 2**20])) for i in range(0, z.size, 2**20)])
+        cum = np.concatenate(([0], count.cumsum()))
+        first = cum[:-1]  # each live row's first panel
+        ends = (32 * cum[live.searchsorted(bounds)]).tolist()  # each target's first node
+        z = radius.repeat(32 * count) * unit
+        mods = np.concatenate([np.abs(F(z[i : min(i + 2**20, b)]))
+                               for F, a, b in zip(Fs, ends, ends[1:]) for i in range(a, b, 2**20)])
         if step == 1:
-            e = np.round(np.log2(np.maximum(mods.reshape(rs.size, -1).max(axis=1), 5e-324)))
-            s = np.where(np.abs(np.multiply.outer(ps, e)) > 960, 2.0**e, 1.0)  # by p and radius
+            e = np.round(np.log2(np.maximum(np.maximum.reduceat(mods, 32 * first), 5e-324)))
+            s = np.where(np.abs(np.multiply.outer(ps, e)) > 960, 2.0**e, 1.0)  # by p and row
             plain = bool(np.all(s == 1.0))
             tol = np.maximum(rel_tol, np.abs(ps)[:, None] * 2.0 ** (-1022 - e))
-        pows = (mods if plain else mods / np.repeat(s[:, live], 32 * count, axis=1)) ** ps[:, None]
-        halves = np.multiply(pows, w, out=pows).reshape(ps.size, -1, 2, 16).sum(axis=3)
-        halves /= 2.0 * np.pi / mirror
-        fine = halves.sum(axis=2)
-        first = count.cumsum() - count  # each live radius's first panel
+        scaled = [mods] * ps.size if plain else mods / s[:, live].repeat(32 * count, axis=1)
+        pows = np.empty((ps.size, mods.size))
+        for base, p, row in zip(scaled, ps.tolist(), pows):
+            np.multiply(base ** p, w, out=row)
+        halves = np.add.reduce(pows.reshape(ps.size, -1, 2, 16), axis=3)
+        halves /= np.pi  # so a whole-circle row sums to twice its mean, exactly
+        fine = np.add.reduce(halves, axis=2)
         total = acc[0] + np.add.reduceat(fine, first, axis=1)
-        nodes += 32 * mirror * count
+        nodes += 32 * count  # on the part of the circle taken
         if step == 1:  # the start panels: nothing to judge, all split
             acc[2], coarse, breaks, count = total, halves.reshape(ps.size, -1), _halves(breaks), 2 * count
             continue
         err = np.abs(fine - coarse)
         bound = tol * np.abs(total)
-        done = (acc[1] + np.add.reduceat(err, first, axis=1) <= bound).all(axis=0)
-        retire = (err <= (0.1 * bound / count).repeat(count, axis=1)).all(axis=0)
+        done = np.logical_and.reduce(acc[1] + np.add.reduceat(err, first, axis=1) <= bound)
+        retire = np.logical_and.reduce(err <= (0.1 * bound / count).repeat(count, axis=1))
         splits = np.add.reduceat(~retire, first, dtype=int)
-        stop = done | (splits == 0) | (nodes + 64 * mirror * splits > N_MAX)
+        stop = done | (splits == 0) | (nodes + 64 * splits > N_MAX // mirror)
         acc[:2] += np.add.reduceat(np.where(retire, (fine, err), 0.0), first, axis=2)
         split = ~retire
         if stop.any():
             j, keep = np.flatnonzero(stop), ~stop
-            for i, n, c, us, vs in zip(live[j].tolist(), nodes[j].tolist(), done[j].tolist(),
-                                       acc[2][:, j].T.tolist(), total[:, j].T.tolist()):
-                out[i] = [(v, n, c, (u, v)) for u, v in zip(us, vs)]
+            stopped = (live[j], mirror[j], nodes[j], done[j], acc[2][:, j].T, total[:, j].T)
+            for i, m, n, c, us, vs in zip(*(x.tolist() for x in stopped)):
+                out[i] = [(v * m / 2, n * m, c, (u * m / 2, v * m / 2)) for u, v in zip(us, vs)]
             split &= keep.repeat(count)
-            live, splits, nodes, acc, total, tol = (
-                live[keep], splits[keep], nodes[keep], acc[:, :, keep], total[:, keep], tol[:, keep])
+            live, splits, nodes, mirror = live[keep], splits[keep], nodes[keep], mirror[keep]
+            radius, acc, total, tol = radius[keep], acc[:, :, keep], total[:, keep], tol[:, keep]
         acc[2] = total
         breaks = _halves(breaks[split])
         coarse = halves[:, split].reshape(ps.size, -1)
         count = 2 * splits
     if scales is not None:
-        scales.extend(s.T.tolist())
+        scales.extend(by_target(s.T.tolist()))
     elif not plain:  # the raw means, s^p times the scaled ones
-        out = [[(v * u, n, c, (a * u, b * u)) for u, (v, n, c, (a, b)) in zip(us, row)]
-               for us, row in zip((s ** ps[:, None]).T.tolist(), out)]
-    return out
+        u = np.stack([t ** p for t, p in zip(s, ps.tolist())])
+        out = [[(v * su, n, c, (a * su, b * su)) for su, (v, n, c, (a, b)) in zip(us, row)]
+               for us, row in zip(u.T.tolist(), out)]
+    return by_target(out)
 
 
 def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
@@ -221,21 +237,25 @@ def corollary_bound(k: float, p: float, r: float, extremal: str = "H") -> float:
     The precondition p >= 1 mirrors the Minkowski step the bound rests on;
     smaller p is a domain error by contract.
     """
-    return float(_corollary_bounds(k, (p,), r, extremal)[0])
+    return float(_corollary_bounds([(extremal, k)], (p,), r)[0][0])
 
 
-def _corollary_bounds(k: float, ps, r: float, extremal: str = "H") -> np.ndarray:
-    """``corollary_bound`` for every p in ps from one vector integrand on the
-    radius line; each depth's new nodes take one batch of the angular rule."""
+def _corollary_bounds(pairs, ps, r: float) -> np.ndarray:
+    """``corollary_bound`` for every (extremal, k) in pairs and p in ps, a
+    row by p per pair, from one vector integrand on the radius line; each
+    depth's new nodes take one batch of the angular rule for every pair."""
     if min(ps) < 1:
         raise DomainError(f"cumulative bound requires p >= 1, got {min(ps)}")
-    if extremal not in ("H", "scrH"):
-        raise DomainError(f"extremal must be 'H' or 'scrH', got {extremal!r}")
+    for extremal, _ in pairs:
+        if extremal not in ("H", "scrH"):
+            raise DomainError(f"extremal must be 'H' or 'scrH', got {extremal!r}")
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
-    E = catalog(extremal, k)
-    means = lambda s: np.array(_integral_means_grid(E, ps, s, rel_tol=1e-8))
-    return (1.0 + k) * graded_integral(means, 0.0, r, 8, 1e-7)
+    Es = [catalog(extremal, k) for extremal, k in pairs]
+    # by radius node, every pair's means by p in one row
+    means = lambda s: np.array(_integral_means_grid(Es, ps, s, 1e-8)).swapaxes(0, 1).reshape(len(s), -1)
+    ks = np.array([k for _, k in pairs])
+    return (1.0 + ks)[:, None] * graded_integral(means, 0.0, r, 8, 1e-7).reshape(len(pairs), -1)
 
 
 def lemmaF_integral(p: float, r: float) -> float:
@@ -316,7 +336,7 @@ def hardy_tail(f: HarmonicMap, p: float) -> HardyTail:
     if abs(f(np.asarray(0.0, dtype=complex))) > 1e-12:
         raise DomainError("normalization f(0) = 0 required")
     gaps = 2.0 ** -np.arange(HARDY_CUTOFF_EXP - 5, HARDY_CUTOFF_EXP + 1)
-    means = [res[0] for res in _graded_mean_pows(f.h_prime, (p,), 1.0 - gaps, 1e-9)]
+    means = [res[0] for res in _graded_mean_pows([f.h_prime], (p,), 1.0 - gaps, 1e-9)[0]]
     values = [(1.0 - r) ** (p - 1.0) * m[0] for r, m in zip((1.0 - gaps).tolist(), means)]
     slope = -loglog_slope(gaps, values)
     return HardyTail(slope, slope <= -1.0, all(m[2] for m in means))
@@ -334,7 +354,7 @@ def hardy_norm_bound(f: HarmonicMap, p: float) -> HardyBound:
     hp, flags = f.h_prime, []  # each radius node's converged flag
 
     def integrand(rs: np.ndarray) -> np.ndarray:
-        means = [res[0] for res in _graded_mean_pows(hp, (p,), rs, 1e-9)]
+        means = [res[0] for res in _graded_mean_pows([hp], (p,), rs, 1e-9)[0]]
         flags.extend(c for _, _, c, _ in means)
         return np.array([(1.0 - r) ** (p - 1.0) * m[0] for r, m in zip(rs.tolist(), means)])
 
@@ -383,7 +403,7 @@ def dyadic_means_curve(F: Evaluable, p: float, depth: int) -> MeansCurve:
     default radii for every corpus map. The per-radius convergence mask lets
     downstream fits discard radii where the rule failed its check.
     """
-    return _dyadic_means_curves(F, (p,), depth)[0]
+    return _dyadic_means_curves([F], (p,), depth)[0][0]
 
 
 def _dyadic_radii(depth: int) -> np.ndarray:
@@ -393,14 +413,15 @@ def _dyadic_radii(depth: int) -> np.ndarray:
     return 1.0 - 2.0 ** -np.arange(1, depth + 1)
 
 
-def _dyadic_means_curves(F: Evaluable, ps, depth: int) -> list:
-    """``dyadic_means_curve`` for every p in ps from one batch, scaled as in
-    ``_integral_means_grid``, so huge and tiny targets keep their precision."""
-    radii, scales = _dyadic_radii(depth), []  # s by p, a row per radius
-    results = _graded_mean_pows(F, ps, radii, 1e-9, scales)
-    by_p = zip(ps, zip(*results), zip(*scales))
+def _dyadic_means_curves(Fs, ps, depth: int) -> list:
+    """``dyadic_means_curve`` for every target in Fs and p in ps, per target
+    a list by p, from one batch, scaled as in ``_integral_means_grid``, so
+    huge and tiny targets keep their precision."""
+    radii, scales = _dyadic_radii(depth), []  # s by p, a row per target and radius
+    results = _graded_mean_pows(Fs, ps, radii, 1e-9, scales)
     return [
-        MeansCurve(p, radii, [value ** (1.0 / p) * t for (value, *_), t in zip(means, st)],
-                   getattr(F, "uid", "?"), converged=np.array([converged for _, _, converged, _ in means]))
-        for p, means, st in by_p
+        [MeansCurve(p, radii, [value ** (1.0 / p) * t for (value, *_), t in zip(means, st)],
+                    getattr(F, "uid", "?"), converged=np.array([converged for _, _, converged, _ in means]))
+         for p, means, st in zip(ps, zip(*by_r), zip(*scales_F))]
+        for F, by_r, scales_F in zip(Fs, results, scales)
     ]

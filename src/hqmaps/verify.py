@@ -182,8 +182,22 @@ _JSON_SCALARS = {
 
 def _json_nested(value, level: int) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` placed at indent level
-    ``level`` of the report (JSON strings hold no raw newline)."""
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * level)
+    ``level`` (JSON strings hold no raw newline). Lists, and dicts keyed by
+    str, are laid out here, a list of finite floats joined from
+    ``float.__repr__``; every other value goes to json.dumps, whose
+    indenting encoder is pure Python."""
+    pad = "\n" + "  " * (level + 1)
+    if type(value) is list and value:
+        if all(type(x) is float for x in value) and math.isfinite(sum(value)):
+            items = map(float.__repr__, value)
+        else:
+            items = (_json_nested(x, level + 1) for x in value)
+        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = (f"{encode_basestring_ascii(key)}: {_json_nested(x, level + 1)}"
+                 for key, x in sorted(value.items()))
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad[:-2])
 
 
 def _json_value(value) -> str:
@@ -323,31 +337,33 @@ def check_means_domination(
     r_grid: Sequence[float] = R_GRID,
 ) -> list:
     """Rows for M_p(r, h') vs the extremal and M_p(r, g') vs its companion."""
-    return _means_rows(f, [(extremal, k)], p_grid, r_grid, REL_TOL, {})
+    return _means_rows([(f, _checked_pairs(f, [(extremal, k)]))], p_grid, r_grid, REL_TOL)
 
 
-def _means_rows(f, pairs, p_grid, r_grid, tol, extremal_means: dict) -> list:
-    """``check_means_domination`` for every (extremal, k) in pairs. Only h'
-    and each extremal, kept in extremal_means under (name, k) for the maps
-    that share it, take the adaptive angular rule, in one batch over r_grid
-    and p_grid; g' = kappa z^m h' and G_k = k z H_k have kappa r^m and k r
-    times their means (g' is integrated when f declares no dilatation)."""
-    checked = _checked_pairs(f, pairs)
-    lhs_h = _integral_means_grid(f.h_prime, p_grid, r_grid, 1e-8)
-    lhs_g = (
-        _integral_means_grid(f.g_prime, p_grid, r_grid, 1e-8) if f.dilatation is None
-        else _times_monomial(lhs_h, r_grid, *f.dilatation)
-    )
+def _means_rows(groups, p_grid, r_grid, tol) -> list:
+    """``check_means_domination`` for every map f and (prefix, extremal, k)
+    in checked, for each (f, checked) in groups. Only each h' and each
+    extremal, once per (name, k), take the adaptive angular rule, all in one
+    batch over r_grid and p_grid; g' = kappa z^m h' and G_k = k z H_k have
+    kappa r^m and k r times their means (g' joins the batch when f declares
+    no dilatation)."""
+    groups = [(f, checked) for f, checked in groups if checked]
+    extremals = list(dict.fromkeys((e, k) for _, checked in groups for _, e, k in checked))
+    targets = [f.h_prime for f, _ in groups] + [f.g_prime for f, _ in groups if f.dilatation is None]
+    targets += [catalog(e, k) for e, k in extremals]
+    means = iter(_integral_means_grid(targets, p_grid, r_grid, 1e-8))
+    lhs_h = [next(means) for _ in groups]
+    lhs_g = [next(means) if f.dilatation is None else _times_monomial(lhs, r_grid, *f.dilatation)
+             for (f, _), lhs in zip(groups, lhs_h)]
+    rhs_h = dict(zip(extremals, means))
     rows = []
-    for side, lhs in (("hprime", lhs_h), ("gprime", lhs_g)):
-        for prefix, extremal, k in checked:
-            if (extremal, k) not in extremal_means:
-                E = catalog(extremal, k)
-                extremal_means[extremal, k] = _integral_means_grid(E, p_grid, r_grid, 1e-8)
-            rhs = extremal_means[extremal, k]
-            if side == "gprime":
-                rhs = _times_monomial(rhs, r_grid, k, 1)
-            rows += _grid_rows(f.uid, f"means-{prefix}-{side}", k, p_grid, r_grid, lhs, rhs, tol)
+    for (f, checked), h, g in zip(groups, lhs_h, lhs_g):
+        for side, lhs in (("hprime", h), ("gprime", g)):
+            for prefix, extremal, k in checked:
+                rhs = rhs_h[extremal, k]
+                if side == "gprime":
+                    rhs = _times_monomial(rhs, r_grid, k, 1)
+                rows += _grid_rows(f.uid, f"means-{prefix}-{side}", k, p_grid, r_grid, lhs, rhs, tol)
     return rows
 
 
@@ -552,13 +568,13 @@ def membership_row(
 
 
 def suite_means(corpus, K_grid=K_GRID, tol=REL_TOL, families=tuple(_FAMILIES)):
-    """Means domination rows for every tagged map, extremal means shared."""
-    extremal_means = {}
-    rows = []
-    for f in corpus:
-        pairs = [(e, k) for e in _families_of(f, families) for k in _k_values(f, K_grid)]
-        rows += _means_rows(f, pairs, P_GRID, R_GRID, tol, extremal_means)
-    return rows
+    """Means domination rows for every tagged map, from one batch of the
+    angular rule for every map's h' and every extremal (name, k) once."""
+    groups = [
+        (f, _checked_pairs(f, [(e, k) for e in _families_of(f, families) for k in _k_values(f, K_grid)]))
+        for f in corpus
+    ]
+    return _means_rows(groups, P_GRID, R_GRID, tol)
 
 
 def suite_star(corpus, r_grid=R_GRID, K_grid=K_GRID, families=tuple(_FAMILIES)):
@@ -585,40 +601,44 @@ def suite_cumulative(corpus, tol=REL_TOL, families=tuple(_FAMILIES)):
     carries, so by default convex members meet the tighter convex-family
     bound; a member with none of their tags gets no row.
     Members with the same k share their bounds, so each distinct one is
-    computed once; one batch of the adaptive angular rule over r_grid, and
-    one radius-line integral per bound, serves the whole p grid.
+    computed once: at each r one radius-line integral, whose vector
+    integrand covers every distinct bound and the whole p grid. The
+    members' means take one batch of the adaptive angular rule.
     """
     p_grid, r_grid = CUMULATIVE_P_GRID, CUMULATIVE_R_GRID
-    bounds = {}
-    rows = []
+    members = []  # (f, extremal, k)
     for f in corpus:
         eligible = _families_of(f, families)
         if f.qc_k is None or f.qc_k >= 1.0 or not eligible:
             continue
-        extremal, k = eligible[0], float(f.qc_k)
-        _require_certificate(f, k)
-        if (k, extremal) not in bounds:
-            bounds[k, extremal] = [_corollary_bounds(k, p_grid, r, extremal) for r in r_grid]
-        lhs = _integral_means_grid(f, p_grid, r_grid, 1e-8)
+        _require_certificate(f, float(f.qc_k))
+        members.append((f, eligible[0], float(f.qc_k)))
+    if not members:
+        return []
+    pairs = list(dict.fromkeys((extremal, k) for _, extremal, k in members))
+    bounds = dict(zip(pairs, zip(*(_corollary_bounds(pairs, p_grid, r) for r in r_grid))))
+    lhs = _integral_means_grid([f for f, _, _ in members], p_grid, r_grid, 1e-8)
+    rows = []
+    for (f, extremal, k), lhs_f in zip(members, lhs):
         inequality = f"cumulative-bound-{_FAMILIES[extremal].prefix}"
-        rows += _grid_rows(f.uid, inequality, k, p_grid, r_grid, lhs, bounds[k, extremal], tol)
+        rows += _grid_rows(f.uid, inequality, k, p_grid, r_grid, lhs_f, bounds[extremal, k], tol)
     return rows
 
 
 def suite_classic(corpus):
     """Analytic starlike members against the slit-plane extremal and its
-    derivative; tolerance is absolute by contract."""
-    K = catalog("koebe")
-    sides = (
-        ("means-classic-koebe", lambda f: f.h, K),
-        ("means-classic-koebe-deriv", lambda f: f.h_prime, K.derivative_function()),
-    )
+    derivative, all from one batch of the angular rule; tolerance is
+    absolute by contract."""
     members = [f for f in corpus if {"analytic", "starlike"} <= f.class_tags]
+    if not members:
+        return []
+    K = catalog("koebe")
+    targets = [K] + [f.h for f in members] + [K.derivative_function()] + [f.h_prime for f in members]
+    means = iter(_integral_means_grid(targets, P_GRID, R_GRID, 1e-9))
     rows = []
-    for inequality, target, koebe in sides if members else ():
-        rhs = _integral_means_grid(koebe, P_GRID, R_GRID, 1e-9)
-        for f in members:
-            lhs = _integral_means_grid(target(f), P_GRID, R_GRID, 1e-9)
+    for inequality in ("means-classic-koebe", "means-classic-koebe-deriv"):
+        rhs = next(means)
+        for f, lhs in zip(members, means):  # zip stops at the last member
             rows += _grid_rows(
                 f.uid, inequality, 0, P_GRID, R_GRID, lhs, rhs, CLASSIC_TOL, relative=False
             )
@@ -628,17 +648,22 @@ def suite_classic(corpus):
 def suite_membership(corpus, depth=DEFAULT_DEPTH):
     """Expected verdict pattern: QC close-to-convex members below 1/2, QC
     convex-certified members below 1, the non-QC contrast case divergent.
-    One batch of adaptive means serves each map's curves at all its p."""
-    rows = []
+    The maps that expect verdicts at the same p take one batch of adaptive
+    means for their curves at all those p."""
+    groups = {}  # expected (p, verdict) pairs -> the maps that expect them
     for f in corpus:
-        expected = []
         if f.uid == "harmonic-koebe":
-            expected = [(0.4, "divergent")]
+            expected = ((0.4, "divergent"),)
         elif f.qc_k is not None and f.qc_k < 1.0:
             ps = {p for e in _families_of(f, _FAMILIES) for p in _FAMILIES[e].member_ps}
-            expected = [(p, "member") for p in sorted(ps)]
-        curves = _dyadic_means_curves(f, [p for p, _ in expected], depth) if expected else []
-        rows += [membership_row(f, p, v, depth, c) for (p, v), c in zip(expected, curves)]
+            expected = tuple((p, "member") for p in sorted(ps))
+        else:
+            continue
+        groups.setdefault(expected, []).append(f)
+    rows = []
+    for expected, maps in groups.items():
+        for f, curves in zip(maps, _dyadic_means_curves(maps, [p for p, _ in expected], depth)):
+            rows += [membership_row(f, p, v, depth, c) for (p, v), c in zip(expected, curves)]
     return rows
 
 

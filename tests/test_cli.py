@@ -360,6 +360,23 @@ def test_star_csv_round_trip(tmp_path, monkeypatch, capsys):
         assert abs(row[1] - v) <= 5e-12 * max(1.0, abs(v))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["means", "--catalog", "H", "--k", "0.5", "--p", "0.5,2", "--r", "0.5,0.9"],
+        ["star", "--catalog", "koebe", "--r", "0.5,0.99"],
+        ["growth", "--shear", "phi=halfplane,omega=0.5z", "--p", "0.45,2"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_json_files_equal_json_dumps_of_their_contents(args, tmp_path, monkeypatch, capsys):
+    code, _, _ = run_main(args + ["--formats", "json"], tmp_path, monkeypatch, capsys)
+    assert code == EXIT_OK
+    (path,) = tmp_path.glob("*.json")
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 def test_svg_output_does_not_change_numbers(tmp_path, monkeypatch, capsys):
     args = ["means", "--corpus", "identity", "--p", "1,2", "--r", "0.3,0.6"]
     d1, d2 = tmp_path / "plain", tmp_path / "plotted"

@@ -122,8 +122,8 @@ def test_integral_means_evaluate_a_pointwise_target_once_per_step():
     F = ClosedForm(H.uid, lambda z: sizes.append(z.size) or H(z))
     rs = (0.5, 0.9, 0.99)
     # integral_means asks the rule for a hundredth of its tolerance
-    nodes = [res[0][1] for res in _graded_mean_pows(H, (1.0, 2.0), rs, 1e-10)]
-    means._integral_means_grid(F, (1.0, 2.0), rs, 1e-8)
+    nodes = [res[0][1] for res in _graded_mean_pows([H], (1.0, 2.0), rs, 1e-10)[0]]
+    means._integral_means_grid([F], (1.0, 2.0), rs, 1e-8)
     # the 16 start panels of every circle at once, their 32 halves, then
     # the active panels of the radii left: each node once, all p served
     assert sizes[:2] == [3 * 256, 3 * 512]
@@ -137,8 +137,8 @@ def test_declared_targets_take_the_whole_circles_nodes_and_decisions(corpus):
     targets = list(corpus) + [f.h_prime for f in corpus]
     targets += [catalog(name, k_of_K(K)) for name in ("H", "scrH") for K in K_GRID]
     for F in targets:
-        half = _graded_mean_pows(F, P_GRID, R_GRID, 1e-10)
-        whole = _graded_mean_pows(ClosedForm(F.uid, F), P_GRID, R_GRID, 1e-10)
+        (half,) = _graded_mean_pows([F], P_GRID, R_GRID, 1e-10)
+        (whole,) = _graded_mean_pows([ClosedForm(F.uid, F)], P_GRID, R_GRID, 1e-10)
         for r, by_p, want_by_p in zip(R_GRID, half, whole):
             for p, (value, nodes, converged, _), (want, n, c, _) in zip(P_GRID, by_p, want_by_p):
                 assert (nodes, converged) == (n, c), (F.uid, r, p)
@@ -150,7 +150,7 @@ def test_cumulative_bound_takes_each_depths_new_nodes_in_one_batch(monkeypatch):
     # the radius-line integrand with one call of the angular rule per node
     E = catalog("H", k)
     one_by_one = (1.0 + k) * analytic.graded_integral(
-        lambda s: np.array([means._integral_means_grid(E, ps, (x,), 1e-8)[0] for x in s]),
+        lambda s: np.array([means._integral_means_grid([E], ps, (x,), 1e-8)[0][0] for x in s]),
         0.0, r, 8, 1e-7,
     )
     calls, batches = [], []
@@ -160,15 +160,15 @@ def test_cumulative_bound_takes_each_depths_new_nodes_in_one_batch(monkeypatch):
         return ClosedForm(E.uid, lambda z: calls.append(z.size) or E(z),
                           real_coefficients=E.real_coefficients)
 
-    def recorded(F, ps, rs, *args):
-        out = graded(F, ps, rs, *args)
-        batches.append(sum(row[0][1] for row in out))
+    def recorded(Fs, ps, rs, *args):
+        out = graded(Fs, ps, rs, *args)
+        batches.append(sum(row[0][1] for row in out[0]))
         return out
 
     graded = means._graded_mean_pows
     monkeypatch.setattr(means, "catalog", counted)
     monkeypatch.setattr(means, "_graded_mean_pows", recorded)
-    got = means._corollary_bounds(k, ps, r, "H")
+    got = means._corollary_bounds([("H", k)], ps, r)[0]
     assert np.array_equal(got, one_by_one)
     # one batch per grading depth, E run on each node of each once: on the
     # upper half circle, while the node counts are the whole circle's
@@ -179,7 +179,7 @@ def test_cumulative_bound_takes_each_depths_new_nodes_in_one_batch(monkeypatch):
 def test_one_radius_line_integral_serves_every_p():
     ps = (1.0, 2.0, 4.0)
     for k, r, extremal in ((0.0, 0.5, "H"), (0.5, 0.9, "scrH"), (0.25, 0.99, "H")):
-        got = means._corollary_bounds(k, ps, r, extremal)
+        got = means._corollary_bounds([(extremal, k)], ps, r)[0]
         for p, value in zip(ps, got):
             want = corollary_bound(k, p, r, extremal)
             assert abs(value / want - 1.0) <= 1e-14, (k, r, extremal, p)
@@ -332,8 +332,43 @@ _BATCH_RADII = tuple(1.0 - 2.0 ** -np.arange(1, 14)) + (0.05, 0.3, 0.62, 0.9, 0.
     ids=lambda v: getattr(v, "uid", None),
 )
 def test_batched_graded_means_equal_one_radius_at_a_time(F, p):
-    batched = [res[0] for res in _graded_mean_pows(F, (p,), _BATCH_RADII, 1e-9)]
-    assert batched == [_graded_mean_pows(F, (p,), (r,), 1e-9)[0][0] for r in _BATCH_RADII]
+    # |F| is raised to each p by a scalar exponent, so no radius's result
+    # depends on the radii that share its steps, on a p grid too
+    for ps in ((p,), P_GRID):
+        (batched,) = _graded_mean_pows([F], ps, _BATCH_RADII, 1e-9)
+        assert batched == [_graded_mean_pows([F], ps, (r,), 1e-9)[0][0] for r in _BATCH_RADII], ps
+
+
+def _batch_targets():
+    """A target declaring real coefficients, one declaring none, a tiny one
+    that averages |F/s|^p at some p, and one that stops unconverged."""
+    return [
+        catalog("H", 0.5),
+        ClosedForm("koebe-whole-circle", catalog("koebe")),
+        catalog("G", 1e-300),
+        ClosedForm("lacunary", lambda z: 1 + z**2**18),
+    ]
+
+
+def test_a_batch_of_targets_equals_each_targets_own_call():
+    Fs, rs = _batch_targets(), (0.5, 0.9, 0.999999)
+    scales = []
+    batched = _graded_mean_pows(Fs, P_GRID, rs, 1e-9, scales)
+    assert [len(s) for s in scales] == [3] * 4 and scales[2][0] != [1.0] * 5
+    for F, by_r, scales_F in zip(Fs, batched, scales):
+        alone = []
+        assert by_r == _graded_mean_pows([F], P_GRID, rs, 1e-9, alone)[0], F.uid
+        assert [scales_F] == alone, F.uid
+    assert not batched[3][2][0][2] and all(res[2] for by_r in batched[:3] for row in by_r for res in row)
+    # the raw means, s^p times the scaled ones
+    raw = _graded_mean_pows(Fs[:3], P_GRID, rs, 1e-9)
+    assert raw == [_graded_mean_pows([F], P_GRID, rs, 1e-9)[0] for F in Fs[:3]]
+
+
+def test_an_unconverged_target_is_named_by_its_batch():
+    Fs = _batch_targets()
+    with pytest.raises(NonConvergenceError, match=r"for lacunary at p=2\.0, r=0\.999999 stopped at n="):
+        means._integral_means_grid(Fs, (2.0,), (0.5, 0.999999), 1e-7)
 
 
 @pytest.mark.parametrize(
@@ -351,12 +386,12 @@ def test_graded_means_for_a_p_grid_equal_one_p_at_a_time(F, ps):
     # one panel tree serves the whole grid and refines until every p passes,
     # so each p agrees with its own tree to the tolerance, not bitwise
     radii = 1.0 - 2.0 ** -np.arange(1, 14)
-    batched = _graded_mean_pows(F, ps, radii, 1e-9)
+    (batched,) = _graded_mean_pows([F], ps, radii, 1e-9)
     for j, p in enumerate(ps):
-        for by_p, (alone,) in zip(batched, _graded_mean_pows(F, (p,), radii, 1e-9)):
+        for by_p, (alone,) in zip(batched, _graded_mean_pows([F], (p,), radii, 1e-9)[0]):
             assert by_p[j][2] and alone[2]
             assert abs(by_p[j][0] / alone[0] - 1.0) <= 1e-9, p
-    curves = means._dyadic_means_curves(F, ps, 13)
+    (curves,) = means._dyadic_means_curves([F], ps, 13)
     for p, curve in zip(ps, curves):
         alone = dyadic_means_curve(F, p, 13)
         assert curve.p == p
@@ -390,9 +425,9 @@ def test_hardy_norm_bound_evaluates_h_prime_once_per_radius_line_level(f, p, mon
         calls.append(z.size)
         return hp(z)
 
-    def batch(F, ps, rs, rel_tol):
+    def batch(Fs, ps, rs, rel_tol):
         batches.append(len(rs))
-        return graded_mean_pows(F, ps, rs, rel_tol)
+        return graded_mean_pows(Fs, ps, rs, rel_tol)
 
     monkeypatch.setattr(means, "_graded_mean_pows", batch)
     counted_h = ClosedForm(f.h.uid, f.h, dfn=ClosedForm(hp.uid, counted))
@@ -418,9 +453,10 @@ def test_verdict_takes_only_the_tail_of_hardy_norm_bound(f, p, monkeypatch):
     batches = []
     graded_mean_pows = means._graded_mean_pows
 
-    def batch(F, ps, rs, *args):
+    def batch(Fs, ps, rs, *args):
+        (F,) = Fs
         batches.append((F.uid, len(rs)))
-        return graded_mean_pows(F, ps, rs, *args)
+        return graded_mean_pows(Fs, ps, rs, *args)
 
     monkeypatch.setattr(means, "_graded_mean_pows", batch)
     v = hardy_membership_verdict(f, p)
@@ -569,7 +605,7 @@ def test_corpus_curves_converge_with_one_evaluation_per_refinement_step(corpus):
         F = _Counted(f)
         c = dyadic_means_curve(F, 0.45, 13)
         assert np.all(c.converged), f.uid
-        nodes = [res[0][1] for res in _graded_mean_pows(f, (0.45,), c.radii, 1e-9)]
+        nodes = [res[0][1] for res in _graded_mean_pows([f], (0.45,), c.radii, 1e-9)[0]]
         # nodes count the whole circle, F is taken on its upper half
         assert F.calls[0] == 13 * 128 and 2 * sum(F.calls) == sum(nodes), f.uid
         if f.uid in _CURVE_PINS:
@@ -584,7 +620,7 @@ def test_membership_suite_evaluates_each_map_once_for_all_its_p(corpus):
         if len(rows) < 2:
             continue
         one_batch = _Counted(f)
-        means._dyadic_means_curves(one_batch, [row.p for row in rows], 13)
+        means._dyadic_means_curves([one_batch], [row.p for row in rows], 13)
         # the normalization probe of a certificate evaluates f at 0 alone
         assert [n for n in F.calls if n > 1] == one_batch.calls, f.uid
         checked += 1

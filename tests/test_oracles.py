@@ -132,12 +132,12 @@ def test_integral_means_match_hypergeometric_closed_forms(name):
 @pytest.mark.parametrize("p", [0.25, 0.45, 0.9, 2.0, 4.0])
 def test_graded_rule_matches_hypergeometric_means(p):
     pole = ClosedForm("double-pole", lambda z: 1.0 / (1.0 - z) ** 2)
-    value, nodes, converged, _ = _graded_mean_pows(pole, (p,), (DEEP,), 1e-9)[0][0]
+    value, nodes, converged, _ = _graded_mean_pows([pole], (p,), (DEEP,), 1e-9)[0][0][0]
     assert converged
     assert nodes <= 2560
     assert abs(value / hyp(p, DEEP) - 1.0) <= 1e-10
 
-    value, _, converged, _ = _graded_mean_pows(catalog("koebe"), (p,), (DEEP,), 1e-9)[0][0]
+    value, _, converged, _ = _graded_mean_pows([catalog("koebe")], (p,), (DEEP,), 1e-9)[0][0][0]
     assert converged
     assert abs(value / (DEEP**p * hyp(p, DEEP)) - 1.0) <= 1e-10
 
@@ -146,7 +146,7 @@ def test_graded_rule_matches_hypergeometric_means_on_a_whole_p_grid():
     # one panel tree serves the grid, so it must refine until every p passes
     ps = (0.25, 0.45, 0.9, 2.0, 4.0)
     pole = ClosedForm("double-pole", lambda z: 1.0 / (1.0 - z) ** 2)
-    for p, (value, _, converged, _) in zip(ps, _graded_mean_pows(pole, ps, (DEEP,), 1e-9)[0]):
+    for p, (value, _, converged, _) in zip(ps, _graded_mean_pows([pole], ps, (DEEP,), 1e-9)[0][0]):
         assert converged
         assert abs(value / hyp(p, DEEP) - 1.0) <= 1e-10, p
 
@@ -171,7 +171,7 @@ def test_adaptive_rule_is_never_wrong_about_a_pole_just_outside_the_circle(p):
     for alpha in np.random.default_rng(20).uniform(0.0, 2.0 * np.pi, 8):
         u = np.exp(-1j * alpha) / rho
         pole = ClosedForm("pole", lambda z: 1.0 / (1.0 - u * z) ** 2)
-        value, _, converged, _ = _graded_mean_pows(pole, (p,), (DEEP,), 1e-9)[0][0]
+        value, _, converged, _ = _graded_mean_pows([pole], (p,), (DEEP,), 1e-9)[0][0][0]
         if converged:
             assert abs(value / want - 1.0) <= 1e-10, alpha
             converged_in += 1
@@ -186,7 +186,7 @@ def test_adaptive_rule_matches_parseval_for_an_extremal():
     a = A * (n + 1) + (1.0 - A - C) + C * k**n
     H = catalog("H", k)
     assert np.allclose(H.taylor(64), a[:64], rtol=1e-14, atol=0.0)
-    value, _, converged, _ = _graded_mean_pows(H, (2.0,), (r,), 1e-9)[0][0]
+    value, _, converged, _ = _graded_mean_pows([H], (2.0,), (r,), 1e-9)[0][0][0]
     assert converged
     assert abs(value / float(np.sum(a**2 * r ** (2.0 * n))) - 1.0) <= 1e-10
 

@@ -8,9 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from hqmaps import analytic, verify
+from hqmaps import analytic, means, verify
 from hqmaps.analytic import DomainError, catalog
-from hqmaps.harmonic import analytic_map, corpus_shear, harmonic_koebe
+from hqmaps.harmonic import HarmonicMap, analytic_map, corpus_shear, harmonic_koebe
 from hqmaps.means import MeansCurve, _integral_means_grid, dyadic_means_curve
 from hqmaps.star import sample_log_modulus, star_function
 from hqmaps.verify import (
@@ -170,9 +170,9 @@ def test_derived_gprime_means_match_the_integrated_ones(corpus):
         for E, G in (("H", "G"), ("scrH", "scrG")) for k in _suite_k_grid(corpus)
     ]
     for F, G, (kappa, m) in pairs:
-        means = _integral_means_grid(F, P_GRID, R_GRID, 1e-8)
+        (means,) = _integral_means_grid([F], P_GRID, R_GRID, 1e-8)
         derived = np.array(verify._times_monomial(means, R_GRID, kappa, m))
-        sampled = np.array(_integral_means_grid(G, P_GRID, R_GRID, 1e-8))
+        sampled = np.array(_integral_means_grid([G], P_GRID, R_GRID, 1e-8)[0])
         assert np.all(np.abs(derived - sampled) <= 1e-13 * np.abs(sampled)), G.uid
 
 
@@ -186,7 +186,7 @@ def test_a_map_without_a_declared_dilatation_samples_g_prime(corpus_by_uid, monk
         verify, "sample_log_modulus", lambda F, r, n: seen.append(F.uid) or sample(F, r, n)
     )
     monkeypatch.setattr(
-        verify, "_integral_means_grid", lambda F, *a: seen.append(F.uid) or integrate(F, *a)
+        verify, "_integral_means_grid", lambda Fs, *a: seen.extend(F.uid for F in Fs) or integrate(Fs, *a)
     )
     for g in (f, bare):
         seen.clear()
@@ -396,6 +396,23 @@ def test_report_writers_match_json_dumps_and_a_csv_writer_per_row():
         )
 
 
+def test_nested_json_equals_json_dumps():
+    # lists of finite floats are joined here; anything else, a non-finite or
+    # overflowing list included, takes json's own path at its indent
+    nan, inf = float("nan"), float("inf")
+    docs = [
+        {"curves": [{"p": 0.5, "r": [0.1, 0.99], "value": [1.0, -0.0, 5e-324, 1e308]}], "target": "x"},
+        {"nan": [1.0, nan], "inf": [inf, 2.0], "overflow": [1e308, 1e308], "ints": [1, 2.5],
+         "np": [np.float64(0.1), 0.2], "tuple": (0.5, 1.5), "empty": [[], {}], "bool": [True, 1.5]},
+        {"rows": [{"thresholds": {"theorem": None, "nowak": 0.5}, "beta": -inf}], "\u00fc\n": "\u03b8"},
+        {2: [1.0], 0.5: None}, [[0.25, 4.0], [[nan]], {"z": {"a": [0.5]}}], [], {}, 0.1, "text", None,
+    ]
+    for doc in docs:
+        want = json.dumps(doc, sort_keys=True, indent=2)
+        assert verify._json_nested(doc, 0) == want
+        assert verify._json_nested(doc, 3) == want.replace("\n", "\n" + "  " * 3)
+
+
 def test_membership_rows_and_thresholds_follow_the_family_table():
     # a starlike tag alone admits the close-to-convex family only
     koebe = analytic_map("koebe")
@@ -499,6 +516,40 @@ def test_each_suite_certifies_each_map_once(name, corpus, monkeypatch):
     qc_maps = [f.uid for f in corpus if verify._k_values(f) and verify._families_of(f, ("H", "scrH"))]
     assert len(qc_maps) == 22
     assert sorted(certified) == sorted(qc_maps)
+
+
+@pytest.mark.parametrize("name", ["means", "classic", "cumulative", "membership"])
+def test_each_suite_takes_its_targets_in_one_batch_per_p_grid(name, corpus, monkeypatch):
+    batches = []
+    graded = means._graded_mean_pows
+
+    def recorded(Fs, ps, rs, *args):
+        batches.append((list(Fs), tuple(ps), len(rs)))
+        return graded(Fs, ps, rs, *args)
+
+    monkeypatch.setattr(means, "_graded_mean_pows", recorded)
+    rows = getattr(verify, f"suite_{name}")(corpus)
+    assert rows and not [row for row in rows if row.verdict != "pass"]
+    if name == "means":
+        # every map's h', g' where it declares no dilatation, each (name, k) once
+        (Fs, _, _), = batches
+        extremals = {(row.inequality_id.split("-")[1], row.k) for row in rows}
+        assert len(Fs) == len({row.mapping_id for row in rows}) + len(extremals)
+    elif name == "classic":
+        (Fs, _, _), = batches
+        assert len(Fs) == 2 + 2 * len({row.mapping_id for row in rows})
+    elif name == "cumulative":
+        # the maps' left-hand sides; the rest are the bounds' radius lines
+        lhs = [Fs for Fs, _, _ in batches if isinstance(Fs[0], HarmonicMap)]
+        assert [[f.uid for f in Fs] for Fs in lhs] == [list(dict.fromkeys(row.mapping_id for row in rows))]
+    else:
+        # the curves at 13 radii; the others are the verdicts' certificates
+        curves = [(Fs, ps) for Fs, ps, n in batches if n == verify.DEFAULT_DEPTH]
+        ps_of = {}
+        for row in rows:
+            ps_of.setdefault(row.mapping_id, []).append(row.p)
+        assert sorted(ps for _, ps in curves) == sorted(set(map(tuple, ps_of.values())))
+        assert sum(len(Fs) for Fs, _ in curves) == len(ps_of)
 
 
 def test_run_suite_grid_defaults():
