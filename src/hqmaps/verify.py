@@ -569,7 +569,8 @@ def membership_row(
 
 def suite_means(corpus, K_grid=K_GRID, tol=REL_TOL, families=tuple(_FAMILIES)):
     """Means domination rows for every tagged map, from one batch of the
-    angular rule for every map's h' and every extremal (name, k) once."""
+    angular rule for every map's h' (and g' where it declares no
+    dilatation) and every extremal (name, k) once."""
     groups = [
         (f, _checked_pairs(f, [(e, k) for e in _families_of(f, families) for k in _k_values(f, K_grid)]))
         for f in corpus
