@@ -8,7 +8,10 @@ oracle in the test suite pins this identity rather than assuming it.
 
 Grid convention: n uniform angles on [-pi, pi) put the star grid at
 theta_m = pi m / n, m = 0..n, so every grid node corresponds to a whole
-number of cells and no fractional cell enters at nodes.
+number of cells and no fractional cell enters at nodes. The cheap paths
+leave every bit as it was: a stable sort (linear on the two runs of a
+target monotone in |theta|), log|F| on the half circle for an even one, and
+one read-only theta table for every n dividing 2^16.
 """
 
 from __future__ import annotations
@@ -18,10 +21,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .analytic import RADIUS_CAP, AnalyticFunction, DomainError, circle_values
+from .analytic import RADIUS_CAP, AnalyticFunction, DomainError, RadialIntegral, circle_values
 from .csvio import csv_lines
 
 MIN_CIRCLE_SAMPLES = 2**9
+# pi m / 2^16: bitwise pi m' / n, m' = m n / 2^16, for n | 2^16 (as ``unit_circle``)
+_THETAS = np.arange(2**16 + 1.0) * np.pi / 2**16
+_THETAS.flags.writeable = False
 
 
 def _check_count(n: int) -> None:
@@ -56,18 +62,24 @@ def sample_log_modulus(F: AnalyticFunction, r: float, n: int) -> SampledCircle:
     A sample where F is exactly 0 or not finite is a DomainError: log|F|
     has no finite value there (``SampledCircle`` rejects an infinite one).
     The circle grid starts at theta = 0; rolling it by n/2 puts the samples
-    on [-pi, pi). |F| is written rolled into one array and its log taken in
-    place.
+    on [-pi, pi). A target with real coefficients sampled pointwise mirrors
+    exactly (j and n - j are conjugates), so |F| and its log are taken at
+    j <= n/2 alone and mirrored; a spectral ``RadialIntegral`` mirrors only
+    to roundoff and takes the whole circle. Either way the bits are the
+    whole-circle log's (abs runs forward: a reversed stride changes them).
     """
     if not (0 < r <= RADIUS_CAP):
         raise DomainError(f"r must lie in (0, {RADIUS_CAP}], got {r}")
     _check_count(n)
-    values, half, mod = circle_values(F, r, n), n // 2, np.empty(n)
-    np.abs(values[n - half :], out=mod[:half])
-    np.abs(values[: n - half], out=mod[half:])
+    values, half = circle_values(F, r, n), n // 2
+    even = getattr(F, "real_coefficients", False) and not isinstance(F, RadialIntegral)
+    mod = np.abs(values[: half + 1] if even else np.concatenate((values[half:], values[:half])))
     if not np.min(mod) > 0.0:  # a zero or a NaN
         raise DomainError(f"{F.uid} vanishes or is not finite on the sampled circle at r = {r}")
-    return SampledCircle(radius=r, values=np.log(mod, out=mod), source_id=F.uid)
+    np.log(mod, out=mod)
+    if even:  # j = n/2 .. 1 lie at theta < 0
+        mod = np.concatenate((mod[:0:-1], mod[:half]))
+    return SampledCircle(radius=r, values=mod, source_id=F.uid)
 
 
 @dataclass
@@ -105,7 +117,10 @@ def star_function(samples: Union[SampledCircle, Sequence[float], np.ndarray]) ->
     values need no fractional cell. The sums are built in the output: the
     negated samples sorted ascending, summed and scaled by -(2 pi / n), give
     the descending sums' bits, since rounding is odd; adding +0.0 makes an
-    exact cancellation, and values[0], +0.0 as there.
+    exact cancellation, and values[0], +0.0 as there. Any sort gives these
+    bits (sorted floats are one sequence, up to the zeros' signs): timsort
+    merges a monotone target's two runs in linear time. The thetas view
+    ``_THETAS`` (read-only) where n divides 2^16; any other n computes them.
     """
     if isinstance(samples, SampledCircle):
         vals = samples.values
@@ -120,12 +135,11 @@ def star_function(samples: Union[SampledCircle, Sequence[float], np.ndarray]) ->
     n = vals.size
     values = np.zeros(n + 1)
     sums = np.negative(vals, out=values[1:])
-    sums.sort()
+    sums.sort(kind="stable")
     np.cumsum(sums, out=sums)
     values *= -(2.0 * np.pi / n)
     values += 0.0
-    thetas = np.arange(n + 1.0)
-    np.divide(np.multiply(thetas, np.pi, out=thetas), n, out=thetas)
+    thetas = _THETAS[:: 2**16 // n] if 2**16 % n == 0 else np.arange(n + 1.0) * np.pi / n
     return StarFunction(
         thetas=thetas,
         values=values,

@@ -394,18 +394,23 @@ def _star_rows(f, checked, r, extremal_stars: dict) -> list:
     """``check_star_chain`` at radius r for every (prefix, extremal, k) in
     checked, whose tags and certificates have passed. Only h' and each
     extremal, kept in extremal_stars under (name, k) for the maps that share
-    it at r, are sampled: log|g'| and log|G_k| differ from log|h'| and
-    log|H_k| by constants (g' is sampled when f declares no dilatation)."""
+    it at r with its tolerance scale, are sampled: log|g'| and log|G_k|
+    differ from log|h'| and log|H_k| by constants (g' is sampled when f
+    declares no dilatation)."""
     if not checked:
         return []
     n = star_grid_size(r)
     star_h = star_function(sample_log_modulus(f.h_prime, r, n))
     star_g = None
     rows = []
+
+    def scaled(star):  # a star function and its rows' scale max(1, max|E*|)
+        return star, max(1.0, float(np.max(np.abs(star.values))))
+
     for prefix, extremal, k in checked:
         if (extremal, k) not in extremal_stars:
             E = catalog(extremal, k)
-            extremal_stars[extremal, k] = star_function(sample_log_modulus(E, r, n))
+            extremal_stars[extremal, k] = scaled(star_function(sample_log_modulus(E, r, n)))
         sides = [("hprime", star_h, extremal)]
         # the companion row needs log|g'|; skip it when g vanishes identically
         if k > 0 and not f.is_analytic():
@@ -416,12 +421,12 @@ def _star_rows(f, checked, r, extremal_stars: dict) -> list:
                 )
             companion = _FAMILIES[extremal].companion
             if (companion, k) not in extremal_stars:
-                extremal_stars[companion, k] = _plus_log_monomial(extremal_stars[extremal, k], k, 1)
+                extremal_stars[companion, k] = scaled(_plus_log_monomial(extremal_stars[extremal, k][0], k, 1))
             sides.append(("gprime", star_g, companion))
         for side, star_f, name in sides:
             # every star function on this n-point grid shares its thetas
-            star_E = StarFunction(star_f.thetas, extremal_stars[name, k].values)
-            scale = max(1.0, float(np.max(np.abs(star_E.values))))
+            star_E, scale = extremal_stars[name, k]
+            star_E = StarFunction(star_f.thetas, star_E.values)
             v = star_dominates(star_f, star_E, tol=STAR_TOL * scale)
             rows.append(
                 VerificationRow(

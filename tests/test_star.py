@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from hqmaps.analytic import (
     ClosedForm,
     DomainError,
+    RadialIntegral,
+    catalog,
     circle_values,
     radial_path_integral,
     unit_circle,
@@ -232,23 +234,60 @@ def test_sample_log_modulus_of_a_shear_keeps_its_digits_at_the_modulus_minimum()
     assert np.max(np.abs(sc.values - np.log(np.abs(want)))) <= 1e-12
 
 
+def _plain_star(vals):
+    """Descending cumulative sums: the star function's plain expression, with
+    its zeros read +0.0 as ``star_function`` writes them."""
+    vals = np.asarray(vals, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(np.sort(vals)[::-1])]) * (2.0 * np.pi / vals.size) + 0.0
+
+
 def test_log_samples_and_star_functions_are_bitwise_their_plain_expressions():
     rng = np.random.default_rng(11)
     f = corpus_shear("strip", 0.8, 2)
-    for n in (2**9, 2**12, 2**16):
-        sc = sample_log_modulus(f, 0.99, n)
-        want = np.log(np.roll(np.abs(circle_values(f, 0.99, n)), n // 2))
-        assert np.array_equal(_bits(sc.values), _bits(want)), n
+    scrH = catalog("scrH", 0.5)  # |scrH| decreases in |theta|: one sorted run each side
+    tilted = ClosedForm("tilted", lambda z: (1.0 + 0.5j * z) / (1.0 - 0.9 * z) ** 2)
+    spectral = RadialIntegral(catalog("H", 0.5).derivative_function(), "int H'")
+    assert not tilted.real_coefficients and spectral.real_coefficients
+    # 2^17 points: the thetas are computed, not viewed from the 2^16 table
+    cases = [(f, n) for n in (2**9, 2**12, 2**16, 2**17)]
+    cases += [(scrH, 2**16), (tilted, 2**12), (spectral, 2**12)]
+    for F, n in cases:
+        sc = sample_log_modulus(F, 0.99, n)
+        want = np.log(np.roll(np.abs(circle_values(F, 0.99, n)), n // 2))
+        assert np.array_equal(_bits(sc.values), _bits(want)), (F.uid, n)
         for vals in (sc.values, rng.normal(size=n), sample_log_modulus(f.g_prime, 0.5, n).values):
             sf = star_function(vals)
-            plain = np.concatenate([[0.0], np.cumsum(np.sort(vals)[::-1])]) * (2.0 * np.pi / n)
-            assert np.array_equal(_bits(sf.values), _bits(plain)), n
+            assert np.array_equal(_bits(sf.values), _bits(_plain_star(vals))), (F.uid, n)
             assert np.array_equal(_bits(sf.thetas), _bits(np.pi * np.arange(n + 1) / n)), n
+            assert sf.thetas.flags.writeable == (n > 2**16)
             assert not np.signbit(sf.values[0])
+    assert np.all(np.diff(sample_log_modulus(scrH, 0.99, 2**16).values[2**15:]) <= 0.0)
     # sums that cancel exactly read +0.0, as the descending sums do
     vals = [1.0, 0.5, -0.5, -1.0]
     plain = np.concatenate([[0.0], np.cumsum(np.sort(vals)[::-1])]) * (2.0 * np.pi / 4)
     assert np.array_equal(_bits(star_function(vals).values), _bits(plain))
+    # ties and both signed zeros: any sort gives one sequence of values
+    for vals in ([0.0, -0.0, 1.0, -0.0, 1.0, 0.0, -1.0, -1.0] * 64, [-0.0] * 512, [0.0, -0.0] * 256):
+        sf = star_function(vals)
+        assert np.array_equal(_bits(sf.values), _bits(_plain_star(vals))), vals[:8]
+        assert not np.any(np.signbit(sf.values[sf.values == 0.0]))
+
+
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e6, 1e6))
+
+
+@given(st.integers(1, 10).flatmap(lambda e: st.lists(_FLOATS, min_size=2 ** (e - 1) + 1,
+                                                     max_size=2 ** (e - 1) + 1)))
+@settings(max_examples=80, deadline=None)
+def test_star_function_of_a_mirror_symmetric_array_is_its_plain_expression(upper):
+    # upper holds theta = 0..pi; the [-pi, pi) grid lays it out with its mirror,
+    # as an even log|F| is laid out
+    half = len(upper) - 1
+    vals = np.array(upper[:0:-1] + upper[:half])
+    sf = star_function(vals)
+    assert np.array_equal(_bits(sf.values), _bits(_plain_star(vals)))
+    assert np.array_equal(_bits(sf.thetas), _bits(np.pi * np.arange(2 * half + 1) / (2 * half)))
+    assert not sf.thetas.flags.writeable
 
 
 def test_sample_log_modulus_gives_up_on_zero_function():
