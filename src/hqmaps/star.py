@@ -8,10 +8,10 @@ oracle in the test suite pins this identity rather than assuming it.
 
 Grid convention: n uniform angles on [-pi, pi) put the star grid at
 theta_m = pi m / n, m = 0..n, so every grid node corresponds to a whole
-number of cells and no fractional cell enters at nodes. The cheap paths
-leave every bit as it was: a stable sort (linear on the two runs of a
-target monotone in |theta|), log|F| on the half circle for an even one, and
-one read-only theta table for every n dividing 2^16.
+number of cells and no fractional cell enters at nodes. Three shortcuts
+give the plain expressions' bits: a stable sort (linear on the two runs of
+a target monotone in |theta|), log|F| on the half circle for an even one,
+and one read-only theta table for every n dividing 2^16.
 """
 
 from __future__ import annotations
@@ -73,12 +73,12 @@ def sample_log_modulus(F: AnalyticFunction, r: float, n: int) -> SampledCircle:
     _check_count(n)
     values, half = circle_values(F, r, n), n // 2
     even = getattr(F, "real_coefficients", False) and not isinstance(F, RadialIntegral)
-    mod = np.abs(values[: half + 1] if even else np.concatenate((values[half:], values[:half])))
+    mod = np.abs(values[: half + 1] if even else values)
     if not np.min(mod) > 0.0:  # a zero or a NaN
         raise DomainError(f"{F.uid} vanishes or is not finite on the sampled circle at r = {r}")
     np.log(mod, out=mod)
-    if even:  # j = n/2 .. 1 lie at theta < 0
-        mod = np.concatenate((mod[:0:-1], mod[:half]))
+    # j = n/2 .. 1 lie at theta < 0; an even target's are its mirror
+    mod = np.concatenate((mod[:0:-1], mod[:half])) if even else np.roll(mod, half)
     return SampledCircle(radius=r, values=mod, source_id=F.uid)
 
 

@@ -426,8 +426,7 @@ def _star_rows(f, checked, r, extremal_stars: dict) -> list:
         for side, star_f, name in sides:
             # every star function on this n-point grid shares its thetas
             star_E, scale = extremal_stars[name, k]
-            star_E = StarFunction(star_f.thetas, star_E.values)
-            v = star_dominates(star_f, star_E, tol=STAR_TOL * scale)
+            v = star_dominates(star_f, StarFunction(star_f.thetas, star_E.values), tol=STAR_TOL * scale)
             rows.append(
                 VerificationRow(
                     f.uid, f"star-{prefix}-{side}", k, 0.0, r,
